@@ -9,12 +9,6 @@ them to ``BENCH_exec.json`` at the repo root:
 * reusing the persistent profile cache (warm vs cold) — the second run
   of any experiment performs zero ``profile_kernel`` calls.
 
-It also measures the bounded-skew SM-group mode (DESIGN.md §12) on one
-launch: grouped-vs-serial IPC skew at 2 and 4 groups — the accuracy
-side of the parallelization ledger, recorded honestly (the default
-``mst`` kernel is memory-contended, the worst case for relaxed
-cross-group ordering).
-
 Environment knobs: ``REPRO_BENCH_JOBS`` (default 4) and
 ``REPRO_BENCH_EXEC_KERNEL`` (default ``mst`` — many launches, several
 clusters, so the launch fan-out has real work to spread).
@@ -28,10 +22,8 @@ import time
 from pathlib import Path
 
 from repro.analysis.report import render_table
-from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
 from repro.exec import ExecutionConfig, ProfileCache
-from repro.sim.gpu import GPUSimulator
 from repro.workloads import get_workload
 
 from conftest import emit
@@ -71,27 +63,6 @@ def test_parallel_speedup_and_cache_reuse(tmp_path):
     assert par.sample_size == serial.sample_size
     assert sorted(par.rep_results) == sorted(serial.rep_results)
 
-    # --- SM-group mode: measured IPC skew on one launch ----------------
-    from repro.sim.parallel import simulate_sm_groups
-
-    launch = kernel.launches[0]
-    serial_launch = GPUSimulator(GPUConfig()).run_launch(launch)
-    sm_group_records = []
-    for groups in (2, 4):
-        run, grouped_s = _timed(lambda g=groups: simulate_sm_groups(
-            launch, sm_groups=g, serial_baseline=serial_launch,
-            exec_config=ExecutionConfig(jobs=JOBS, use_cache=False),
-        ))
-        assert run.ipc_skew is not None
-        sm_group_records.append({
-            "sm_groups": groups,
-            "grouped_seconds": round(grouped_s, 4),
-            "ipc_grouped": round(run.machine_ipc, 4),
-            "ipc_serial": round(run.serial_ipc, 4),
-            "ipc_skew": round(run.ipc_skew, 5),
-            "exec_path": run.exec_meta.get("path"),
-        })
-
     speedup = serial_s / par_s if par_s else float("inf")
     cache_speedup = cold_s / warm_s if warm_s else float("inf")
     record = {
@@ -112,7 +83,6 @@ def test_parallel_speedup_and_cache_reuse(tmp_path):
         "profile_cold_seconds": round(cold_s, 4),
         "profile_warm_seconds": round(warm_s, 4),
         "cache_speedup": round(cache_speedup, 3),
-        "sm_groups": sm_group_records,
         "identical_estimates": True,
     }
     OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
@@ -131,14 +101,6 @@ def test_parallel_speedup_and_cache_reuse(tmp_path):
         assert par.exec_meta["path"] == "parallel" or (
             par.exec_meta["reason"] == "process pool unavailable"
         ), par.exec_meta
-    # SM-group skew is workload-dependent: relaxing cross-group L2/DRAM
-    # ordering removes memory contention, so the error scales with how
-    # contended the kernel is — measured ~2% on spmv, ~22-28% on mst
-    # (DESIGN.md §12 records the band and when the mode is usable).
-    # This asserts the *measurement discipline* and a loose backstop;
-    # the per-run accuracy gate is the caller's ``skew_tolerance``.
-    for rec in sm_group_records:
-        assert rec["ipc_skew"] < 0.35, rec
     # The headline parallel claim only holds where the hardware can: on
     # a single-CPU box the pool adds overhead and proves nothing.
     if (os.cpu_count() or 1) >= 4 and len(serial.rep_results) >= JOBS:

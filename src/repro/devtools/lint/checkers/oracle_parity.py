@@ -8,8 +8,8 @@ registered without being added to the parametrized equivalence suites —
 nothing fails, the new implementation just runs unvalidated.
 
 ORA001 cross-references the simulator's implementation registries
-(``ENGINES = (...)`` class attributes and the ``MEMORY_FRONT_ENDS`` /
-``L2_ORGANIZATIONS`` mappings under ``sim/``) against the test suite: every registered
+(``ENGINES = (...)`` class attributes and the ``MEMORY_FRONT_ENDS``
+mapping under ``sim/``) against the test suite: every registered
 implementation name must appear in at least one *parametrized* test —
 either a string inside a ``pytest.mark.parametrize`` decorator, or a
 string inside a literal tuple/list iterated by a ``for`` loop in a
@@ -34,7 +34,6 @@ from repro.devtools.lint.core import (
 REGISTRY_NAMES = {
     "ENGINES": "engine",
     "MEMORY_FRONT_ENDS": "memory front end",
-    "L2_ORGANIZATIONS": "L2 organization",
 }
 
 

@@ -1,7 +1,7 @@
 """Warm-state simulation service: ``repro serve`` / ``repro request``.
 
 A long-lived daemon (:mod:`repro.serve.server`) owns warm simulation
-state — keyed engine registry, resident kernel traces with enlarged
+state — warm engine pool, resident kernel traces with enlarged
 block-memo windows, in-memory profile mirror, optional journal-backed
 idempotent replay — and amortizes process cold-start across requests.
 Clients (:mod:`repro.serve.client`) speak a length-prefixed JSON

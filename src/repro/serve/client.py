@@ -186,7 +186,7 @@ class ServeClient:
     # ------------------------------------------------------------------
     def simulate(self, kernel: str, **params: object) -> dict:
         """Simulate one launch (see ``normalize_request`` for params:
-        scale, seed, launch, engine, mem_front_end, l2_shards, timeout)."""
+        scale, seed, launch, timeout)."""
         return self.call("simulate", {"kernel": kernel, **params})
 
     def tbpoint(self, kernel: str, **params: object) -> dict:

@@ -39,7 +39,6 @@ from repro.exec.engine import ExecutionConfig
 from repro.profiler.functional import KernelProfile, profile_kernel
 from repro.serve.payloads import RequestError, result_payload, tbpoint_payload
 from repro.sim.gpu import GPUSimulator
-from repro.sim.worker import simulator_key
 from repro.trace import KernelTrace
 from repro.workloads import get_workload
 
@@ -75,7 +74,8 @@ class JobRunner:
     Stores (each a pure cache keyed exactly like PR 8's in-server
     registries, see DESIGN.md §13):
 
-    * idle engines keyed by :func:`repro.sim.worker.simulator_key`;
+    * idle engines, all the system simulator on the default
+      :class:`~repro.config.GPUConfig`;
     * resident kernel traces per (kernel, scale, seed) with block-memo
       windows enlarged to ``block_memo`` (0 = each launch's full block
       count) and a per-kernel serialization lock (the memo window is
@@ -86,7 +86,7 @@ class JobRunner:
 
     def __init__(self, block_memo: int = 0, cache_dir: str | None = None):
         self.block_memo = block_memo
-        self._idle_engines: dict[tuple, list[GPUSimulator]] = {}
+        self._idle_engines: list[GPUSimulator] = []
         self._engines_lock = threading.Lock()
         self._engines_built: list[str] = []
         self._kernels: dict[tuple, KernelTrace] = {}
@@ -120,27 +120,20 @@ class JobRunner:
             lock = self._kernel_locks[key] = threading.Lock()
         return kernel, lock, False
 
-    def checkout_engine(self, norm: dict) -> tuple[GPUSimulator, bool]:
-        gpu = GPUConfig(l2_shards=norm["l2_shards"])
-        key = simulator_key(gpu, norm["engine"], norm["mem_front_end"])
+    def checkout_engine(self) -> tuple[GPUSimulator, bool]:
+        """An idle system simulator (compact engine, ``fast`` front end,
+        default config) and whether it was warm."""
         with self._engines_lock:
-            idle = self._idle_engines.get(key)
-            if idle:
-                return idle.pop(), True
-        sim = GPUSimulator(
-            gpu, engine=norm["engine"], mem_front_end=norm["mem_front_end"]
-        )
+            if self._idle_engines:
+                return self._idle_engines.pop(), True
+        sim = GPUSimulator(GPUConfig())
         with self._engines_lock:
-            self._engines_built.append(
-                f"{norm['engine']}/{norm['mem_front_end']}"
-                f"/l2_shards={norm['l2_shards']}"
-            )
+            self._engines_built.append(f"{sim.engine}/{sim.mem_front_end}")
         return sim, False
 
     def checkin_engine(self, sim: GPUSimulator) -> None:
-        key = simulator_key(sim.config, sim.engine, sim.mem_front_end)
         with self._engines_lock:
-            self._idle_engines.setdefault(key, []).append(sim)
+            self._idle_engines.append(sim)
 
     def get_profile(self, kernel: KernelTrace) -> tuple[KernelProfile, str]:
         key = kernel_cache_key(kernel)
@@ -163,7 +156,7 @@ class JobRunner:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._engines_lock:
-            idle_engines = sum(len(v) for v in self._idle_engines.values())
+            idle_engines = len(self._idle_engines)
             engines_built = list(self._engines_built)
         with self._kernels_lock:
             kernels = sorted(
@@ -192,7 +185,7 @@ class JobRunner:
             heartbeat()
         kernel, kernel_lock, kernel_warm = self.get_kernel(norm)
         meta = JobMeta(kind=norm["kind"], kernel_warm=kernel_warm)
-        sim, warm = self.checkout_engine(norm)
+        sim, warm = self.checkout_engine()
         meta.engine_warm = warm
         if heartbeat is not None:
             heartbeat()

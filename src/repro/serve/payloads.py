@@ -5,7 +5,7 @@ any socket or asyncio machinery so the bit-identity oracle is a plain
 function call:
 
 * :func:`normalize_request` canonicalizes a raw request-parameter dict
-  (fill defaults, coerce types, validate against the registries) into
+  (fill defaults, canonicalize numeric types, validate the kernel) into
   the normal form both the server and the oracle consume;
 * :func:`request_key` derives the request's *content key* from that
   normal form via :func:`repro.exec.journal.sweep_key` — the same
@@ -35,7 +35,6 @@ from repro.config import GPUConfig, SamplingConfig
 from repro.exec.engine import ExecutionConfig
 from repro.exec.journal import sweep_key
 from repro.sim.gpu import GPUSimulator, LaunchResult
-from repro.sim.memory import MEMORY_FRONT_ENDS
 from repro.workloads import ALL_KERNELS, get_workload
 
 #: Version of the served-payload schema; salts request content keys and
@@ -76,54 +75,54 @@ def _require(condition: bool, message: str) -> None:
         raise RequestError(message)
 
 
+def _number(params: dict, name: str, default, integral: bool):
+    """One numeric parameter, type-checked rather than coerced: a JSON
+    boolean or string is rejected, and an integral parameter accepts a
+    float only when it holds an integer (``2014.0``, never ``2.7``)."""
+    value = params.get(name, default)
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"{name} must be a number, not {value!r}",
+    )
+    if integral:
+        _require(isinstance(value, int) or value.is_integer(),
+                 f"{name} must be an integer, not {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise RequestError(f"{name} is out of range: {value!r}") from None
+
+
 def normalize_request(kind: str, params: dict) -> dict:
     """Canonical normal form of one compute request.
 
-    Fills defaults, coerces numeric types (JSON clients may send ``1``
-    for ``1.0`` and vice versa) and validates names against the kernel,
-    engine and memory-front-end registries.  Two requests that mean the
-    same simulation normalize identically — which is what makes
-    :func:`request_key` a true content key.
+    Fills defaults, canonicalizes numeric types (JSON clients may send
+    ``1`` for ``1.0`` and ``2014.0`` for ``2014``; anything that is not
+    exactly such a number is a :class:`RequestError`, never coerced) and
+    validates the kernel name.  Two requests that mean the same
+    simulation normalize identically — which is what makes
+    :func:`request_key` a true content key.  The daemon always runs the
+    system simulator (compact engine, ``fast`` memory front end, the
+    default :class:`~repro.config.GPUConfig`), so implementation
+    choices that the bit-identity contract makes timing-invariant are
+    not request parameters.
     """
     _require(kind in COMPUTE_KINDS, f"unknown compute kind {kind!r}")
     _require(isinstance(params, dict), "params must be an object")
-    known = {"kernel", "scale", "seed", "launch", "engine",
-             "mem_front_end", "l2_shards", "timeout"}
+    known = {"kernel", "scale", "seed", "launch", "timeout"}
     unknown = set(params) - known
     _require(not unknown, f"unknown request parameters: {sorted(unknown)}")
 
     kernel = params.get("kernel")
     _require(isinstance(kernel, str) and kernel in ALL_KERNELS,
              f"unknown kernel {kernel!r}; known: {list(ALL_KERNELS)}")
-    try:
-        scale = float(params.get("scale", 0.125))
-        seed = int(params.get("seed", 2014))
-        launch = int(params.get("launch", 0))
-        l2_shards = int(params.get("l2_shards", 1))
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"malformed numeric parameter: {exc}") from exc
+    scale = _number(params, "scale", 0.125, integral=False)
+    seed = _number(params, "seed", 2014, integral=True)
+    launch = _number(params, "launch", 0, integral=True)
     _require(0 < scale <= 1, "scale must be in (0, 1]")
     _require(launch >= 0, "launch must be >= 0")
-    engine = params.get("engine", "compact")
-    _require(engine in GPUSimulator.ENGINES,
-             f"unknown engine {engine!r}; choose from {GPUSimulator.ENGINES}")
-    mem_front_end = params.get("mem_front_end", "fast")
-    _require(mem_front_end in MEMORY_FRONT_ENDS,
-             f"unknown mem_front_end {mem_front_end!r}; "
-             f"choose from {tuple(MEMORY_FRONT_ENDS)}")
-    try:
-        GPUConfig(l2_shards=l2_shards)
-    except ValueError as exc:
-        raise RequestError(str(exc)) from exc
-    norm = {
-        "kind": kind,
-        "kernel": kernel,
-        "scale": scale,
-        "seed": seed,
-        "engine": engine,
-        "mem_front_end": mem_front_end,
-        "l2_shards": l2_shards,
-    }
+    norm = {"kind": kind, "kernel": kernel, "scale": scale, "seed": seed}
     if kind == "simulate":
         norm["launch"] = launch
     elif "launch" in params:
@@ -140,20 +139,10 @@ def request_key(norm: dict) -> str:
     return sweep_key("serve", ident)
 
 
-def gpu_config(norm: dict) -> GPUConfig:
-    return GPUConfig(l2_shards=norm["l2_shards"])
-
-
 # ----------------------------------------------------------------------
 # Result payloads (JSON-native: what crosses the wire IS the oracle's
 # comparison object; json round-trips of ints/floats are exact)
 # ----------------------------------------------------------------------
-def _json_stats(stats: dict) -> dict:
-    return {
-        k: list(v) if isinstance(v, tuple) else v for k, v in stats.items()
-    }
-
-
 def result_payload(result: LaunchResult) -> dict:
     """JSON-native summary of one launch simulation."""
     counters = result.counters
@@ -165,7 +154,7 @@ def result_payload(result: LaunchResult) -> dict:
         "machine_ipc": float(result.machine_ipc),
         "per_sm_issued": [int(v) for v in result.per_sm_issued],
         "per_sm_busy_cycles": [int(v) for v in result.per_sm_busy_cycles],
-        "mem_stats": _json_stats(result.mem_stats),
+        "mem_stats": dict(result.mem_stats),
         "block_regenerations": (
             int(counters.block_regenerations) if counters is not None else None
         ),
@@ -202,10 +191,8 @@ def direct_payload(norm: dict) -> dict:
     match the cold run's thrash).
     """
     kernel = get_workload(norm["kernel"], scale=norm["scale"], seed=norm["seed"])
-    gpu = gpu_config(norm)
-    simulator = GPUSimulator(
-        gpu, engine=norm["engine"], mem_front_end=norm["mem_front_end"]
-    )
+    gpu = GPUConfig()
+    simulator = GPUSimulator(gpu)
     if norm["kind"] == "simulate":
         _require(
             norm["launch"] < len(kernel.launches),
@@ -240,7 +227,6 @@ __all__ = [
     "RESULTS_VERSION",
     "RequestError",
     "direct_payload",
-    "gpu_config",
     "normalize_request",
     "payloads_equal",
     "request_key",

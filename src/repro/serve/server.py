@@ -2,12 +2,10 @@
 
 One process owns the hot state every one-shot invocation throws away:
 
-* **warm engines** — a keyed registry of :class:`GPUSimulator`
-  instances (checkout/checkin), keyed by the exact
-  (config, engine, front-end) triple via
-  :func:`repro.sim.worker.simulator_key` — the same reuse identity the
-  launch fan-out workers use — so simulator-lifetime trace-interning
-  tables survive across requests;
+* **warm engines** — a pool of idle :class:`GPUSimulator` instances
+  (checkout/checkin), all the system simulator on the default
+  ``GPUConfig``, so simulator-lifetime trace-interning tables survive
+  across requests;
 * **resident traces** — :class:`KernelTrace` objects per
   (kernel, scale, seed), their launches' block-memo windows enlarged
   (by default to the launch's full block count) so >256-block launches
@@ -205,8 +203,8 @@ class ServeCounters:
     journal_hits: int = 0
     sims_run: int = 0
     tbpoint_runs: int = 0
-    #: Warm = an idle engine with the exact key was reused; cold = a
-    #: new ``GPUSimulator`` had to be built.
+    #: Warm = an idle engine was reused; cold = a new ``GPUSimulator``
+    #: had to be built.
     engine_warm_acquisitions: int = 0
     engine_cold_acquisitions: int = 0
     kernels_built: int = 0

@@ -17,11 +17,7 @@ them, so eviction cost grows with the deletions since the last resize
 (~5.9 µs/eviction at L2 size, 6144 lines, vs ~150 ns for
 ``OrderedDict.popitem`` — the linked list exists precisely to make
 both ends O(1)).  Hits are also slower (~79 ns for del+reinsert vs
-~50 ns for a prebound ``move_to_end``).  :class:`DictLRUCache` keeps
-that variant in-tree as the documented, property-tested rejection;
-``tests/test_sim_memory_fastpath.py`` checks it stays bit-identical to
-:class:`LRUCache` on random access sequences, which is what makes the
-performance comparison apples-to-apples.
+~50 ns for a prebound ``move_to_end``).
 
 The memory fast path (:class:`~repro.sim.memory.MemoryHierarchy`) does
 not call :meth:`LRUCache.access` at all — it works directly on
@@ -33,33 +29,10 @@ end (the equivalence oracle).
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 
-import numpy as np
 
-
-class _LRUStatsMixin:
-    """Derived statistics shared by the LRU implementations."""
-
-    __slots__ = ()
-
-    @property
-    def occupancy(self) -> int:
-        """Number of valid lines currently resident."""
-        return len(self._lines)
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
-
-class LRUCache(_LRUStatsMixin):
+class LRUCache:
     """Capacity-bounded LRU cache over line addresses.
 
     Parameters
@@ -104,453 +77,13 @@ class LRUCache(_LRUStatsMixin):
 
     def lru_lines(self) -> list[int]:
         """Resident lines in LRU-to-MRU order (the observable recency
-        state; every implementation exposes it for the equivalence
-        tests, whatever its internal storage)."""
+        state the equivalence tests compare)."""
         return list(self._lines)
-
-    def peek_lru(self) -> int:
-        """The least-recently-used resident line (cache must be
-        non-empty).  Non-mutating for this implementation."""
-        return next(iter(self._lines))
-
-    def evict_lru(self) -> int:
-        """Remove and return the least-recently-used resident line
-        (cache must be non-empty).  No statistics are touched — same as
-        the eviction inside :meth:`access`."""
-        return self._lines.popitem(last=False)[0]
-
-    def probe_lines(self, lines: "np.ndarray") -> "np.ndarray":
-        """Vectorized non-mutating membership probe: a boolean per
-        *line* address against the resident tag set (same contract as
-        :meth:`ArrayLRUCache.probe_lines`)."""
-        n = len(self._lines)
-        tags = np.fromiter(self._lines.keys(), np.int64, n)
-        return np.isin(lines, tags)
-
-    def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all lines (and by default zero the counters)."""
-        self._lines.clear()
-        if not keep_stats:
-            self.hits = 0
-            self.misses = 0
-
-
-class DictLRUCache(_LRUStatsMixin):
-    """Plain-dict LRU: the measured-and-rejected alternative.
-
-    Exactly LRU-equivalent to :class:`LRUCache` — a dict ordered by
-    insertion is an LRU list if every hit reinserts its key (delete +
-    add moves it to the back, what ``move_to_end`` does) and the front
-    (``next(iter(...))``) is always the oldest — but eviction pays the
-    tombstone scan described in the module docstring, so it loses badly
-    on eviction-heavy (memory-bound) workloads.  Kept for the
-    equivalence property test and as the recorded measurement behind
-    the storage choice; not used by either memory front end.
-    """
-
-    __slots__ = ("num_lines", "line_shift", "hits", "misses", "_lines")
-
-    def __init__(self, capacity_bytes: int, line_size: int):
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError("line_size must be a positive power of two")
-        if capacity_bytes < line_size:
-            raise ValueError("capacity smaller than one line")
-        self.num_lines = capacity_bytes // line_size
-        self.line_shift = line_size.bit_length() - 1
-        self.hits = 0
-        self.misses = 0
-        self._lines: dict[int, None] = {}
-
-    def access(self, addr: int) -> bool:
-        """Access one byte address; return True on hit.  Misses allocate
-        (and evict LRU if full)."""
-        line = addr >> self.line_shift
-        lines = self._lines
-        if line in lines:
-            del lines[line]
-            lines[line] = None
-            self.hits += 1
-            return True
-        lines[line] = None
-        if len(lines) > self.num_lines:
-            del lines[next(iter(lines))]
-        self.misses += 1
-        return False
-
-    def contains(self, addr: int) -> bool:
-        """Non-mutating lookup (no LRU update, no fill, no stats)."""
-        return (addr >> self.line_shift) in self._lines
-
-    def lru_lines(self) -> list[int]:
-        """Resident lines in LRU-to-MRU order."""
-        return list(self._lines)
-
-    def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all lines (and by default zero the counters)."""
-        self._lines.clear()
-        if not keep_stats:
-            self.hits = 0
-            self.misses = 0
-
-
-def _pow2_at_least(n: int) -> int:
-    r = 1
-    while r < n:
-        r <<= 1
-    return r
-
-
-class ArrayLRUCache(_LRUStatsMixin):
-    """Exact LRU over a preallocated recency *log* array (ring buffer).
-
-    The recency order lives in a flat ``array('q')`` ring instead of an
-    ``OrderedDict``'s linked list: every access appends its line at the
-    log tail, a position index (``line -> log index``) marks which log
-    entry is each line's *current* one, and eviction scans forward from
-    the log head, skipping entries whose position no longer matches
-    (stale appends superseded by a later touch).  Amortized O(1): every
-    log slot is written once and consumed at most once.
-
-    When the ring fills (``tail - head`` reaches the ring size, which
-    needs a long hit streak — hits append without consuming), it is
-    *compacted* with one vectorized pass: ``np.argsort`` of the live
-    positions rewrites the ring prefix in LRU order and renumbers the
-    index.  The fullness triggers test ``>=`` rather than ``==`` so
-    that a caller which batches appends (the vector front end) can
-    never leave occupancy strictly past a boundary that equality-only
-    checks would then miss forever.
-    ``compactions`` counts these; on eviction-heavy streams it stays 0
-    because misses consume log slots as fast as hits produce them.
-
-    Same observable contract as :class:`LRUCache` (bit-identical hits,
-    misses, eviction order — property-tested), but the recency state is
-    a flat int64 buffer: ``np.frombuffer`` exposes it zero-copy to
-    NumPy, which is what the planned cross-process L2 sharding
-    (ROADMAP item 2) needs — a shared-memory ring is mergeable, a
-    linked-list ``OrderedDict`` is not.  :meth:`probe_lines` gives the
-    vectorized membership probe over the tag array.
-    """
-
-    #: Extra ring slots beyond capacity so a warp-sized batch can append
-    #: without mid-batch compaction checks (the vector front end
-    #: reserves headroom once per batch instead).
-    MIN_HEADROOM = 64
-
-    __slots__ = (
-        "num_lines", "line_shift", "hits", "misses", "compactions",
-        "_pos", "_ring", "_ring_np", "_ring_size", "_rmask", "_ht",
-    )
-
-    def __init__(self, capacity_bytes: int, line_size: int):
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError("line_size must be a positive power of two")
-        if capacity_bytes < line_size:
-            raise ValueError("capacity smaller than one line")
-        self.num_lines = capacity_bytes // line_size
-        self.line_shift = line_size.bit_length() - 1
-        self.hits = 0
-        self.misses = 0
-        self.compactions = 0
-        size = _pow2_at_least(
-            max(4 * self.num_lines, self.num_lines + self.MIN_HEADROOM)
-        )
-        self._ring_size = size
-        self._rmask = size - 1
-        self._ring = array("q", bytes(8 * size))
-        self._ring_np = np.frombuffer(self._ring, dtype=np.int64)
-        self._pos: dict[int, int] = {}
-        # [head, tail] as a list so flattened fast paths can alias it;
-        # both are *absolute* log indices (monotonic), masked into the
-        # ring on use.
-        self._ht = [0, 0]
-
-    def access(self, addr: int) -> bool:
-        """Access one byte address; return True on hit.  Misses allocate
-        (and evict LRU if full)."""
-        line = addr >> self.line_shift
-        pos = self._pos
-        ht = self._ht
-        tail = ht[1]
-        hit = pos.get(line, -1) >= 0
-        self._ring[tail & self._rmask] = line
-        pos[line] = tail
-        ht[1] = tail + 1
-        if hit:
-            self.hits += 1
-            if ht[1] - ht[0] >= self._ring_size:
-                self._compact()
-            return True
-        self.misses += 1
-        if len(pos) > self.num_lines:
-            self._evict_one()
-        elif ht[1] - ht[0] >= self._ring_size:
-            self._compact()
-        return False
-
-    def _evict_one(self) -> None:
-        """Remove the least-recently-used line: scan from the log head,
-        skipping superseded entries."""
-        pos = self._pos
-        pget = pos.get
-        ring = self._ring
-        rmask = self._rmask
-        ht = self._ht
-        h = ht[0]
-        while True:
-            victim = ring[h & rmask]
-            at = h
-            h += 1
-            if pget(victim, -1) == at:
-                del pos[victim]
-                break
-        ht[0] = h
-
-    def _compact(self) -> None:
-        """Rewrite the ring prefix in LRU order (vectorized argsort of
-        the live positions) and renumber the index in place.
-
-        Mutates ``_pos`` and ``_ht`` in place — never rebinds them —
-        because the vector memory front end keeps flat aliases to both.
-        """
-        pos = self._pos
-        n = len(pos)
-        if n:
-            lines = np.fromiter(pos.keys(), np.int64, n)
-            stamps = np.fromiter(pos.values(), np.int64, n)
-            ordered = lines[np.argsort(stamps, kind="stable")]
-            self._ring_np[:n] = ordered
-            pos.clear()
-            pos.update(zip(ordered.tolist(), range(n)))
-        self._ht[0] = 0
-        self._ht[1] = n
-        self.compactions += 1
-
-    def contains(self, addr: int) -> bool:
-        """Non-mutating lookup (no LRU update, no fill, no stats)."""
-        return (addr >> self.line_shift) in self._pos
-
-    def probe_lines(self, lines: "np.ndarray") -> "np.ndarray":
-        """Vectorized non-mutating membership probe: a boolean per line
-        address (not byte address), against the resident tag set.
-
-        One ``np.isin`` over the position index's keys resolves the
-        whole batch — the tag-compare primitive a sharded L2 serves
-        lookups with.  Genuinely non-mutating: no recency update, no
-        fill, no statistics, and no compaction.
-        """
-        n = len(self._pos)
-        tags = np.fromiter(self._pos.keys(), np.int64, n)
-        return np.isin(lines, tags)
-
-    def lru_lines(self) -> list[int]:
-        """Resident lines in LRU-to-MRU order."""
-        return [ln for ln, _ in sorted(self._pos.items(), key=lambda kv: kv[1])]
-
-    def peek_lru(self) -> int:
-        """The least-recently-used resident line (cache must be
-        non-empty).  Advances the log head past superseded (stale)
-        entries as a side effect — exactly the skip :meth:`_evict_one`
-        would perform, so it is unobservable in the LRU relation."""
-        pos_get = self._pos.get
-        ring = self._ring
-        rmask = self._rmask
-        ht = self._ht
-        h = ht[0]
-        while True:
-            victim = ring[h & rmask]
-            if pos_get(victim, -1) == h:
-                ht[0] = h
-                return victim
-            h += 1
-
-    def evict_lru(self) -> int:
-        """Remove and return the least-recently-used resident line
-        (cache must be non-empty).  No statistics are touched — same as
-        the eviction inside :meth:`access`."""
-        victim = self.peek_lru()
-        del self._pos[victim]
-        self._ht[0] += 1
-        return victim
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return len(self._pos)
-
-    def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all lines (and by default zero the counters).
-
-        In-place (dict ``clear``, list element assignment): the vector
-        front end keeps flat references into this state."""
-        self._pos.clear()
-        self._ht[0] = 0
-        self._ht[1] = 0
-        if not keep_stats:
-            self.hits = 0
-            self.misses = 0
-            self.compactions = 0
-
-
-class ShardedL2:
-    """L2 state partitioned into per-address-slice banks (shards).
-
-    Each line address maps to exactly one shard (``line & (shards-1)``,
-    a power-of-two mask over the *line* address), so residency is a
-    disjoint union over shards and a lookup touches exactly one bank —
-    the partitioning that lets SM groups probe different shards without
-    serializing on one recency structure (DESIGN.md §12).
-
-    Bit-identity invariant (property-tested against the single-cache
-    oracle): hits, misses, eviction order and the full LRU relation are
-    identical to one unified LRU of the same total capacity.  Hit/miss
-    equality is immediate — a line is resident in its shard iff it is
-    resident in the unified cache, because both structures hold the
-    same line set (induction below).  Eviction equality needs *global*
-    LRU coordination: a per-shard-capacity LRU would evict the locally
-    oldest line of a full shard, which is not in general the globally
-    oldest.  So recency is tracked on a single shared clock: every
-    access stamps its line with the next global tick in its shard's
-    stamp table, and eviction removes the line with the *minimum stamp
-    across shards*.  Within one shard, local LRU order equals stamp
-    order (both are access order — :meth:`ArrayLRUCache._compact`
-    renumbers local log indices but preserves their relative order, and
-    the global stamp tables are never renumbered), so each shard's
-    :meth:`peek_lru` line carries that shard's minimum stamp and the
-    global victim is an O(shards) argmin, O(1) per access otherwise.
-
-    Shard backing stores are the existing single-cache implementations
-    (:class:`LRUCache` or :class:`ArrayLRUCache`, per ``line_cls``),
-    each deliberately constructed one line *larger* than the whole
-    cache so its internal eviction trigger (``len > num_lines``) can
-    never fire — the shard must not evict its own locally-oldest line
-    when the global victim lives elsewhere.  Occupancy is bounded here
-    (``_occ``), and :meth:`_evict_global` performs the coordinated
-    eviction through the shard's :meth:`evict_lru`.
-
-    Observability: ``shard_probes`` counts accesses per shard and
-    ``shard_imbalance`` summarizes their skew (0.0 = perfectly
-    balanced; the hottest shard's excess over a balanced share),
-    surfaced through ``SimCounters`` and ``repro simulate --mem-stats``.
-    :meth:`probe_lines` batches a membership probe across shards with
-    one vectorized ``np.isin`` per touched shard.
-    """
-
-    __slots__ = (
-        "num_shards", "num_lines", "line_shift", "shards",
-        "shard_probes", "_shard_mask", "_gstamps", "_clock", "_occ",
-    )
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        line_size: int,
-        num_shards: int,
-        line_cls: type = LRUCache,
-    ):
-        if num_shards <= 0 or num_shards & (num_shards - 1):
-            raise ValueError("num_shards must be a positive power of two")
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError("line_size must be a positive power of two")
-        if capacity_bytes < line_size:
-            raise ValueError("capacity smaller than one line")
-        self.num_lines = capacity_bytes // line_size
-        self.line_shift = line_size.bit_length() - 1
-        self.num_shards = num_shards
-        self._shard_mask = num_shards - 1
-        # One line of extra per-shard capacity: see class docstring —
-        # shard-internal eviction must never fire.
-        self.shards = [
-            line_cls(capacity_bytes + line_size, line_size)
-            for _ in range(num_shards)
-        ]
-        self._gstamps: list[dict[int, int]] = [{} for _ in range(num_shards)]
-        self.shard_probes = [0] * num_shards
-        self._clock = 0
-        self._occ = 0
-
-    def access(self, addr: int) -> bool:
-        """Access one byte address; return True on hit.  Misses allocate
-        (and evict the *globally* least-recently-used line if full)."""
-        line = addr >> self.line_shift
-        si = line & self._shard_mask
-        hit = self.shards[si].access(addr)
-        self._gstamps[si][line] = self._clock
-        self._clock += 1
-        self.shard_probes[si] += 1
-        if hit:
-            return True
-        self._occ += 1
-        if self._occ > self.num_lines:
-            self._evict_global()
-        return False
-
-    def _evict_global(self) -> None:
-        """Evict the line with the minimum global stamp: argmin over
-        the non-empty shards of each shard's LRU-line stamp."""
-        gstamps = self._gstamps
-        best_si = -1
-        best_stamp = -1
-        for si, shard in enumerate(self.shards):
-            if not shard.occupancy:
-                continue
-            stamp = gstamps[si][shard.peek_lru()]
-            if best_si < 0 or stamp < best_stamp:
-                best_si = si
-                best_stamp = stamp
-        victim = self.shards[best_si].evict_lru()
-        del gstamps[best_si][victim]
-        self._occ -= 1
-
-    def contains(self, addr: int) -> bool:
-        """Non-mutating lookup (no LRU update, no fill, no stats)."""
-        line = addr >> self.line_shift
-        return self.shards[line & self._shard_mask].contains(addr)
-
-    def probe_lines(self, lines: "np.ndarray") -> "np.ndarray":
-        """Vectorized non-mutating membership probe: a boolean per
-        *line* address.  Lines are routed to their shards by mask and
-        each touched shard answers its slice with one vectorized
-        ``probe_lines`` call (``np.isin`` over its tag set)."""
-        lines = np.asarray(lines, dtype=np.int64)
-        out = np.zeros(lines.shape, dtype=bool)
-        shard_of = lines & self._shard_mask
-        for si, shard in enumerate(self.shards):
-            sel = shard_of == si
-            if sel.any():
-                out[sel] = shard.probe_lines(lines[sel])
-        return out
-
-    def lru_lines(self) -> list[int]:
-        """Resident lines in LRU-to-MRU order: the shard stamp tables
-        merged by global stamp."""
-        pairs: list[tuple[int, int]] = []
-        for gs in self._gstamps:
-            pairs.extend(gs.items())
-        pairs.sort(key=lambda kv: kv[1])
-        return [line for line, _ in pairs]
-
-    def peek_lru(self) -> int:
-        """The globally least-recently-used resident line (cache must
-        be non-empty)."""
-        best_line = -1
-        best_stamp = -1
-        for si, shard in enumerate(self.shards):
-            if not shard.occupancy:
-                continue
-            line = shard.peek_lru()
-            stamp = self._gstamps[si][line]
-            if best_line < 0 or stamp < best_stamp:
-                best_line = line
-                best_stamp = stamp
-        return best_line
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self.shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self.shards)
+        return len(self._lines)
 
     @property
     def accesses(self) -> int:
@@ -561,86 +94,12 @@ class ShardedL2:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    @property
-    def occupancy(self) -> int:
-        """Number of valid lines currently resident (all shards)."""
-        return self._occ
-
-    @property
-    def compactions(self) -> int:
-        """Ring compactions across shards (0 for OrderedDict shards)."""
-        return sum(getattr(shard, "compactions", 0) for shard in self.shards)
-
-    @property
-    def shard_imbalance(self) -> float:
-        """Access-skew summary: the hottest shard's probe count as an
-        excess fraction over a perfectly balanced share (0.0 when
-        balanced or idle; 1.0 means the hottest shard saw twice its
-        fair share)."""
-        total = sum(self.shard_probes)
-        if not total:
-            return 0.0
-        return max(self.shard_probes) * self.num_shards / total - 1.0
-
     def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all shards (and by default zero the counters)."""
-        for shard in self.shards:
-            shard.reset(keep_stats)
-        for gs in self._gstamps:
-            gs.clear()
-        self._clock = 0
-        self._occ = 0
+        """Invalidate all lines (and by default zero the counters)."""
+        self._lines.clear()
         if not keep_stats:
-            for si in range(self.num_shards):
-                self.shard_probes[si] = 0
+            self.hits = 0
+            self.misses = 0
 
 
-def _make_unified_l2(
-    capacity_bytes: int, line_size: int, num_shards: int, line_cls: type
-):
-    """One cache object holds the whole L2 (``num_shards`` must be 1)."""
-    if num_shards != 1:
-        raise ValueError("unified L2 organization requires num_shards == 1")
-    return line_cls(capacity_bytes, line_size)
-
-
-def _make_sharded_l2(
-    capacity_bytes: int, line_size: int, num_shards: int, line_cls: type
-):
-    """Per-address-slice banks behind the global-LRU coordinator."""
-    return ShardedL2(capacity_bytes, line_size, num_shards, line_cls)
-
-
-#: L2 organization registry (same discipline as ``ENGINES`` and
-#: ``MEMORY_FRONT_ENDS``): every entry must appear in the oracle-parity
-#: tests (``repro lint`` ORA001 enforces this).
-L2_ORGANIZATIONS = {
-    "unified": _make_unified_l2,
-    "sharded": _make_sharded_l2,
-}
-
-
-def make_l2(
-    capacity_bytes: int,
-    line_size: int,
-    num_shards: int = 1,
-    line_cls: type = LRUCache,
-):
-    """Build an L2 for the given shard count: a plain ``line_cls``
-    cache for 1 shard (the default, zero-overhead organization) or a
-    :class:`ShardedL2` over ``line_cls`` banks for a power-of-two
-    ``num_shards > 1``.  Both are bit-identical in observable behaviour
-    (hits/misses/LRU order/eviction order) by the invariant documented
-    on :class:`ShardedL2`."""
-    org = "sharded" if num_shards > 1 else "unified"
-    return L2_ORGANIZATIONS[org](capacity_bytes, line_size, num_shards, line_cls)
-
-
-__all__ = [
-    "LRUCache",
-    "DictLRUCache",
-    "ArrayLRUCache",
-    "ShardedL2",
-    "L2_ORGANIZATIONS",
-    "make_l2",
-]
+__all__ = ["LRUCache"]

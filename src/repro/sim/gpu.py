@@ -111,16 +111,6 @@ class SimCounters:
     mem_dedup_txns: int = 0
     mem_batch_l1_hits: int = 0
     mem_batch_l2_hits: int = 0
-    #: Vectorized DRAM drains taken by the ``vector`` front end (zero
-    #: under the other front ends, and under the default threshold for
-    #: warp-sized traffic — see ``ArrayDRAMModel.VECTOR_THRESHOLD``).
-    mem_vector_drains: int = 0
-    #: Sharded-L2 observability (empty/0.0 under the default unified
-    #: L2): per-shard probe counts over this run and the access-skew
-    #: summary (hottest shard's excess over a balanced share; see
-    #: ``ShardedL2.shard_imbalance``).
-    l2_shard_probes: tuple = ()
-    l2_shard_imbalance: float = 0.0
     #: Thread blocks re-synthesized because the launch's block-memo
     #: window (``LaunchTrace.block_memo``) had already evicted them —
     #: the per-run re-synthesis thrash of >window-block launches.  Zero
@@ -390,9 +380,8 @@ class GPUSimulator:
     default interned/segment-compacted path) or ``"reference"`` (the
     original per-instruction loop).  ``mem_front_end`` independently
     selects the memory hierarchy implementation: ``"fast"`` (the
-    default batched front end), ``"reference"`` (the pre-fast-path
-    oracle) or ``"vector"`` (the array-backed front end).  All
-    engine x front-end combinations produce bit-identical
+    default batched front end) or ``"reference"`` (the pre-fast-path
+    oracle).  All engine x front-end combinations produce bit-identical
     :class:`LaunchResult`\\ s; the reference engine sets ``counters``
     to ``None``.
     """
@@ -720,8 +709,6 @@ class GPUSimulator:
         md0 = mem.dedup_txns
         m1h0 = mem.batch_l1_hits
         m2h0 = mem.batch_l2_hits
-        mvd0 = mem.vector_drains
-        msp0 = tuple(getattr(mem.l2, "shard_probes", ()))
 
         # One global event per SM *window*, not per instruction.  Warps
         # on one SM interact with the rest of the machine only through
@@ -1195,21 +1182,6 @@ class GPUSimulator:
         if rec_on:
             rec.finalize(wall, rec.unit_insts - rec_left)
 
-        # Sharded-L2 per-shard probe deltas over this run (empty for
-        # the unified organization) and their skew summary.
-        cur_probes = getattr(mem.l2, "shard_probes", None)
-        if cur_probes is not None:
-            shard_probes = tuple(p - q for p, q in zip(cur_probes, msp0))
-            total_probes = sum(shard_probes)
-            shard_imbalance = (
-                max(shard_probes) * len(shard_probes) / total_probes - 1.0
-                if total_probes
-                else 0.0
-            )
-        else:
-            shard_probes = ()
-            shard_imbalance = 0.0
-
         counters = SimCounters(
             events_popped=n_events,
             heap_pushes=n_pushes,
@@ -1224,9 +1196,6 @@ class GPUSimulator:
             mem_dedup_txns=mem.dedup_txns - md0,
             mem_batch_l1_hits=mem.batch_l1_hits - m1h0,
             mem_batch_l2_hits=mem.batch_l2_hits - m2h0,
-            mem_vector_drains=mem.vector_drains - mvd0,
-            l2_shard_probes=shard_probes,
-            l2_shard_imbalance=shard_imbalance,
             block_regenerations=launch.regenerations - regen0,
         )
         return LaunchResult(

@@ -5,42 +5,29 @@ One warp memory *instruction* expands to ``mem_req`` line transactions
 ends when the slowest transaction completes, matching the
 all-lanes-must-return semantics of a SIMT load.
 
-Three front ends share one ``load`` API and are bit-identical in timing,
+Two front ends share one ``load`` API and are bit-identical in timing,
 cache/DRAM state and statistics:
 
 * :class:`MemoryHierarchy` (the default) — the batched fast path: one
-  ``load`` entry point for any transaction count (the former
-  ``load``/``load1``/``load_multi`` triplication is gone), cache
-  operations inlined against the LRU dicts with prebound
-  ``move_to_end``/``popitem`` (no per-transaction ``access`` method
-  calls), a single-transaction L1-hit shortcut, per-instruction
-  same-line transaction dedup, and DRAM misses drained through
-  :meth:`DRAMModel.access_n` in one batch per instruction.  Hit/miss
-  counters accumulate in locals and flush once per warp instruction.
+  ``load`` entry point for any transaction count, cache operations
+  inlined against the LRU dicts with prebound ``move_to_end``/``popitem``
+  (no per-transaction ``access`` method calls), a single-transaction
+  L1-hit shortcut, per-instruction same-line transaction dedup, and
+  DRAM misses drained through :meth:`DRAMModel.access_n` in one batch
+  per instruction.  Hit/miss counters accumulate in locals and flush
+  once per warp instruction.
 * :class:`ReferenceMemoryHierarchy` — the pre-fast-path implementation
   (nested per-transaction ``access`` method calls), kept in-tree as
   the equivalence oracle; property tests drive random
   ``(addr, spread, num_req)`` sequences through both and assert
   identical completion times, cache contents, LRU orders, DRAM state
   and statistics (``tests/test_sim_memory_fastpath.py``).
-* :class:`VectorMemoryHierarchy` — the array-backed front end: the
-  same batched ``load`` protocol, but cache recency lives in
-  :class:`~repro.sim.caches.ArrayLRUCache` ring logs (flat int64
-  buffers with zero-copy NumPy views) and DRAM bank state in
-  :class:`~repro.sim.dram.ArrayDRAMModel` arrays, with large miss
-  drains vectorized.  Bit-identical to the oracle across the same
-  property grid; the flat state representation is the prerequisite
-  for sharding the L2 across processes (ROADMAP item 2).
 
-The ``fast`` and ``reference`` front ends share
-:class:`~repro.sim.caches.LRUCache` storage (``OrderedDict``; see
-caches.py for why the plain-dict alternative was measured and
-rejected), so their cache *state* is identical by construction — the
-property tests pin down the timing, statistics and DRAM interleaving
-of the batched path.  The ``vector`` front end stores the same LRU
-*relation* in a different representation, so the property tests
-compare it to the oracle through the observable projection
-(``lru_lines()``, counters, timings, DRAM state).
+Both front ends share :class:`~repro.sim.caches.LRUCache` storage
+(``OrderedDict``; see caches.py for why the plain-dict alternative was
+measured and rejected), so their cache *state* is identical by
+construction — the property tests pin down the timing, statistics and
+DRAM interleaving of the batched path.
 
 Dedup soundness: after any transaction touches L1 line ``L`` (hit or
 miss), ``L`` is resident and most-recently-used.  A *consecutive*
@@ -56,8 +43,8 @@ the full path (its recency update is observable).
 from __future__ import annotations
 
 from repro.config import GPUConfig
-from repro.sim.caches import ArrayLRUCache, LRUCache, make_l2
-from repro.sim.dram import ArrayDRAMModel, DRAMModel
+from repro.sim.caches import LRUCache
+from repro.sim.dram import DRAMModel
 
 
 class MemoryHierarchy:
@@ -74,10 +61,6 @@ class MemoryHierarchy:
 
     FRONT_END = "fast"
 
-    #: Vectorized DRAM drains (class-level zero: this front end never
-    #: takes one; the engine snapshots the counter unconditionally).
-    vector_drains = 0
-
     __slots__ = (
         "config", "l1s", "l2", "dram", "l1_latency", "l2_latency",
         "batches", "dedup_txns", "batch_l1_hits", "batch_l2_hits",
@@ -85,7 +68,6 @@ class MemoryHierarchy:
         # instead of an attribute chain per transaction.
         "_sm", "_l1_shift", "_l1_cap",
         "_l2_lines", "_l2_move", "_l2_evict", "_l2_shift", "_l2_cap",
-        "_l2_direct", "_l2_access",
         "_dram_free", "_dram_rows", "_bank_mask", "_num_banks",
         "_dram_line_shift", "_row_shift", "_dram_base", "_row_miss",
         "_service", "_jitter",
@@ -97,9 +79,7 @@ class MemoryHierarchy:
             LRUCache(config.l1_kib * 1024, config.l1_line)
             for _ in range(config.num_sms)
         ]
-        self.l2 = make_l2(
-            config.l2_kib * 1024, config.l2_line, config.l2_shards, LRUCache
-        )
+        self.l2 = LRUCache(config.l2_kib * 1024, config.l2_line)
         self.dram = DRAMModel(config)
         self.l1_latency = config.l1_latency
         self.l2_latency = config.l2_latency
@@ -127,17 +107,10 @@ class MemoryHierarchy:
         self._l1_shift = self.l1s[0].line_shift
         self._l1_cap = self.l1s[0].num_lines
         l2 = self.l2
-        # The inlined L2 fast path only exists for the unified (single
-        # cache object) organization; a sharded L2 coordinates global
-        # LRU state internally, so every access goes through its
-        # ``access`` method (counters included — no external flush).
-        self._l2_direct = self.config.l2_shards == 1
-        self._l2_access = l2.access
-        if self._l2_direct:
-            self._l2_lines = l2._lines
-            self._l2_move = l2._lines.move_to_end
-            self._l2_evict = l2._lines.popitem
-            self._l2_cap = l2.num_lines
+        self._l2_lines = l2._lines
+        self._l2_move = l2._lines.move_to_end
+        self._l2_evict = l2._lines.popitem
+        self._l2_cap = l2.num_lines
         self._l2_shift = l2.line_shift
         dram = self.dram
         self._dram_free = dram.free_at
@@ -178,21 +151,16 @@ class MemoryHierarchy:
             if len(l1_lines) > self._l1_cap:
                 l1_evict(False)
             l1.misses += 1
-            if self._l2_direct:
-                l2_lines = self._l2_lines
-                l2_line = addr >> self._l2_shift
-                if l2_line in l2_lines:
-                    self._l2_move(l2_line)
-                    self.l2.hits += 1
-                    return now + self.l2_latency
-                l2_lines[l2_line] = None
-                if len(l2_lines) > self._l2_cap:
-                    self._l2_evict(False)
-                self.l2.misses += 1
-            elif self._l2_access(addr):
-                # Sharded L2: one ``access`` per transaction (stats
-                # counted inside the shards — no external flush).
+            l2_lines = self._l2_lines
+            l2_line = addr >> self._l2_shift
+            if l2_line in l2_lines:
+                self._l2_move(l2_line)
+                self.l2.hits += 1
                 return now + self.l2_latency
+            l2_lines[l2_line] = None
+            if len(l2_lines) > self._l2_cap:
+                self._l2_evict(False)
+            self.l2.misses += 1
             dram = self.dram
             dline = addr >> self._dram_line_shift
             mask = self._bank_mask
@@ -226,14 +194,10 @@ class MemoryHierarchy:
         # statistics flush once at the end; DRAM misses are collected
         # and drained in one ``access_n`` batch.
         l2 = self.l2
-        l2_direct = self._l2_direct
-        if l2_direct:
-            l2_lines = self._l2_lines
-            l2_move = self._l2_move
-            l2_evict = self._l2_evict
-            l2_cap = self._l2_cap
-        else:
-            l2_access = self._l2_access
+        l2_lines = self._l2_lines
+        l2_move = self._l2_move
+        l2_evict = self._l2_evict
+        l2_cap = self._l2_cap
         l1_shift = self._l1_shift
         l1_cap = self._l1_cap
         l2_shift = self._l2_shift
@@ -267,34 +231,21 @@ class MemoryHierarchy:
                 if len(l1_lines) > l1_cap:
                     l1_evict(False)
                 l1_misses += 1
-                if l2_direct:
-                    l2_line = a >> l2_shift
-                    if l2_line in l2_lines:
-                        l2_move(l2_line)
-                        l2_hits += 1
-                        if l2_done > worst:
-                            worst = l2_done
-                    else:
-                        l2_lines[l2_line] = None
-                        if len(l2_lines) > l2_cap:
-                            l2_evict(False)
-                        l2_misses += 1
-                        if dram_addrs is None:
-                            # Allocated at most once per *instruction*
-                            # (on the first DRAM miss), not per
-                            # transaction.
-                            dram_addrs = [a]  # lint: disable=HOT002
-                        else:
-                            dram_addrs.append(a)
-                elif l2_access(a):
-                    # Sharded L2: stats counted inside the shards.
+                l2_line = a >> l2_shift
+                if l2_line in l2_lines:
+                    l2_move(l2_line)
                     l2_hits += 1
                     if l2_done > worst:
                         worst = l2_done
                 else:
+                    l2_lines[l2_line] = None
+                    if len(l2_lines) > l2_cap:
+                        l2_evict(False)
                     l2_misses += 1
                     if dram_addrs is None:
-                        # Allocated at most once per instruction.
+                        # Allocated at most once per *instruction*
+                        # (on the first DRAM miss), not per
+                        # transaction.
                         dram_addrs = [a]  # lint: disable=HOT002
                     else:
                         dram_addrs.append(a)
@@ -305,9 +256,7 @@ class MemoryHierarchy:
                 worst = done
         l1.hits += l1_hits
         l1.misses += l1_misses
-        if l1_misses and l2_direct:
-            # The sharded organization counts hits/misses inside its
-            # shards during ``access``; flushing here would double-count.
+        if l1_misses:
             l2.hits += l2_hits
             l2.misses += l2_misses
         self.batches += 1
@@ -331,24 +280,16 @@ class MemoryHierarchy:
             self.batch_l2_hits = 0
 
     def stats(self) -> dict:
-        """Aggregate hierarchy statistics.  A sharded L2 additionally
-        reports its per-shard probe counts and access-skew summary
-        (tuples, so the dict stays hashable for test fingerprints)."""
+        """Aggregate hierarchy statistics."""
         l1_hits = sum(c.hits for c in self.l1s)
         l1_total = sum(c.accesses for c in self.l1s)
-        out = {
+        return {
             "l1_hit_rate": l1_hits / l1_total if l1_total else 0.0,
             "l2_hit_rate": self.l2.hit_rate,
             "dram_requests": self.dram.requests,
             "dram_row_hit_rate": self.dram.row_hit_rate,
             "dram_mean_queue_delay": self.dram.mean_queue_delay,
         }
-        shard_probes = getattr(self.l2, "shard_probes", None)
-        if shard_probes is not None:
-            out["l2_shards"] = self.l2.num_shards
-            out["l2_shard_probes"] = tuple(shard_probes)
-            out["l2_shard_imbalance"] = self.l2.shard_imbalance
-        return out
 
 
 class ReferenceMemoryHierarchy:
@@ -363,9 +304,6 @@ class ReferenceMemoryHierarchy:
 
     FRONT_END = "reference"
 
-    #: Zero-valued like the other fast-path counters above.
-    vector_drains = 0
-
     __slots__ = (
         "config", "l1s", "l2", "dram", "l1_latency", "l2_latency",
         "batches", "dedup_txns", "batch_l1_hits", "batch_l2_hits",
@@ -377,9 +315,7 @@ class ReferenceMemoryHierarchy:
             LRUCache(config.l1_kib * 1024, config.l1_line)
             for _ in range(config.num_sms)
         ]
-        self.l2 = make_l2(
-            config.l2_kib * 1024, config.l2_line, config.l2_shards, LRUCache
-        )
+        self.l2 = LRUCache(config.l2_kib * 1024, config.l2_line)
         self.dram = DRAMModel(config)
         self.l1_latency = config.l1_latency
         self.l2_latency = config.l2_latency
@@ -414,468 +350,15 @@ class ReferenceMemoryHierarchy:
     stats = MemoryHierarchy.stats
 
 
-class VectorMemoryHierarchy:
-    """Array-backed front end: ring-log LRU caches + flat DRAM state.
-
-    Same ``load`` contract and observable behaviour as the other two
-    front ends (bit-identical completion times, LRU eviction order,
-    statistics and DRAM jitter stream — property-tested against the
-    oracle), but every piece of hierarchy state is a preallocated flat
-    buffer: per-SM L1 and shared L2 recency in
-    :class:`~repro.sim.caches.ArrayLRUCache` ring logs, DRAM bank
-    ``free_at``/``open_row`` in :class:`~repro.sim.dram.ArrayDRAMModel`
-    ``array('q')`` buffers with NumPy views.  That representation is
-    what ROADMAP item 2 (cross-process L2 sharding) needs; it also
-    enables the vectorized paths this class dispatches to:
-
-    * Batches of at least ``dram.vector_threshold`` transactions take
-      the *careful* path, whose collected DRAM misses drain through
-      :meth:`~repro.sim.dram.ArrayDRAMModel.access_n` — fully
-      vectorized bank grouping, start-time and row-hit computation,
-      and closed-form jitter (``vector_drains`` counts engagements).
-    * :meth:`~repro.sim.caches.ArrayLRUCache.probe_lines` gives
-      sharding-ready vectorized membership probes over the tag arrays.
-
-    Warp-sized batches (<= 32 transactions) stay on interpreted
-    per-transaction ring operations: on this host NumPy's fixed
-    ~2 us/op dispatch cost puts the vectorization crossover near 96
-    elements, far above any warp batch (measured; DESIGN.md §11), so
-    forcing arrays under the crossover would *slow the simulator
-    down*.  The scalar ring path is timing- and state-equivalent to
-    the ``fast`` front end by the same argument fast is equivalent to
-    the oracle, with the ring-specific parts (stale-entry skipping on
-    eviction, compaction) proven by the cache-level property tests.
-
-    Batch-path preconditions (checked per instruction, with fallback
-    to the careful path when they fail):
-
-    * ``spread >= l1_line`` — transaction lines strictly increase, so
-      no same-line dedup can occur and each transaction appends
-      exactly one ring entry per level;
-    * *strict* ring headroom for ``num_req`` appends at both levels
-      (compacting once if needed): the batch must end with occupancy
-      strictly below the ring size, never exactly at it — so the loop
-      needs no per-transaction compaction checks and head/tail stay
-      in locals;
-    * a unified (single cache object) L2 — a sharded L2 coordinates
-      global LRU state internally, so batches run through the careful
-      path's per-transaction ``access`` calls instead.
-    """
-
-    FRONT_END = "vector"
-
-    __slots__ = (
-        "config", "l1s", "l2", "dram", "l1_latency", "l2_latency",
-        "batches", "dedup_txns", "batch_l1_hits", "batch_l2_hits",
-        # Flattened hot references (same discipline as MemoryHierarchy:
-        # containers are mutated in place by reset/compaction, never
-        # rebound, so these stay valid for the hierarchy's lifetime).
-        "_sm", "_l1_shift", "_l1_cap", "_l1_rmask", "_l1_ringsz",
-        "_l1_line",
-        "_l2_pos", "_l2_get", "_l2_ring", "_l2_ht", "_l2_rmask",
-        "_l2_ringsz", "_l2_shift", "_l2_cap",
-        "_l2_direct", "_l2_access",
-        "_dram_free", "_dram_rows", "_bank_mask", "_num_banks",
-        "_dram_line_shift", "_row_shift", "_dram_base", "_row_miss",
-        "_service", "_jitter", "_careful_at",
-    )
-
-    def __init__(
-        self, config: GPUConfig, vector_threshold: int | None = None
-    ):
-        self.config = config
-        self.l1s = [
-            ArrayLRUCache(config.l1_kib * 1024, config.l1_line)
-            for _ in range(config.num_sms)
-        ]
-        self.l2 = make_l2(
-            config.l2_kib * 1024, config.l2_line, config.l2_shards,
-            ArrayLRUCache,
-        )
-        self.dram = ArrayDRAMModel(config, vector_threshold)
-        self.l1_latency = config.l1_latency
-        self.l2_latency = config.l2_latency
-        self.batches = 0
-        self.dedup_txns = 0
-        self.batch_l1_hits = 0
-        self.batch_l2_hits = 0
-        self._flatten()
-
-    @property
-    def vector_drains(self) -> int:
-        """Vectorized DRAM drains taken (for engine counter snapshots)."""
-        return self.dram.vector_batches
-
-    def _flatten(self) -> None:
-        """Cache flat references to the hot per-level state.
-
-        Everything referenced here is mutated strictly in place by
-        ``reset``, ``_compact`` and ``_evict_one`` (dict ``clear`` +
-        ``update``, list element assignment, buffer fills) — never
-        rebound — which is a documented invariant of
-        :class:`~repro.sim.caches.ArrayLRUCache` and
-        :class:`~repro.sim.dram.ArrayDRAMModel`."""
-        self._sm = [
-            (c._pos, c._pos.get, c._ring, c._ht, c) for c in self.l1s
-        ]
-        l1 = self.l1s[0]
-        self._l1_shift = l1.line_shift
-        self._l1_cap = l1.num_lines
-        self._l1_rmask = l1._rmask
-        self._l1_ringsz = l1._ring_size
-        self._l1_line = self.config.l1_line
-        l2 = self.l2
-        # Same contract as the fast front end: the inlined/batched ring
-        # paths exist only for the unified organization; a sharded L2
-        # is driven through its ``access`` method (counters internal).
-        self._l2_direct = self.config.l2_shards == 1
-        self._l2_access = l2.access
-        if self._l2_direct:
-            self._l2_pos = l2._pos
-            self._l2_get = l2._pos.get
-            self._l2_ring = l2._ring
-            self._l2_ht = l2._ht
-            self._l2_rmask = l2._rmask
-            self._l2_ringsz = l2._ring_size
-            self._l2_cap = l2.num_lines
-        self._l2_shift = l2.line_shift
-        dram = self.dram
-        self._dram_free = dram.free_at
-        self._dram_rows = dram.open_row
-        self._bank_mask = dram.bank_mask
-        self._num_banks = dram.num_banks
-        self._dram_line_shift = dram.line_shift
-        self._row_shift = dram.row_shift
-        self._dram_base = dram.base_latency
-        self._row_miss = dram.row_miss_penalty
-        self._service = dram.service
-        self._jitter = dram.jitter
-        self._careful_at = dram.vector_threshold
-
-    # lint: hot
-    def load(self, sm_id: int, addr: int, spread: int, num_req: int, now: int) -> int:
-        """Perform one warp memory instruction's ``num_req`` transactions
-        starting at ``addr`` with byte ``spread`` between them; return
-        the completion time of the slowest transaction (same contract
-        and bit-identical results as the other front ends)."""
-        pos, pget, ring, ht, l1 = self._sm[sm_id]
-        line = addr >> self._l1_shift
-        if num_req == 1:
-            # Single-transaction path: inlined ring-log accesses (the
-            # bodies of ``ArrayLRUCache.access``) and the DRAM access
-            # inlined bit-identically to ``DRAMModel.access``.
-            l1_rmask = self._l1_rmask
-            tail = ht[1]
-            hit = pget(line, -1) >= 0
-            ring[tail & l1_rmask] = line
-            pos[line] = tail
-            tail += 1
-            ht[1] = tail
-            if hit:
-                l1.hits += 1
-                if tail - ht[0] >= self._l1_ringsz:
-                    l1._compact()
-                return now + self.l1_latency
-            l1.misses += 1
-            if len(pos) > self._l1_cap:
-                h = ht[0]
-                while True:
-                    victim = ring[h & l1_rmask]
-                    at = h
-                    h += 1
-                    if pget(victim, -1) == at:
-                        del pos[victim]
-                        break
-                ht[0] = h
-            elif tail - ht[0] >= self._l1_ringsz:
-                l1._compact()
-            if self._l2_direct:
-                l2_pos = self._l2_pos
-                l2_get = self._l2_get
-                l2_ring = self._l2_ring
-                l2_ht = self._l2_ht
-                l2_rmask = self._l2_rmask
-                l2 = self.l2
-                l2_line = addr >> self._l2_shift
-                tail = l2_ht[1]
-                hit = l2_get(l2_line, -1) >= 0
-                l2_ring[tail & l2_rmask] = l2_line
-                l2_pos[l2_line] = tail
-                tail += 1
-                l2_ht[1] = tail
-                if hit:
-                    l2.hits += 1
-                    if tail - l2_ht[0] >= self._l2_ringsz:
-                        l2._compact()
-                    return now + self.l2_latency
-                l2.misses += 1
-                if len(l2_pos) > self._l2_cap:
-                    h = l2_ht[0]
-                    while True:
-                        victim = l2_ring[h & l2_rmask]
-                        at = h
-                        h += 1
-                        if l2_get(victim, -1) == at:
-                            del l2_pos[victim]
-                            break
-                    l2_ht[0] = h
-                elif tail - l2_ht[0] >= self._l2_ringsz:
-                    l2._compact()
-            elif self._l2_access(addr):
-                # Sharded L2: one ``access`` per transaction (shard
-                # ring invariants, stats and global LRU all internal).
-                return now + self.l2_latency
-            dram = self.dram
-            dline = addr >> self._dram_line_shift
-            mask = self._bank_mask
-            bank = dline & mask if mask else dline % self._num_banks
-            free_at = self._dram_free
-            free = free_at[bank]
-            start = free if free > now else now
-            latency = self._dram_base
-            jitter = self._jitter
-            if jitter:
-                state = (
-                    dram._jitter_state * 1103515245 + 12345
-                ) & 0x7FFFFFFF
-                dram._jitter_state = state
-                latency += (state >> 16) % jitter
-            rows = self._dram_rows
-            row = addr >> self._row_shift
-            if rows[bank] == row:
-                dram.row_hits += 1
-            else:
-                latency += self._row_miss
-                rows[bank] = row
-            free_at[bank] = start + self._service
-            dram.requests += 1
-            dram.total_queue_cycles += start - now
-            return start + latency + self.l1_latency
-        # Batch-path preconditions (see class docstring); everything
-        # that fails them resolves through the careful path instead.
-        # A sharded L2 has no flattened ring to drive, so sharded mode
-        # always resolves multi-transaction batches carefully.
-        if (
-            spread < self._l1_line
-            or num_req >= self._careful_at
-            or not self._l2_direct
-        ):
-            return self._load_careful(sm_id, addr, spread, num_req, now)
-        head = ht[0]
-        tail = ht[1]
-        l1_ringsz = self._l1_ringsz
-        # Strict headroom (>=): a batch must not even *end* with
-        # tail - head == ring size, because later appends check
-        # fullness only after appending — once occupancy passes the
-        # ring size those triggers can never fire again and the ring
-        # would wrap over live log entries.
-        if tail + num_req - head >= l1_ringsz:
-            l1._compact()
-            head = ht[0]
-            tail = ht[1]
-            if tail + num_req - head >= l1_ringsz:
-                return self._load_careful(sm_id, addr, spread, num_req, now)
-        l2_ht = self._l2_ht
-        l2_ringsz = self._l2_ringsz
-        if l2_ht[1] + num_req - l2_ht[0] >= l2_ringsz:
-            self.l2._compact()
-            if l2_ht[1] + num_req - l2_ht[0] >= l2_ringsz:
-                return self._load_careful(sm_id, addr, spread, num_req, now)
-        # Batched ring path: head/tail in locals (headroom reserved
-        # above, so no per-transaction compaction checks), DRAM misses
-        # resolved inline against the flat bank arrays, statistics in
-        # locals flushed once per instruction.
-        l1_rmask = self._l1_rmask
-        l1_cap = self._l1_cap
-        l1_shift = self._l1_shift
-        l2_pos = self._l2_pos
-        l2_get = self._l2_get
-        l2_ring = self._l2_ring
-        l2_rmask = self._l2_rmask
-        l2_cap = self._l2_cap
-        l2_shift = self._l2_shift
-        l2_head = l2_ht[0]
-        l2_tail = l2_ht[1]
-        dram = self.dram
-        free_at = self._dram_free
-        rows = self._dram_rows
-        mask = self._bank_mask
-        num_banks = self._num_banks
-        d_base = self._dram_base
-        d_miss = self._row_miss
-        service = self._service
-        jit = self._jitter
-        row_shift = self._row_shift
-        dls = self._dram_line_shift
-        jstate = dram._jitter_state
-        l1_lat = self.l1_latency
-        l1_done = now + l1_lat
-        l2_done = now + self.l2_latency
-        worst = l1_done
-        a = addr
-        l1_hits = 0
-        l1_misses = 0
-        l2_hits = 0
-        l2_misses = 0
-        d_rowhits = 0
-        d_queue = 0
-        for _ in range(num_req):
-            line = a >> l1_shift
-            hit = pget(line, -1) >= 0
-            ring[tail & l1_rmask] = line
-            pos[line] = tail
-            tail += 1
-            if hit:
-                l1_hits += 1
-                a += spread
-                continue
-            l1_misses += 1
-            if len(pos) > l1_cap:
-                while True:
-                    victim = ring[head & l1_rmask]
-                    at = head
-                    head += 1
-                    if pget(victim, -1) == at:
-                        del pos[victim]
-                        break
-            l2_line = a >> l2_shift
-            hit = l2_get(l2_line, -1) >= 0
-            l2_ring[l2_tail & l2_rmask] = l2_line
-            l2_pos[l2_line] = l2_tail
-            l2_tail += 1
-            if hit:
-                l2_hits += 1
-                if l2_done > worst:
-                    worst = l2_done
-                a += spread
-                continue
-            l2_misses += 1
-            if len(l2_pos) > l2_cap:
-                while True:
-                    victim = l2_ring[l2_head & l2_rmask]
-                    at = l2_head
-                    l2_head += 1
-                    if l2_get(victim, -1) == at:
-                        del l2_pos[victim]
-                        break
-            dline = a >> dls
-            bank = dline & mask if mask else dline % num_banks
-            free = free_at[bank]
-            start = free if free > now else now
-            latency = d_base
-            if jit:
-                jstate = (jstate * 1103515245 + 12345) & 0x7FFFFFFF
-                latency += (jstate >> 16) % jit
-            row = a >> row_shift
-            if rows[bank] == row:
-                d_rowhits += 1
-            else:
-                latency += d_miss
-                rows[bank] = row
-            free_at[bank] = start + service
-            d_queue += start - now
-            done = start + latency + l1_lat
-            if done > worst:
-                worst = done
-            a += spread
-        ht[0] = head
-        ht[1] = tail
-        l2_ht[0] = l2_head
-        l2_ht[1] = l2_tail
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        if l1_misses:
-            l2 = self.l2
-            l2.hits += l2_hits
-            l2.misses += l2_misses
-            if l2_misses:
-                dram.requests += l2_misses
-                dram.row_hits += d_rowhits
-                dram.total_queue_cycles += d_queue
-                dram._jitter_state = jstate
-        # No dedup is possible on this path (lines strictly increase),
-        # so ``dedup_txns`` is correctly left untouched.
-        self.batches += 1
-        self.batch_l1_hits += l1_hits
-        self.batch_l2_hits += l2_hits
-        return worst
-
-    def _load_careful(
-        self, sm_id: int, addr: int, spread: int, num_req: int, now: int
-    ) -> int:
-        """Generic batch path for shapes the ring loop does not claim:
-        sub-line spreads (same-line dedup possible), batches at or
-        above the DRAM vectorization threshold (collected misses drain
-        through the vectorized ``access_n``), and ring-headroom
-        overflow.  Per-transaction ``ArrayLRUCache.access`` calls keep
-        every invariant (compaction, eviction) locally checked; the
-        batch counter semantics mirror ``MemoryHierarchy.load``'s
-        batched path exactly."""
-        l1 = self.l1s[sm_id]
-        l2 = self.l2
-        l1_shift = self._l1_shift
-        l1_done = now + self.l1_latency
-        l2_done = now + self.l2_latency
-        worst = l1_done
-        a = addr
-        prev_line = -1  # no real line is negative: addresses are >= 0
-        dedup = 0
-        l1_hits = 0
-        l2_hits = 0
-        dram_addrs = None
-        for _ in range(num_req):
-            line = a >> l1_shift
-            if line == prev_line:
-                # Consecutive same-line transaction: provably an L1
-                # hit at the instruction's L1 floor (the dedup
-                # argument of the module docstring holds unchanged —
-                # re-appending an MRU line to the ring is the
-                # recency identity up to unobservable log slots).
-                dedup += 1
-                l1_hits += 1
-                l1.hits += 1
-                a += spread
-                continue
-            prev_line = line
-            if l1.access(a):
-                l1_hits += 1
-            elif l2.access(a):
-                l2_hits += 1
-                if l2_done > worst:
-                    worst = l2_done
-            else:
-                if dram_addrs is None:
-                    # Allocated at most once per *instruction* (on
-                    # the first DRAM miss), not per transaction.
-                    dram_addrs = [a]  # lint: disable=HOT002
-                else:
-                    dram_addrs.append(a)
-            a += spread
-        if dram_addrs is not None:
-            done = self.dram.access_n(dram_addrs, now) + self.l1_latency
-            if done > worst:
-                worst = done
-        self.batches += 1
-        self.dedup_txns += dedup
-        self.batch_l1_hits += l1_hits
-        self.batch_l2_hits += l2_hits
-        return worst
-
-    reset = MemoryHierarchy.reset
-    stats = MemoryHierarchy.stats
-
-
 #: Front-end registry used by :class:`~repro.sim.gpu.GPUSimulator`.
 MEMORY_FRONT_ENDS = {
     "fast": MemoryHierarchy,
     "reference": ReferenceMemoryHierarchy,
-    "vector": VectorMemoryHierarchy,
 }
 
 
 def make_memory(config: GPUConfig, front_end: str = "fast"):
-    """Build a memory front end by name
-    (``"fast"`` / ``"reference"`` / ``"vector"``)."""
+    """Build a memory front end by name (``"fast"`` / ``"reference"``)."""
     try:
         cls = MEMORY_FRONT_ENDS[front_end]
     except KeyError:
@@ -889,7 +372,6 @@ def make_memory(config: GPUConfig, front_end: str = "fast"):
 __all__ = [
     "MemoryHierarchy",
     "ReferenceMemoryHierarchy",
-    "VectorMemoryHierarchy",
     "MEMORY_FRONT_ENDS",
     "make_memory",
 ]

@@ -9,15 +9,18 @@ cheap — exactly the case launch fan-out handles.  Instead the pool is
 spawned with :func:`init_worker` as its initializer, which builds one
 simulator per worker process; tasks then fetch it with
 :func:`get_simulator`, which reuses the warm instance whenever the
-requested (config, engine, front end) triple matches and transparently
-rebuilds it otherwise (e.g. a respawned pool serving a different sweep
-point, or the in-parent serial fallback of a degraded task).
+requested config matches and transparently rebuilds it otherwise (e.g.
+a respawned pool serving a different sweep point, or the in-parent
+serial fallback of a degraded task).
 
-The *identity under which a warm simulator may be reused* is factored
-out as :func:`simulator_key` / :func:`simulator_matches` so every warm
-registry in the tree — this per-process slot, and the multi-engine
-keyed registry the ``repro serve`` daemon keeps across requests — keys
-engines the same way and can never reuse across a config change.
+Warm simulators always run the system path (compact engine, ``fast``
+memory front end); the oracles are built directly by the tests that
+use them, so the *identity under which a warm simulator may be
+reused* is its :class:`~repro.config.GPUConfig` alone — a frozen
+(hashable, eq-by-value) dataclass.  Every warm registry in the tree —
+this per-process slot, and the keyed registry the ``repro serve``
+daemon keeps across requests — keys simulators by it and can never
+reuse across a config change.
 
 Correctness does not depend on reuse: ``run_launch`` resets the memory
 hierarchy per launch and the interning cache is an id-pinned pure
@@ -25,13 +28,10 @@ cache, so a warm simulator is bit-identical to a fresh one (the
 parallel-vs-serial property tests cover this path).  The module global
 is per-process state — never pickled, never shared.
 
-PR 9 widened the single warm slot into a small keyed registry
-(:data:`MAX_WARM_SIMULATORS` entries, FIFO-evicted): the serve
-daemon's long-lived worker processes serve arbitrary request mixes, and
-a single slot thrashes — alternate ``compact``/``reference`` requests
-would rebuild the simulator (and throw away its interning tables) on
-every job.  Sweep fan-out workers see exactly the old behavior: one
-triple, one resident simulator.
+The registry holds :data:`MAX_WARM_SIMULATORS` entries, FIFO-evicted:
+the serve daemon's long-lived worker processes serve arbitrary request
+mixes, and a single slot would thrash between configs.  Sweep fan-out
+workers see one config and one resident simulator.
 """
 
 from __future__ import annotations
@@ -41,74 +41,38 @@ from repro.sim.gpu import GPUSimulator
 
 #: Warm simulators kept per process before the oldest is evicted.
 #: Small on purpose: each holds engine state plus interning tables, and
-#: one process rarely serves more than a few distinct triples.
+#: one process rarely serves more than a few distinct configs.
 MAX_WARM_SIMULATORS = 4
 
-#: The process-local warm registry, keyed by :func:`simulator_key`
+#: The process-local warm registry, keyed by config
 #: (insertion-ordered dict → FIFO eviction).
-_SIMS: dict[tuple, GPUSimulator] = {}
+_SIMS: dict[GPUConfig, GPUSimulator] = {}
 
 
-def simulator_key(
-    gpu: GPUConfig,
-    engine: str = "compact",
-    mem_front_end: str = "fast",
-) -> tuple:
-    """The reuse identity of a warm simulator: the exact (config,
-    engine, front end) triple.  :class:`~repro.config.GPUConfig` is a
-    frozen (hashable, eq-by-value) dataclass, so the tuple is usable
-    directly as a registry key and two keys compare equal iff a
-    simulator built for one is interchangeable with the other."""
-    return (gpu, engine, mem_front_end)
-
-
-def simulator_matches(
-    sim: GPUSimulator,
-    gpu: GPUConfig,
-    engine: str = "compact",
-    mem_front_end: str = "fast",
-) -> bool:
-    """Is this warm simulator reusable for the requested triple?"""
-    return (
-        sim.config == gpu
-        and sim.engine == engine
-        and sim.mem_front_end == mem_front_end
-    )
-
-
-def init_worker(
-    gpu: GPUConfig,
-    engine: str = "compact",
-    mem_front_end: str = "fast",
-) -> None:
+def init_worker(gpu: GPUConfig) -> None:
     """Process-pool initializer: build this worker's simulator once.
 
     Runs at worker spawn (including pool respawns after a broken
     pool).  Only *primes* state — results never depend on it.
     """
     _SIMS.clear()
-    get_simulator(gpu, engine=engine, mem_front_end=mem_front_end)
+    get_simulator(gpu)
 
 
-def get_simulator(
-    gpu: GPUConfig,
-    engine: str = "compact",
-    mem_front_end: str = "fast",
-) -> GPUSimulator:
-    """The process-local simulator for this configuration triple.
+def get_simulator(gpu: GPUConfig) -> GPUSimulator:
+    """The process-local simulator for this config.
 
-    Returns the resident instance for the triple when one exists
+    Returns the resident instance for the config when one exists
     (built by :func:`init_worker` or a previous task) and builds —
     and registers — a replacement otherwise, evicting the oldest
     resident past :data:`MAX_WARM_SIMULATORS`.
     """
-    key = simulator_key(gpu, engine, mem_front_end)
-    sim = _SIMS.get(key)
+    sim = _SIMS.get(gpu)
     if sim is None:
-        sim = GPUSimulator(gpu, engine=engine, mem_front_end=mem_front_end)
+        sim = GPUSimulator(gpu)
         while len(_SIMS) >= MAX_WARM_SIMULATORS:
             _SIMS.pop(next(iter(_SIMS)))
-        _SIMS[key] = sim
+        _SIMS[gpu] = sim
     return sim
 
 
@@ -122,7 +86,5 @@ __all__ = [
     "MAX_WARM_SIMULATORS",
     "init_worker",
     "get_simulator",
-    "simulator_key",
-    "simulator_matches",
     "warm_simulator_count",
 ]

@@ -265,8 +265,8 @@ class TestLaunchFanOutEngages:
 class TestWarmWorkerSimulator:
     """Per-worker simulator reuse (``repro.sim.worker``): the pool
     initializer builds one simulator per worker; tasks reuse it when
-    the (config, engine, front end) triple matches and rebuild it
-    otherwise.  Reuse must be invisible in results."""
+    the config matches and rebuild it otherwise.  Reuse must be
+    invisible in results."""
 
     def test_get_simulator_reuses_warm_instance(self):
         import repro.sim.worker as worker
@@ -285,25 +285,18 @@ class TestWarmWorkerSimulator:
         assert other.config.num_sms == 3
         assert worker.get_simulator(GPU.with_(num_sms=3)) is other
 
-    def test_get_simulator_rebuilds_on_engine_or_front_end_change(self):
+    def test_registry_keeps_multiple_configs_resident(self):
+        """Long-lived serve workers alternate between request mixes;
+        the registry must not thrash on alternation."""
         import repro.sim.worker as worker
 
+        other_gpu = GPU.with_(num_sms=3)
         worker.init_worker(GPU)
-        warm = worker.get_simulator(GPU)
-        assert worker.get_simulator(GPU, engine="reference") is not warm
-        assert worker.get_simulator(GPU, mem_front_end="vector") is not warm
-
-    def test_registry_keeps_multiple_triples_resident(self):
-        """PR 9: long-lived serve workers alternate between request
-        mixes; the registry must not thrash on alternation."""
-        import repro.sim.worker as worker
-
-        worker.init_worker(GPU)
-        compact = worker.get_simulator(GPU)
-        reference = worker.get_simulator(GPU, engine="reference")
+        first = worker.get_simulator(GPU)
+        other = worker.get_simulator(other_gpu)
         # Alternating requests keep hitting their own resident sim.
-        assert worker.get_simulator(GPU) is compact
-        assert worker.get_simulator(GPU, engine="reference") is reference
+        assert worker.get_simulator(GPU) is first
+        assert worker.get_simulator(other_gpu) is other
         assert worker.warm_simulator_count() == 2
 
     def test_registry_evicts_oldest_past_the_bound(self):

@@ -33,7 +33,7 @@ REL_TOL = 1e-9
 #: Every registered memory front end must reproduce the pinned launch
 #: IPCs exactly — a silent timing divergence in any of them fails
 #: tier-1 here, not just the property suite.
-FRONT_ENDS = ("fast", "reference", "vector")
+FRONT_ENDS = ("fast", "reference")
 
 
 def _golden() -> dict:
@@ -77,14 +77,17 @@ def test_fixture_covers_three_kernels():
     assert len(_golden()) == 3
 
 
-def _measure_launch_ipc(name: str, entry: dict, front_end: str) -> float:
-    """Simulate the first launch of ``name`` through one front end and
-    return its IPC (issued warp instructions per wall cycle)."""
+def _measure_launch_ipc(
+    name: str, entry: dict, front_end: str, engine: str = "compact"
+) -> float:
+    """Simulate the first launch of ``name`` through one engine and
+    front end and return its IPC (issued warp instructions per wall
+    cycle)."""
     from repro.config import GPUConfig
     from repro.sim.gpu import GPUSimulator
 
     kernel = get_workload(name, scale=entry["scale"], seed=entry["seed"])
-    sim = GPUSimulator(GPUConfig(), engine="compact", mem_front_end=front_end)
+    sim = GPUSimulator(GPUConfig(), engine=engine, mem_front_end=front_end)
     result = sim.run_launch(kernel.launches[0])
     return result.issued_warp_insts / result.wall_cycles
 
@@ -99,6 +102,21 @@ def test_front_end_launch_ipc_pinned(name, front_end):
     got = _measure_launch_ipc(name, entry, front_end)
     assert got == pytest.approx(entry["launch_ipc"], rel=REL_TOL), (
         f"{name}/{front_end}: launch IPC drifted from the golden value"
+    )
+
+
+@pytest.mark.parametrize("front_end", list(FRONT_ENDS))
+@pytest.mark.parametrize("name", sorted(["stream", "spmv", "lbm", "mri"]))
+def test_reference_engine_launch_ipc_pinned(name, front_end):
+    """The same pins through the reference engine: the oracle engine
+    must reproduce the pinned launch IPC on every front end, so the
+    oracle is pinned itself, not only its agreement with the compact
+    engine."""
+    entry = _golden_front_end_ipc()[name]
+    got = _measure_launch_ipc(name, entry, front_end, engine="reference")
+    assert got == pytest.approx(entry["launch_ipc"], rel=REL_TOL), (
+        f"{name}/{front_end}/reference engine: launch IPC drifted from "
+        "the golden value"
     )
 
 

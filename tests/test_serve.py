@@ -17,9 +17,11 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
+from repro.config import GPUConfig
 from repro.serve import (
     RequestError,
     ServeClient,
@@ -33,12 +35,16 @@ from repro.serve import (
     request_key,
     wait_for_server,
 )
+from repro.serve.payloads import result_payload
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_payload,
     encode_message,
 )
+from repro.sim import GPUSimulator
+from repro.workloads import get_workload
 
 #: Cheap request used throughout: ~100 blocks, well under a second.
 KERNEL = "stream"
@@ -109,7 +115,7 @@ class TestProtocolLimitsAgainstServer:
 
     def _assert_server_still_serves(self, handle) -> None:
         with ServeClient(handle.socket_path) as client:
-            assert client.ping()["protocol"] >= 1
+            assert client.ping()["protocol"] == PROTOCOL_VERSION == 2
 
     def test_oversized_frame_closes_only_that_connection(self, serve_dir):
         with start_server(serve_dir) as handle:
@@ -146,13 +152,22 @@ class TestNormalization:
         assert norm["scale"] == 0.125
         assert norm["seed"] == 2014
         assert norm["launch"] == 0
-        assert norm["engine"] == "compact"
-        assert norm["mem_front_end"] == "fast"
-        assert norm["l2_shards"] == 1
+        assert set(norm) == {"kind", "kernel", "scale", "seed", "launch"}
 
     def test_equivalent_requests_share_a_key(self):
         a = normalize_request("simulate", {"kernel": KERNEL, "scale": 0.125})
         b = normalize_request("simulate", {"kernel": KERNEL, "seed": 2014})
+        assert request_key(a) == request_key(b)
+
+    def test_integral_floats_share_the_integer_key(self):
+        a = normalize_request(
+            "simulate", {"kernel": KERNEL, "seed": 2014.0, "launch": 1.0}
+        )
+        b = normalize_request(
+            "simulate", {"kernel": KERNEL, "seed": 2014, "launch": 1}
+        )
+        assert a == b
+        assert isinstance(a["seed"], int) and isinstance(a["launch"], int)
         assert request_key(a) == request_key(b)
 
     def test_every_parameter_shapes_the_key(self):
@@ -162,9 +177,6 @@ class TestNormalization:
             {"scale": 0.25},
             {"seed": 7},
             {"launch": 1},
-            {"engine": "reference"},
-            {"mem_front_end": "reference"},
-            {"l2_shards": 2},
         ]
         keys = {
             request_key(normalize_request("simulate", {**base, **v}))
@@ -183,9 +195,21 @@ class TestNormalization:
         {"kernel": KERNEL, "scale": 0},
         {"kernel": KERNEL, "scale": 2},
         {"kernel": KERNEL, "launch": -1},
-        {"kernel": KERNEL, "engine": "quantum"},
-        {"kernel": KERNEL, "mem_front_end": "imaginary"},
-        {"kernel": KERNEL, "l2_shards": 3},
+        # Numbers are type-checked, never coerced.
+        {"kernel": KERNEL, "seed": 2.7},
+        {"kernel": KERNEL, "launch": 1.9},
+        {"kernel": KERNEL, "seed": 2.7, "launch": 1.9},
+        {"kernel": KERNEL, "seed": True},
+        {"kernel": KERNEL, "launch": False},
+        {"kernel": KERNEL, "scale": True},
+        {"kernel": KERNEL, "seed": "7"},
+        {"kernel": KERNEL, "scale": "0.125"},
+        {"kernel": KERNEL, "seed": None},
+        {"kernel": KERNEL, "scale": 10**400},
+        {"kernel": KERNEL, "seed": float("inf")},
+        # Removed parameters are rejected as unknown.
+        {"kernel": KERNEL, "engine": "compact"},
+        {"kernel": KERNEL, "mem_front_end": "fast"},
         {"kernel": KERNEL, "surprise": 1},
         {},
     ])
@@ -226,22 +250,17 @@ class TestBitIdentity:
         assert payloads_equal(served, direct)
         assert served == again
 
-    def test_engine_variants_stay_distinct_and_identical(self, serve_dir):
-        with start_server(serve_dir) as handle:
-            with ServeClient(handle.socket_path) as client:
-                compact = client.simulate(KERNEL, scale=SCALE)
-                reference = client.simulate(
-                    KERNEL, scale=SCALE, engine="reference",
-                    mem_front_end="reference",
-                )
-        norm = normalize_request(
-            "simulate",
-            sim_params(engine="reference", mem_front_end="reference"),
+    def test_reference_oracles_equal_direct_payload(self):
+        # The daemon always runs compact + fast; the engine parity
+        # contract is checked here, off the wire, against the oracle
+        # engine and memory front end.
+        norm = normalize_request("simulate", sim_params(launch=1))
+        kernel = get_workload(KERNEL, scale=SCALE, seed=norm["seed"])
+        sim = GPUSimulator(
+            GPUConfig(), engine="reference", mem_front_end="reference"
         )
+        reference = result_payload(sim.run_launch(kernel.launches[1]))
         assert payloads_equal(reference, direct_payload(norm))
-        # Same machine, different engines: equal timing via the engine
-        # parity contract, reached through two separate warm engines.
-        assert compact["wall_cycles"] == reference["wall_cycles"]
 
 
 class TestWarmState:
@@ -288,12 +307,36 @@ class TestWarmState:
 
 
 class TestCoalescing:
-    def test_pipelined_duplicates_simulate_once(self, serve_dir):
+    def test_pipelined_duplicates_simulate_once(self, serve_dir, monkeypatch):
+        from repro.serve.jobs import JobRunner
+
+        n = 10
+        all_arrived = threading.Event()
+        original = JobRunner.run
+
+        def gated(self, norm, heartbeat=None):
+            # The simulation takes milliseconds; on a loaded host it
+            # could finish before the last duplicate is read and turn
+            # that one into a second run.  Hold it until all n arrived.
+            assert all_arrived.wait(30), "duplicates never all arrived"
+            return original(self, norm, heartbeat)
+
+        monkeypatch.setattr(JobRunner, "run", gated)
         with start_server(serve_dir) as handle:
             with ServeClient(handle.socket_path) as client:
-                rids = [
-                    client.submit("simulate", sim_params()) for _ in range(10)
-                ]
+                try:
+                    rids = [
+                        client.submit("simulate", sim_params())
+                        for _ in range(n)
+                    ]
+                    deadline = time.monotonic() + 30
+                    while (
+                        handle.server.counters.simulate_requests < n
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.001)
+                finally:
+                    all_arrived.set()
                 payloads = [client.drain(rid) for rid in rids]
                 stats = client.stats()
         assert all(p == payloads[0] for p in payloads)
@@ -318,8 +361,7 @@ class TestConcurrentIdempotency:
         with the journal on, each content key simulates exactly once,
         every response for a key is bit-identical, and the drain is
         clean with clients still connected."""
-        distinct = [sim_params(), sim_params(seed=7), sim_params(launch=0,
-                    l2_shards=2)]
+        distinct = [sim_params(), sim_params(seed=7), sim_params(launch=1)]
         threads_per_request = 4
         repeats = 3
         results: dict[int, list[dict]] = {i: [] for i in range(len(distinct))}
@@ -469,7 +511,7 @@ class TestLifecycle:
             host, port = handle.address
             wait_for_server(host=host, port=port)
             with ServeClient(host=host, port=port) as client:
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
                 payload = client.simulate(KERNEL, scale=SCALE)
         direct = direct_payload(normalize_request("simulate", sim_params()))
         assert payloads_equal(payload, direct)
@@ -479,7 +521,7 @@ class TestLifecycle:
             with ServeClient(handle.socket_path) as client:
                 with pytest.raises(ServeError, match="unknown"):
                     client.call("simulate", {"kernel": "bogus"})
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
 
     def test_garbage_frame_drops_connection_not_server(self, serve_dir):
         with start_server(serve_dir) as handle:
@@ -488,7 +530,7 @@ class TestLifecycle:
             raw.sendall(b"\xff\xff\xff\xff garbage")
             raw.close()
             with ServeClient(handle.socket_path) as client:
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == PROTOCOL_VERSION
 
 
 def start_tcp_server(tmp_path, **overrides) -> ServerThread:

@@ -1,86 +1,99 @@
-"""Tests for the DRAM models (list-backed and array-backed)."""
+"""Tests for the DRAM model.
+
+The contract tests run on two bank geometries: 4 banks, where the
+line-to-bank map is an AND with a precomputed mask, and 6 banks, where
+it is a modulo.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import GPUConfig
-from repro.sim.dram import ArrayDRAMModel, DRAMModel
+from repro.sim.dram import DRAMModel
+
+#: (dram_channels, dram_banks) per bank-map path.
+BANK_GEOMETRIES = {"mask4": (2, 2), "modulo6": (3, 2)}
 
 
-@pytest.fixture(params=[DRAMModel, ArrayDRAMModel], ids=["list", "array"])
-def Model(request):
-    """Both DRAM implementations satisfy the same contract; the
-    array-backed one additionally vectorizes large batch drains
-    (covered separately below)."""
-    return request.param
+@pytest.fixture(params=sorted(BANK_GEOMETRIES))
+def geometry(request):
+    return BANK_GEOMETRIES[request.param]
 
 
-def make_dram(Model, **over):
+def make_dram(geometry=(2, 2), **over):
+    channels, banks = geometry
     cfg = GPUConfig(
-        dram_channels=2, dram_banks=2, dram_latency=100,
+        dram_channels=channels, dram_banks=banks, dram_latency=100,
         dram_row_miss_penalty=50, dram_service=10, dram_jitter=0,
     ).with_(**over)
-    return Model(cfg)
+    return DRAMModel(cfg)
+
+
+def test_bank_mask_only_for_power_of_two_bank_counts():
+    assert make_dram((2, 2)).bank_mask == 3
+    assert make_dram((2, 4)).bank_mask == 7
+    # Zero means "take the modulo path": 6 banks, and the single bank
+    # whose mask would be 0 anyway.
+    assert make_dram((3, 2)).bank_mask == 0
+    assert make_dram((1, 1)).bank_mask == 0
 
 
 class TestDRAM:
-    def test_first_access_is_row_miss(self, Model):
-        d = make_dram(Model)
+    def test_first_access_is_row_miss(self, geometry):
+        d = make_dram(geometry)
         done = d.access(0, now=0)
         assert done == 150  # base + row-miss penalty
         assert d.row_hits == 0
 
-    def test_same_row_hit(self, Model):
-        d = make_dram(Model)
+    def test_same_row_hit(self, geometry):
+        d = make_dram(geometry)
         d.access(0, now=0)
         # Same bank (line + num_banks) and same 2 KiB row: a row hit.
         done = d.access(d.num_banks * 128, now=1000)
         assert done == 1000 + 100
         assert d.row_hits == 1
 
-    def test_adjacent_lines_interleave_across_banks(self, Model):
-        d = make_dram(Model)
+    def test_adjacent_lines_interleave_across_banks(self, geometry):
+        d = make_dram(geometry)
         d.access(0, now=0)
         d.access(128, now=0)  # next line -> next bank -> closed row
         assert d.row_hits == 0
 
-    def test_row_conflict_pays_penalty(self, Model):
-        d = make_dram(Model)
+    def test_row_conflict_pays_penalty(self, geometry):
+        d = make_dram(geometry)
         d.access(0, now=0)
         nb = d.num_banks
         done = d.access(2048 * nb, now=1000)  # same bank, different row
         assert done == 1000 + 150
 
-    def test_bank_queueing_delay(self, Model):
-        d = make_dram(Model)
+    def test_bank_queueing_delay(self, geometry):
+        d = make_dram(geometry)
         d.access(0, now=0)  # occupies bank until t=10
         done = d.access(0, now=2)  # same bank: waits until 10
         assert done == 10 + 100
         assert d.total_queue_cycles == 8
 
-    def test_different_banks_no_queueing(self, Model):
-        d = make_dram(Model)
+    def test_different_banks_no_queueing(self, geometry):
+        d = make_dram(geometry)
         d.access(0, now=0)
         done = d.access(128, now=0)  # adjacent line -> next bank
         assert done == 150
         assert d.total_queue_cycles == 0
 
-    def test_bank_mapping_spreads_lines(self, Model):
-        d = make_dram(Model)
+    def test_bank_mapping_spreads_lines(self, geometry):
+        d = make_dram(geometry)
         banks = {(a >> d.line_shift) % d.num_banks for a in range(0, 512, 128)}
         assert len(banks) == 4
 
-    def test_stats(self, Model):
-        d = make_dram(Model)
+    def test_stats(self, geometry):
+        d = make_dram(geometry)
         d.access(0, 0)
         d.access(128, 0)
         assert d.requests == 2
         assert 0 <= d.row_hit_rate <= 1
         assert d.mean_queue_delay >= 0
 
-    def test_reset(self, Model):
-        d = make_dram(Model)
+    def test_reset(self, geometry):
+        d = make_dram(geometry)
         d.access(0, 0)
         d.reset()
         assert d.requests == 0
@@ -88,114 +101,21 @@ class TestDRAM:
         # row closed: pays the miss penalty again
         assert d.access(0, 0) == 150
 
-    def test_jitter_bounded_and_deterministic(self, Model):
-        d = make_dram(Model, dram_jitter=9)
+    def test_jitter_bounded_and_deterministic(self, geometry):
+        d = make_dram(geometry, dram_jitter=9)
         lats = [d.access(0, now=10_000 * (i + 1)) - 10_000 * (i + 1) for i in range(50)]
         base = [l - 150 if i == 0 else l - 100 for i, l in enumerate(lats)]
         # Jitter stays within [0, 9) on top of the deterministic latency.
-        d2 = make_dram(Model, dram_jitter=9)
+        d2 = make_dram(geometry, dram_jitter=9)
         lats2 = [d2.access(0, now=10_000 * (i + 1)) - 10_000 * (i + 1) for i in range(50)]
         assert lats == lats2  # deterministic
         assert max(lats) - min(lats[1:]) < 60  # bounded variation
 
-    def test_bank_serializes_under_load(self, Model):
-        d = make_dram(Model)
+    def test_bank_serializes_under_load(self, geometry):
+        d = make_dram(geometry)
         for i in range(50):
             d.access(0, now=0)  # hammer one bank
         # Each request occupies the bank for `service` cycles.
         assert d.free_at[(0 >> d.line_shift) % d.num_banks] == 50 * 10
         assert d.total_queue_cycles == sum(10 * i for i in range(50))
 
-
-class TestArrayDRAMVectorDrain:
-    """The vectorized batch drain of :class:`ArrayDRAMModel` must be
-    bit-identical to the scalar drain — bank state, statistics, jitter
-    stream and completion time — for any batch and any ``now``."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        addrs=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=80),
-        now=st.integers(0, 10_000),
-        jitter=st.sampled_from([0, 9]),
-        channels=st.sampled_from([2, 3]),   # mask and modulo bank paths
-    )
-    def test_vector_drain_matches_scalar(self, addrs, now, jitter, channels):
-        cfg = GPUConfig(
-            dram_channels=channels, dram_banks=4, dram_latency=100,
-            dram_row_miss_penalty=50, dram_service=10, dram_jitter=jitter,
-        )
-        scalar = DRAMModel(cfg)
-        vector = ArrayDRAMModel(cfg, vector_threshold=1)  # always vector
-        assert vector.access_n(addrs, now) == scalar.access_n(addrs, now)
-        assert list(vector.free_at) == list(scalar.free_at)
-        assert list(vector.open_row) == list(scalar.open_row)
-        assert (
-            vector.requests, vector.row_hits, vector.total_queue_cycles,
-            vector._jitter_state,
-        ) == (
-            scalar.requests, scalar.row_hits, scalar.total_queue_cycles,
-            scalar._jitter_state,
-        )
-        assert vector.vector_batches == 1
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        batches=st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 1 << 18), min_size=1, max_size=20),
-                st.integers(0, 200),
-            ),
-            min_size=1, max_size=10,
-        )
-    )
-    def test_interleaved_batches_keep_jitter_stream(self, batches):
-        # Alternating scalar access() and vectorized access_n() calls
-        # on one model must walk the same LCG stream and bank state as
-        # a purely scalar model.
-        cfg = GPUConfig(dram_channels=2, dram_banks=2)
-        scalar = DRAMModel(cfg)
-        mixed = ArrayDRAMModel(cfg, vector_threshold=1)
-        now = 0
-        for addrs, dt in batches:
-            now += dt
-            assert mixed.access(addrs[0], now) == scalar.access(addrs[0], now)
-            assert mixed.access_n(addrs, now) == scalar.access_n(addrs, now)
-        assert mixed._jitter_state == scalar._jitter_state
-        assert list(mixed.free_at) == list(scalar.free_at)
-
-    def test_threshold_dispatch(self):
-        cfg = GPUConfig(dram_channels=2, dram_banks=2)
-        d = ArrayDRAMModel(cfg)   # default threshold: warp batches scalar
-        d.access_n(list(range(0, 32 * 128, 128)), 0)
-        assert d.vector_batches == 0
-        big = list(range(0, d.vector_threshold * 128, 128))
-        d.access_n(big, 0)
-        assert d.vector_batches == 1
-
-    def test_empty_batch_is_a_no_op(self):
-        cfg = GPUConfig(dram_channels=2, dram_banks=2)
-        d = ArrayDRAMModel(cfg, vector_threshold=0)
-        state_before = (list(d.free_at), d.requests, d._jitter_state)
-        assert d._access_n_vector([], 0) == 0
-        assert (list(d.free_at), d.requests, d._jitter_state) == state_before
-
-    def test_lcg_table_growth(self):
-        # Batches beyond the initial table size must grow the closed
-        # form tables and stay bit-identical.
-        cfg = GPUConfig(dram_channels=2, dram_banks=2)
-        scalar = DRAMModel(cfg)
-        vector = ArrayDRAMModel(cfg, vector_threshold=1)
-        addrs = list(range(0, 300 * 128, 128))
-        assert vector.access_n(addrs, 5) == scalar.access_n(addrs, 5)
-        assert vector._jitter_state == scalar._jitter_state
-
-    def test_reset_mutates_buffers_in_place(self):
-        cfg = GPUConfig(dram_channels=2, dram_banks=2)
-        d = ArrayDRAMModel(cfg)
-        free, rows = d.free_at, d.open_row
-        d.access_n(list(range(0, 64 * 128, 128)), 0)
-        d.reset()
-        assert d.free_at is free and d.open_row is rows
-        assert list(free) == [0] * d.num_banks
-        assert list(rows) == [-1] * d.num_banks
-        assert d.vector_batches == 0

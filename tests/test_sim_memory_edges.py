@@ -1,12 +1,13 @@
-"""Memory-subsystem edge cases, run against all three front ends.
+"""Memory-subsystem edge cases, run against every front end.
 
 The property battery in ``test_sim_memory_fastpath.py`` explores the
 bulk of the state space randomly; this module pins the degenerate
-geometries and instruction shapes where batched/array fast paths are
+geometries and instruction shapes where the batched fast path is
 most likely to diverge from the oracle: capacity-1 caches, an L2
 smaller than a single transaction batch, self-eviction inside one
-instruction, non-power-of-two strides that alias into one bank, and
-zero-transaction instructions.  Every case is a differential test —
+instruction, non-power-of-two strides that alias into one bank,
+zero-transaction instructions, long hit streaks, a shared L2 of one or
+two lines, and L1 and L2 lines of different sizes.  Every case is a differential test —
 each front end against a fresh reference oracle — so the expected
 behaviour is defined by the oracle, never hand-computed.
 """
@@ -16,22 +17,14 @@ from __future__ import annotations
 import pytest
 
 from repro.config import GPUConfig
-from repro.sim.caches import (
-    L2_ORGANIZATIONS,
-    ArrayLRUCache,
-    LRUCache,
-    ShardedL2,
-    make_l2,
-)
 from repro.sim.memory import (
     MEMORY_FRONT_ENDS,
     ReferenceMemoryHierarchy,
-    VectorMemoryHierarchy,
     make_memory,
 )
 from tests.test_sim_memory_fastpath import hierarchy_state
 
-FRONT_ENDS = ["fast", "reference", "vector"]
+FRONT_ENDS = ["fast", "reference"]
 
 
 def _assert_differential(cfg: GPUConfig, front_end: str, seq) -> None:
@@ -206,176 +199,56 @@ class TestZeroTransactionInstructions:
         _assert_differential(cfg, front_end, seq)
 
 
-class TestVectorSpecificEdges:
-    """Edges unique to the array-backed representation: ring headroom
-    exhaustion (hit streaks fill the log) and the forced-vector drain
-    on degenerate geometries."""
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+class TestHitStreaks:
+    """Long runs of hits with no miss in between: every hit refreshes
+    LRU order without allocating, so the fast path's hit shortcuts must
+    leave exactly the order the oracle's per-transaction refresh does
+    when the next miss finally picks a victim."""
 
-    def test_hit_streak_compaction_stays_equivalent(self):
-        # A tiny L1 hammered with hits fills the ring log (hits append
-        # without consuming) until compaction; equivalence must hold
-        # across compactions, including batch-path headroom rebuilds.
+    def test_single_transaction_l1_hit_streak(self, front_end):
         cfg = GPUConfig(num_sms=1, l1_kib=1, l1_line=512, l2_kib=2)
-        vec = VectorMemoryHierarchy(cfg)
-        ref = ReferenceMemoryHierarchy(cfg)
-        for i in range(4000):
-            addr = (i % 2) * 512
-            assert vec.load(0, addr, 0, 1, i) == ref.load(0, addr, 0, 1, i)
-        assert sum(c.compactions for c in vec.l1s) > 0
-        assert hierarchy_state(vec) == hierarchy_state(ref)
+        seq = [(0, (i % 2) * 512, 0, 1, i) for i in range(4000)]
+        seq.append((0, 2 * 512, 0, 1, 4000))  # first miss: evicts line 0
+        _assert_differential(cfg, front_end, seq)
 
-    def test_batch_ending_exactly_at_l1_ring_fullness(self):
-        # Regression: a batch whose appends land ``tail - head``
-        # exactly on the ring size must compact up front (strict
-        # headroom).  Every later append site checks fullness only
-        # *after* appending, so occupancy that slips past the ring
-        # size is never compacted again: the ring wraps over live log
-        # entries and LRU state silently corrupts while the rest of
-        # the differential battery stays green.
+    def test_whole_capacity_hit_batches(self, front_end):
+        # 16-line L1 fed 16-transaction batches over its exact working
+        # set: one warming miss batch, then pure hit batches, single
+        # hits, an all-miss eviction storm and a sub-line-spread batch.
         cfg = GPUConfig(
             num_sms=1, l1_kib=2, l1_line=128, l2_kib=4, l2_line=128,
         )
-        vec = VectorMemoryHierarchy(cfg)
-        ref = ReferenceMemoryHierarchy(cfg)
-        l1 = vec.l1s[0]
-        num_lines = l1.num_lines
-        ringsz = l1._ring_size
-        # Hit batches append num_lines entries without consuming any,
-        # so whole batches tile the ring exactly up to the boundary.
-        assert ringsz % num_lines == 0
-        now = 0
+        width = 16
+        seq = [(0, 0, 128, width, 10 * k) for k in range(8)]
+        seq += [(0, (i % width) * 128, 0, 1, 100 + i) for i in range(64)]
+        seq += [(0, width * 128, 128, width, 200), (0, 0, 64, 32, 210)]
+        _assert_differential(cfg, front_end, seq)
 
-        def step(addr, spread, num_req):
-            nonlocal now
-            got = vec.load(0, addr, spread, num_req, now)
-            want = ref.load(0, addr, spread, num_req, now)
-            assert got == want, (addr, spread, num_req, now)
-            now += 10
-
-        # One warming miss batch, then hit batches until one would
-        # end with tail - head == ring size.
-        for _ in range(ringsz // num_lines):
-            step(0, 128, num_lines)
-        # Strict headroom must have compacted the boundary batch.
-        assert l1._ht[1] - l1._ht[0] < ringsz
-        # Continue through every path: single-transaction hits (these
-        # wrapped the ring before the fix), an all-miss eviction storm
-        # (scans the log), and a careful sub-line-spread batch.
-        for i in range(2 * ringsz):
-            step((i % num_lines) * 128, 0, 1)
-        step(num_lines * 128, 128, num_lines)
-        step(0, 64, 32)
-        assert hierarchy_state(vec) == hierarchy_state(ref)
-
-    def test_batch_ending_exactly_at_l2_ring_fullness(self):
-        # Same boundary for the shared L2: an L1 small enough that a
-        # 16-line working set always misses it, so every transaction
-        # reaches the L2 and its ring fills on hit batches.
+    def test_l2_hit_streak_behind_thrashing_l1(self, front_end):
+        # A 16-line working set cycles through an 8-line L1, so every
+        # access misses L1 and hits the 32-line L2: the L2 hit path
+        # runs thousands of times before an L2 eviction storm.
         cfg = GPUConfig(
             num_sms=1, l1_kib=1, l1_line=128, l2_kib=4, l2_line=128,
         )
-        vec = VectorMemoryHierarchy(cfg)
-        ref = ReferenceMemoryHierarchy(cfg)
-        l2 = vec.l2
-        ringsz = l2._ring_size
-        width = 16  # working set: wider than L1 (8), inside L2 (32)
-        assert ringsz % width == 0
-        now = 0
-
-        def step(addr, spread, num_req):
-            nonlocal now
-            got = vec.load(0, addr, spread, num_req, now)
-            want = ref.load(0, addr, spread, num_req, now)
-            assert got == want, (addr, spread, num_req, now)
-            now += 10
-
-        for _ in range(ringsz // width):
-            step(0, 128, width)
-        assert l2._ht[1] - l2._ht[0] < ringsz
-        # Single-transaction L2 hits (L1 thrashes the 16-line cycle),
-        # then an L2 eviction storm over fresh lines.
-        for i in range(2 * ringsz):
-            step((i % width) * 128, 0, 1)
-        step(width * 128, 128, 32)
-        assert hierarchy_state(vec) == hierarchy_state(ref)
-
-    def test_forced_vector_drain_on_degenerate_geometry(self):
-        cfg = GPUConfig(
-            num_sms=1, l1_kib=1, l1_line=1024, l2_kib=1, l2_line=1024,
-            dram_channels=2, dram_banks=2,
-        )
-        vec = VectorMemoryHierarchy(cfg, vector_threshold=1)
-        ref = ReferenceMemoryHierarchy(cfg)
-        for k in range(6):
-            assert vec.load(0, k * 128, 1024, 16, k * 3) == ref.load(
-                0, k * 128, 1024, 16, k * 3
-            )
-        assert vec.vector_drains > 0
-        assert hierarchy_state(vec) == hierarchy_state(ref)
-
-
-def _assert_sharded_differential(cfg: GPUConfig, front_end: str, seq) -> None:
-    """Like :func:`_assert_differential`, but against the *unsharded*
-    oracle: the ShardedL2 invariant is equality with one big LRU, not
-    with a sharded reference."""
-    mem = make_memory(cfg, front_end)
-    ref = ReferenceMemoryHierarchy(cfg.with_(l2_shards=1))
-    for sm_id, addr, spread, num_req, now in seq:
-        got = mem.load(sm_id, addr, spread, num_req, now)
-        want = ref.load(sm_id, addr, spread, num_req, now)
-        assert got == want, (sm_id, addr, spread, num_req, now)
-    assert hierarchy_state(mem) == hierarchy_state(ref)
-
-
-def test_l2_organization_registry():
-    assert set(L2_ORGANIZATIONS) == {"unified", "sharded"}
-    assert isinstance(make_l2(4096, 128), LRUCache)
-    assert isinstance(make_l2(4096, 128, 1, ArrayLRUCache), ArrayLRUCache)
-    sharded = make_l2(4096, 128, 4)
-    assert isinstance(sharded, ShardedL2)
-    assert sharded.num_shards == 4
-
-
-def test_non_power_of_two_shards_rejected():
-    # Both the cache itself and the configuration layer must reject
-    # shard counts where the address-slice mask would be ill-formed.
-    for bad in (0, -2, 3, 6, 12):
-        with pytest.raises(ValueError):
-            ShardedL2(4096, 128, bad)
-        with pytest.raises(ValueError):
-            GPUConfig(l2_shards=bad)
-
-
-@pytest.mark.parametrize("line_cls", [LRUCache, ArrayLRUCache])
-def test_single_shard_degenerates_to_oracle(line_cls):
-    # ShardedL2 with one shard is the whole cache behind the shard
-    # dispatch: bit-identical to the plain LRU on any stream (the
-    # factory normally short-circuits shards=1 to the plain cache, so
-    # this pins the degenerate ShardedL2 itself).
-    sharded = ShardedL2(8 * 128, 128, 1, line_cls=line_cls)
-    oracle = LRUCache(8 * 128, 128)
-    for i in range(600):
-        addr = (i * 37) % (24 * 128)
-        assert sharded.access(addr >> 7) == oracle.access(addr >> 7)
-    assert sharded.lru_lines() == oracle.lru_lines()
-    assert (sharded.hits, sharded.misses, sharded.occupancy) == (
-        oracle.hits, oracle.misses, oracle.occupancy
-    )
+        width = 16
+        seq = [(0, 0, 128, width, 10 * k) for k in range(4)]
+        seq += [(0, (i % width) * 128, 0, 1, 50 + i) for i in range(2000)]
+        seq.append((0, width * 128, 128, 32, 3000))
+        _assert_differential(cfg, front_end, seq)
 
 
 @pytest.mark.parametrize("front_end", FRONT_ENDS)
-class TestShardedL2Edges:
-    """Degenerate shard geometries, every front end against the
-    unsharded oracle: shards of capacity ~1 line (global eviction on
-    almost every miss), batches wider than the whole sharded L2, and
-    traffic pinned to a single shard."""
+class TestTinySharedL2:
+    """A shared L2 of one or two lines under traffic from several SMs:
+    the victim changes on almost every access, and the L1 of each SM
+    must not mask what the L2 sees."""
 
-    def test_capacity_one_shards_thrash(self, front_end):
-        # 2 lines total across 2 shards: the global-LRU eviction picks
-        # between shard heads on nearly every access.
+    def test_two_line_l2_thrash_across_sms(self, front_end):
         cfg = GPUConfig(
             num_sms=2, l1_kib=1, l1_line=1024, l2_kib=1, l2_line=512,
-            l2_shards=2, dram_channels=2, dram_banks=2,
+            dram_channels=2, dram_banks=2,
         )
         seq = [
             (sm, addr, 0, 1, now * 10)
@@ -384,97 +257,53 @@ class TestShardedL2Edges:
                  (0, 2048), (1, 512), (0, 0)] * 6
             )
         ]
-        _assert_sharded_differential(cfg, front_end, seq)
+        _assert_differential(cfg, front_end, seq)
 
-    def test_batch_wider_than_sharded_l2(self, front_end):
-        # 32-transaction batches through an 8-line L2 split 4 ways:
-        # the batch wraps the *global* capacity within one instruction
-        # while individual shards stay tiny.
-        cfg = GPUConfig(
-            num_sms=2, l1_kib=1, l1_line=128, l2_kib=1, l2_line=128,
-            l2_shards=4, dram_channels=3, dram_banks=4,
-        )
-        seq = [
-            (0, 0, 128, 32, 0),
-            (1, 0, 128, 32, 10),
-            (0, 4096, 256, 32, 20),
-            (0, 0, 128, 8, 100),
-        ]
-        _assert_sharded_differential(cfg, front_end, seq)
-
-    def test_single_shard_hammered(self, front_end):
-        # Addresses chosen so every line lands in shard 0 (even line
-        # indices with 2 shards): one shard takes all the traffic and
-        # overflows its proportional share, which the global-LRU
-        # organization must absorb exactly like the unified cache.
+    def test_every_other_line_hammered(self, front_end):
+        # Even line indices only: half the line space carries all the
+        # traffic, through a 16-line L2 and a 2-bank DRAM.
         cfg = GPUConfig(
             num_sms=1, l1_kib=1, l1_line=128, l2_kib=2, l2_line=128,
-            l2_shards=2, dram_channels=2, dram_banks=2,
+            dram_channels=2, dram_banks=2,
+        )
+        seq = [(0, (2 * (i % 24)) * 128, 0, 1, i * 5) for i in range(120)]
+        _assert_differential(cfg, front_end, seq)
+
+    def test_eviction_storm_from_every_sm(self, front_end):
+        # Fresh lines striding through the L2 from all SMs at once:
+        # every batch evicts, and SMs interleave on the shared clock.
+        cfg = GPUConfig(
+            num_sms=3, l1_kib=1, l1_line=128, l2_kib=2, l2_line=128,
+            dram_channels=3, dram_banks=2,
         )
         seq = [
-            (0, (2 * (i % 24)) * 128, 0, 1, i * 5) for i in range(120)
+            (k % 3, k * 4096, 384, 16, 7 * k) for k in range(40)
         ]
-        mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(cfg.with_(l2_shards=1))
-        for sm_id, addr, spread, num_req, now in seq:
-            assert mem.load(sm_id, addr, spread, num_req, now) == ref.load(
-                sm_id, addr, spread, num_req, now
-            )
-        assert hierarchy_state(mem) == hierarchy_state(ref)
-        probes = mem.l2.shard_probes
-        assert probes[1] == 0 and probes[0] == sum(probes)
-        assert mem.l2.shard_imbalance == pytest.approx(1.0)
+        _assert_differential(cfg, front_end, seq)
 
 
-class TestShardedVectorRingBoundaries:
-    """The PR 6 ring-wrap regression, per shard: with the array-backed
-    front end each ShardedL2 shard is its own ring-log LRU, and a hit
-    streak pinned to one shard must compact that shard's ring (strict
-    headroom) instead of wrapping it over live entries."""
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+class TestSplitLineSizes:
+    """L1 and L2 lines of different sizes: one L2 line covers several
+    L1 lines (or the reverse), so a batch's L1 and L2 line indices
+    advance at different rates."""
 
-    def test_hit_streak_fills_one_shard_ring(self):
+    def test_l1_lines_smaller_than_l2_lines(self, front_end):
         cfg = GPUConfig(
-            num_sms=1, l1_kib=1, l1_line=128, l2_kib=4, l2_line=128,
-            l2_shards=2, dram_channels=2, dram_banks=2,
+            num_sms=2, l1_kib=1, l1_line=64, l2_kib=2, l2_line=512,
+            dram_channels=2, dram_banks=4,
         )
-        vec = VectorMemoryHierarchy(cfg)
-        ref = ReferenceMemoryHierarchy(cfg.with_(l2_shards=1))
-        shard0 = vec.l2.shards[0]
-        ringsz = shard0._ring_size
-        # 16 even-indexed lines: thrash the 8-line L1 so every access
-        # reaches the L2, land every line in shard 0, and stay inside
-        # the global L2 capacity so the streak is pure hits (each hit
-        # appends a ring entry without consuming one).
-        now = 0
-        for i in range(3 * ringsz):
-            addr = (2 * (i % 16)) * 128
-            got = vec.load(0, addr, 0, 1, now)
-            want = ref.load(0, addr, 0, 1, now)
-            assert got == want, (i, addr)
-            now += 3
-        assert shard0.compactions > 0
-        assert vec.l2.shards[1].accesses == 0
-        for shard in vec.l2.shards:
-            assert shard._ht[1] - shard._ht[0] <= shard._ring_size
-        assert hierarchy_state(vec) == hierarchy_state(ref)
+        seq = [
+            (k % 2, k * 192, 64, 24, 3 * k) for k in range(30)
+        ]
+        _assert_differential(cfg, front_end, seq)
 
-    def test_eviction_storm_across_shard_rings(self):
-        # Striding fresh lines through all shards: every shard's ring
-        # sees interleaved miss/evict traffic while the global clock
-        # orders evictions across them; equivalence must survive the
-        # churn and every ring must respect strict headroom.
+    def test_l1_lines_larger_than_l2_lines(self, front_end):
         cfg = GPUConfig(
-            num_sms=1, l1_kib=1, l1_line=128, l2_kib=2, l2_line=128,
-            l2_shards=4, dram_channels=2, dram_banks=2,
+            num_sms=2, l1_kib=2, l1_line=512, l2_kib=1, l2_line=64,
+            dram_channels=3, dram_banks=4,
         )
-        vec = VectorMemoryHierarchy(cfg)
-        ref = ReferenceMemoryHierarchy(cfg.with_(l2_shards=1))
-        max_ring = max(s._ring_size for s in vec.l2.shards)
-        now = 0
-        for i in range(4 * max_ring):
-            addr = ((i * 7) % 64) * 128
-            assert vec.load(0, addr, 0, 1, now) == ref.load(0, addr, 0, 1, now)
-            now += 2
-        for shard in vec.l2.shards:
-            assert shard._ht[1] - shard._ht[0] <= shard._ring_size
-        assert hierarchy_state(vec) == hierarchy_state(ref)
+        seq = [
+            (k % 2, k * 320, 96, 24, 3 * k) for k in range(30)
+        ]
+        _assert_differential(cfg, front_end, seq)

@@ -1,16 +1,13 @@
-"""Equivalence proofs for the batched and array-backed front ends.
+"""Equivalence proofs for the batched fast front end.
 
-Every non-oracle front end (:class:`repro.sim.memory.MemoryHierarchy`
-and the array-backed :class:`repro.sim.memory.VectorMemoryHierarchy`)
-must be bit-identical — timing, cache contents and LRU order, DRAM
-bank state, jitter stream, statistics — to the reference front end
+The fast front end (:class:`repro.sim.memory.MemoryHierarchy`) must be
+bit-identical — timing, cache contents and LRU order, DRAM bank state,
+jitter stream, statistics — to the reference front end
 (:class:`repro.sim.memory.ReferenceMemoryHierarchy`), which preserves
 the pre-fast-path per-transaction implementation as the oracle.  These
 tests drive randomized ``(sm_id, addr, spread, num_req)`` sequences
-through all of them and compare *all* observable state (for the vector
-front end through the representation-independent ``lru_lines()``
-projection), then do the same at the system level across the
-engine x front-end grid on real kernels.
+through both and compare *all* observable state, then do the same at
+the system level across the engine x front-end grid on real kernels.
 
 This is also where the former ``load``/``load1`` duplication hazard is
 pinned down: there is exactly one fast ``load`` entry point for every
@@ -25,14 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GPUConfig
-from repro.sim.caches import DictLRUCache, LRUCache
 from repro.sim.dram import DRAMModel
 from repro.sim.gpu import GPUSimulator
 from repro.sim.memory import (
     MEMORY_FRONT_ENDS,
     MemoryHierarchy,
     ReferenceMemoryHierarchy,
-    VectorMemoryHierarchy,
     make_memory,
 )
 
@@ -55,19 +50,8 @@ def tiny_config(**overrides) -> GPUConfig:
     return GPUConfig(**base)
 
 
-#: The L2-organization axis of the equivalence grid: every front end is
-#: held to the *unsharded* reference oracle under both organizations,
-#: which is exactly the ShardedL2 invariant (global LRU over shards ==
-#: one big LRU).
-L2_ORG_SHARDS = {"unified": 1, "sharded": 4}
-
-
 def hierarchy_state(mem):
-    """Every observable of a front end, LRU order included —
-    representation-independent via ``lru_lines()``, so OrderedDict-,
-    dict-, ring-log- and shard-backed caches compare on equal terms
-    (shard-local bookkeeping like ``l2_shard_probes`` is excluded: it
-    has no unified counterpart by construction)."""
+    """Every observable of a front end, LRU order included."""
     return {
         "l1_lines": [c.lru_lines() for c in mem.l1s],
         "l1_stats": [(c.hits, c.misses) for c in mem.l1s],
@@ -81,10 +65,7 @@ def hierarchy_state(mem):
             mem.dram.total_queue_cycles,
             mem.dram._jitter_state,
         ),
-        "stats": {
-            k: v for k, v in mem.stats().items()
-            if not k.startswith("l2_shard")
-        },
+        "stats": mem.stats(),
     }
 
 
@@ -104,23 +85,34 @@ instructions = st.lists(
 )
 
 
-@pytest.mark.parametrize("l2_org", ["unified", "sharded"])
-@pytest.mark.parametrize("front_end", ["fast", "vector", "reference"])
+#: The geometry axis of the equivalence grid: overrides on top of
+#: :func:`tiny_config` that move the fast path onto different branches —
+#: jitter-free DRAM (the LCG stream stays untouched), L1 and L2 lines
+#: of different sizes (the two levels no longer share one line index),
+#: and an L2 large enough that the stream almost never evicts from it.
+GEOMETRIES = {
+    "tiny": {},
+    "no_jitter": {"dram_jitter": 0},
+    "split_lines": {"l1_line": 64, "l2_line": 256},
+    "roomy_l2": {"l2_kib": 64},
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("front_end", ["fast", "reference"])
 class TestFrontEndEquivalence:
-    """Front-end x L2-organization differential battery: every
-    registered front end, under both the unified L2 and the sharded
-    one, is held to the *unsharded* reference oracle on the same random
-    instruction streams.  (``reference``/``unified`` vs a second
+    """Front-end x geometry differential battery: every registered
+    front end, under every geometry, is held to the reference oracle on
+    the same random instruction streams.  (``reference`` vs a second
     ``reference`` instance is the trivial row; it keeps the grid total
-    and guards the oracle's own determinism.  The ``sharded`` rows are
-    the ShardedL2 bit-identity proof at the hierarchy level.)"""
+    and guards the oracle's own determinism.)"""
 
     @settings(max_examples=60, deadline=None)
     @given(seq=instructions)
-    def test_matches_reference(self, front_end, l2_org, seq):
-        cfg = tiny_config(l2_shards=L2_ORG_SHARDS[l2_org])
+    def test_matches_reference(self, front_end, geometry, seq):
+        cfg = tiny_config(**GEOMETRIES[geometry])
         mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(tiny_config())
+        ref = ReferenceMemoryHierarchy(cfg)
         now = 0
         for sm_id, addr, spread, num_req, dt in seq:
             now += dt
@@ -131,14 +123,14 @@ class TestFrontEndEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(seq=instructions)
-    def test_power_of_two_banks_take_mask_path(self, front_end, l2_org, seq):
-        # 2 * 4 = 8 banks: the DRAM models precompute a bank mask and
+    def test_power_of_two_banks_take_mask_path(self, front_end, geometry, seq):
+        # 2 * 4 = 8 banks: the DRAM model precomputes a bank mask and
         # the line-to-bank map becomes an AND; results must not change.
         cfg = tiny_config(
-            dram_channels=2, dram_banks=4, l2_shards=L2_ORG_SHARDS[l2_org]
+            **{**GEOMETRIES[geometry], "dram_channels": 2, "dram_banks": 4}
         )
         mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(tiny_config(dram_channels=2, dram_banks=4))
+        ref = ReferenceMemoryHierarchy(cfg)
         assert mem.dram.bank_mask == 7
         now = 0
         for sm_id, addr, spread, num_req, dt in seq:
@@ -150,12 +142,12 @@ class TestFrontEndEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(seq=instructions)
-    def test_equivalence_survives_reset(self, front_end, l2_org, seq):
-        # The fast paths keep flat references into cache/DRAM state;
+    def test_equivalence_survives_reset(self, front_end, geometry, seq):
+        # The fast path keeps flat references into cache/DRAM state;
         # reset() must invalidate contents without stranding them.
-        cfg = tiny_config(l2_shards=L2_ORG_SHARDS[l2_org])
+        cfg = tiny_config(**GEOMETRIES[geometry])
         mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(tiny_config())
+        ref = ReferenceMemoryHierarchy(cfg)
         half = len(seq) // 2
         now = 0
         for sm_id, addr, spread, num_req, dt in seq[:half]:
@@ -174,16 +166,14 @@ class TestFrontEndEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(seq=instructions)
-    def test_batched_load_matches_sequential_singles(
-        self, front_end, l2_org, seq
-    ):
+    def test_batched_load_matches_sequential_singles(self, front_end, geometry, seq):
         # Batched-vs-sequential: one n-transaction ``load`` must equal
         # the max over n single-transaction loads of the expanded
         # addresses at the same ``now``, and leave identical hierarchy
         # state — the defining decomposition of the batch semantics.
-        cfg = tiny_config(l2_shards=L2_ORG_SHARDS[l2_org])
+        cfg = tiny_config(**GEOMETRIES[geometry])
         mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(tiny_config())
+        ref = ReferenceMemoryHierarchy(cfg)
         now = 0
         for sm_id, addr, spread, num_req, dt in seq:
             now += dt
@@ -195,14 +185,12 @@ class TestFrontEndEquivalence:
             assert got == want
         assert hierarchy_state(mem) == hierarchy_state(ref)
 
-    def test_single_transaction_path_matches_batch_of_one(
-        self, front_end, l2_org
-    ):
+    def test_single_transaction_path_matches_batch_of_one(self, front_end, geometry):
         # The num_req == 1 specialization against the oracle, level by
         # level: DRAM miss, L2 hit (other SM), then L1 hit.
-        cfg = tiny_config(l2_shards=L2_ORG_SHARDS[l2_org])
+        cfg = tiny_config(**GEOMETRIES[geometry])
         mem = make_memory(cfg, front_end)
-        ref = ReferenceMemoryHierarchy(tiny_config())
+        ref = ReferenceMemoryHierarchy(cfg)
         for sm_id, now in ((0, 0), (1, 100), (0, 200)):
             assert mem.load(sm_id, 512, 0, 1, now) == ref.load(
                 sm_id, 512, 0, 1, now
@@ -210,11 +198,11 @@ class TestFrontEndEquivalence:
         assert hierarchy_state(mem) == hierarchy_state(ref)
 
 
-@pytest.mark.parametrize("front_end", ["fast", "vector"])
+@pytest.mark.parametrize("front_end", ["fast"])
 class TestBatchCounterParity:
     """The batch engagement counters (``batches`` / ``dedup_txns`` /
-    ``batch_l1_hits`` / ``batch_l2_hits``) of every batched front end
-    agree with the fast path's documented semantics."""
+    ``batch_l1_hits`` / ``batch_l2_hits``) follow the fast path's
+    documented semantics and are deterministic."""
 
     def test_dedup_counts_only_consecutive_same_line(self, front_end):
         cfg = tiny_config()
@@ -254,50 +242,13 @@ class TestBatchCounterParity:
         )
 
 
-class TestVectorDrainEquivalence:
-    """The vector front end with the DRAM vectorization threshold
-    forced to 1 routes every multi-transaction instruction through the
-    careful path and every collected miss drain through the fully
-    vectorized ``ArrayDRAMModel._access_n_vector`` — and must still be
-    bit-identical to the oracle."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seq=instructions)
-    def test_forced_vector_drain_matches_reference(self, seq):
-        cfg = tiny_config()
-        vec = VectorMemoryHierarchy(cfg, vector_threshold=1)
-        ref = ReferenceMemoryHierarchy(cfg)
-        now = 0
-        for sm_id, addr, spread, num_req, dt in seq:
-            now += dt
-            assert vec.load(sm_id, addr, spread, num_req, now) == ref.load(
-                sm_id, addr, spread, num_req, now
-            )
-        assert hierarchy_state(vec) == hierarchy_state(ref)
-
-    def test_forced_threshold_engages_vector_drains(self):
-        cfg = tiny_config()
-        vec = VectorMemoryHierarchy(cfg, vector_threshold=1)
-        # A 32-transaction streaming miss batch must take one
-        # vectorized drain (and report it through the counter the
-        # engine snapshots).
-        vec.load(0, 0, 4096, 32, 0)
-        assert vec.vector_drains == 1
-        assert vec.dram.vector_batches == 1
-        # Under the default threshold warp-sized batches stay scalar.
-        vec_default = VectorMemoryHierarchy(cfg)
-        vec_default.load(0, 0, 4096, 32, 0)
-        assert vec_default.vector_drains == 0
-
-
 def test_registry():
-    assert set(MEMORY_FRONT_ENDS) == {"fast", "reference", "vector"}
+    assert set(MEMORY_FRONT_ENDS) == {"fast", "reference"}
     cfg = tiny_config()
     assert isinstance(make_memory(cfg), MemoryHierarchy)
     assert isinstance(
         make_memory(cfg, "reference"), ReferenceMemoryHierarchy
     )
-    assert isinstance(make_memory(cfg, "vector"), VectorMemoryHierarchy)
     with pytest.raises(ValueError, match="unknown memory front end"):
         make_memory(cfg, "turbo")
 
@@ -325,31 +276,7 @@ class TestDRAMBatchEquivalence:
         assert a._jitter_state == b._jitter_state
 
 
-class TestDictLRUEquivalence:
-    """The measured-and-rejected plain-dict LRU stays exactly
-    LRU-equivalent to the OrderedDict implementation — what makes the
-    recorded performance comparison (DESIGN.md §8) apples-to-apples."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        addrs=st.lists(
-            st.integers(min_value=0, max_value=1 << 14), min_size=1,
-            max_size=300,
-        )
-    )
-    def test_bit_identical_on_random_streams(self, addrs):
-        a = LRUCache(8 * 128, 128)
-        b = DictLRUCache(8 * 128, 128)
-        for addr in addrs:
-            assert a.access(addr) == b.access(addr)
-        assert list(a._lines) == list(b._lines)
-        assert (a.hits, a.misses, a.occupancy) == (b.hits, b.misses, b.occupancy)
-
-
 def _fingerprint(result):
-    # Shard-local bookkeeping (probe balance) is excluded: it exists
-    # only under the sharded organization, while everything the serial
-    # machine observes must be identical across organizations.
     return (
         result.issued_warp_insts,
         result.wall_cycles,
@@ -357,30 +284,29 @@ def _fingerprint(result):
         tuple(result.per_sm_busy_cycles),
         result.skipped_warp_insts,
         result.extra_cycles,
-        tuple(sorted(
-            (k, v) for k, v in result.mem_stats.items()
-            if not k.startswith("l2_shard")
-        )),
+        tuple(sorted(result.mem_stats.items())),
     )
 
 
-@pytest.mark.parametrize("kernel", ["spmv", "lbm"])
+@pytest.mark.parametrize(
+    "kernel", ["spmv", "lbm", "stream", "cfd", "kmeans", "bfs", "sssp", "mst"]
+)
 @pytest.mark.parametrize("scheduler", ["oldest", "lrr"])
 def test_engine_front_end_grid_bit_identical(kernel, scheduler):
-    """System-level closure: every engine x front-end x L2-organization
-    combination (and both schedulers, which route through different
-    engine loops) yields the same LaunchResults on real memory-bound
-    kernels."""
+    """System-level closure: every engine x front-end combination (and
+    both schedulers, which route through different engine loops) yields
+    the same LaunchResults on real kernels: the Table VI irregular
+    spmv, bfs, sssp and mst and the regular lbm, stream, cfd and
+    kmeans."""
     from repro.workloads import get_workload
 
     launches = get_workload(kernel, scale=0.0625).launches[:2]
     prints = set()
-    for l2_org in ("unified", "sharded"):
-        cfg = GPUConfig(scheduler=scheduler, l2_shards=L2_ORG_SHARDS[l2_org])
-        for engine in ("compact", "reference"):
-            for front_end in ("fast", "reference", "vector"):
-                sim = GPUSimulator(cfg, engine=engine, mem_front_end=front_end)
-                prints.add(
-                    tuple(_fingerprint(sim.run_launch(l)) for l in launches)
-                )
+    cfg = GPUConfig(scheduler=scheduler)
+    for engine in ("compact", "reference"):
+        for front_end in ("fast", "reference"):
+            sim = GPUSimulator(cfg, engine=engine, mem_front_end=front_end)
+            prints.add(
+                tuple(_fingerprint(sim.run_launch(l)) for l in launches)
+            )
     assert len(prints) == 1
