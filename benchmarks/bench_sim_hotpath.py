@@ -48,7 +48,10 @@ the in-process reference, which is machine- and load-independent)
 against the checked-in per-kernel baselines
 ``benchmarks/sim_smoke_baseline.json`` and fails on a >30% drop — the
 CI guard against hot-path regressions, now covering one compute-bound
-and one memory-bound kernel.
+and one memory-bound kernel.  It also times a sampled run (a
+``RegionSampler`` that skips nothing) against an unsampled run of the
+same launch and fails when that ratio rises >30% above its pin, the
+guard that keeps sampled launches on the fast window loop.
 """
 
 from __future__ import annotations
@@ -59,8 +62,12 @@ import time
 from statistics import median
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis.report import render_table
 from repro.config import GPUConfig
+from repro.core import RegionSampler
+from repro.profiler import profile_launch
 from repro.sim.gpu import GPUSimulator
 from repro.workloads import get_workload
 
@@ -80,7 +87,7 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 SMOKE_BASELINE = Path(__file__).resolve().parent / "sim_smoke_baseline.json"
 
 #: A >30% relative-throughput drop against the checked-in baseline
-#: fails CI.
+#: fails CI; so does a sampled/plain time ratio >30% above its pin.
 SMOKE_TOLERANCE = 0.30
 
 
@@ -177,6 +184,40 @@ def bench_launch(launch, reps: int = REPS, gpu: GPUConfig | None = None):
     }
 
 
+def sampler_overhead(launch, reps: int = REPS, gpu: GPUConfig | None = None):
+    """Median, over order-alternating paired reps, of the time of a run
+    under a :class:`RegionSampler` that skips nothing (every block's
+    region is -1) over the time of a ``sampler=None`` run of the same
+    launch on the same simulator.  Both must simulate identically, so
+    the ratio is the pure cost of carrying the sampler hooks."""
+    gpu = gpu or GPUConfig()
+    sim = GPUSimulator(gpu)
+    n = launch.num_blocks
+    insts = profile_launch(launch).warp_insts
+    occupancy = gpu.system_occupancy(launch.warps_per_block)
+
+    def run(mode):
+        sampler = None
+        if mode == "sampled":
+            sampler = RegionSampler(np.full(n, -1), insts, occupancy=occupancy)
+        t0 = time.perf_counter()
+        result = sim.run_launch(launch, sampler=sampler)
+        return time.perf_counter() - t0, result
+
+    run("plain")  # warm-up (untimed)
+    run("sampled")
+    ratios = []
+    orders = (("plain", "sampled"), ("sampled", "plain"))
+    for rep in range(reps):
+        seconds = {}
+        results = {}
+        for mode in orders[rep % len(orders)]:
+            seconds[mode], results[mode] = run(mode)
+        assert _fingerprint(results["sampled"]) == _fingerprint(results["plain"])
+        ratios.append(seconds["sampled"] / seconds["plain"])
+    return median(ratios)
+
+
 def test_sim_hotpath_throughput():
     rows = []
     records = []
@@ -232,7 +273,9 @@ def test_sim_hotpath_smoke():
     """CI perf smoke: one compute-bound and one memory-bound kernel,
     compared against checked-in baseline *relative* throughputs (fast
     system vs in-process reference, so the check holds on any machine);
-    >30% drop on either kernel fails."""
+    >30% drop on either kernel fails.  The sampled path is held to its
+    pinned sampled/plain time ratio (:func:`sampler_overhead`); a rise
+    of >30% above the pin fails."""
     baseline = json.loads(SMOKE_BASELINE.read_text())
     rows = []
     failures = []
@@ -253,6 +296,22 @@ def test_sim_hotpath_smoke():
                 f"{rec['speedup']:.3f}x fell below {floor:.3f}x "
                 f"(baseline {entry['speedup']:.3f}x - {SMOKE_TOLERANCE:.0%})"
             )
+    entry = baseline["sampler_overhead"]
+    kernel = get_workload(entry["kernel"], scale=entry["scale"])
+    launch = _materialize(kernel.launches[entry["launch_id"]])
+    ratio = sampler_overhead(launch, reps=max(REPS, 9))
+    ceiling = entry["ratio"] * (1 + SMOKE_TOLERANCE)
+    rows.extend([
+        (f"{entry['kernel']}: sampled/plain now", f"{ratio:.3f}x"),
+        (f"{entry['kernel']}: sampled/plain pin", f"{entry['ratio']:.3f}x"),
+        (f"{entry['kernel']}: ceiling", f"{ceiling:.3f}x"),
+    ])
+    if ratio > ceiling:
+        failures.append(
+            f"{entry['kernel']}: sampled/plain time ratio {ratio:.3f}x rose "
+            f"above {ceiling:.3f}x (pin {entry['ratio']:.3f}x + "
+            f"{SMOKE_TOLERANCE:.0%})"
+        )
     emit(render_table(
         ["metric", "value"], rows,
         title="Simulator hot-path smoke vs baseline",

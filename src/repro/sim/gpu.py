@@ -25,13 +25,17 @@ bit-identical by construction:
     consecutive non-memory instructions carry a prefix-sum of
     issue-to-issue stall deltas, so one heap event can retire a whole
     segment wherever that is provably timing-equivalent (bounded by the
-    SM's next-ready warp and — whenever shared state could observe the
-    difference — the next global event);
+    SM's next-ready warp and — when a recorder observes every
+    instruction — the next global event);
   - **windowed issue**: one global event per SM *window*; the SM's
-    warp pool (a per-SM binary heap in the specialized no-hooks loop)
+    warp pool (a per-SM binary heap in the specialized window loop,
+    which runs every recorder-free ``oldest`` launch, sampled or not)
     is simulated in a tight local loop that defers back to the global
     heap only at *barrier* instructions (memory ops, block-retiring
-    final instructions, hook-observed issues);
+    final instructions, and every instruction under a recorder);
+  - **lazy ``issued``**: a sampler on the window loop sees the exact
+    machine-wide issued count at each retirement, recomputed from the
+    other SMs' recorded run-ahead tails only when a hook fires;
   - **observability**: :class:`SimCounters` tallies events, heap
     pushes, segment/interning hits and memory-batching engagement and
     is attached to the :class:`LaunchResult`.
@@ -56,7 +60,7 @@ Sampling support (Section IV-B2):
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
@@ -471,9 +475,9 @@ class GPUSimulator:
         # pays one comparison for both cases.
         #
         # Dispatch stages fresh entries in ``nxts[si]`` (min ready time
-        # in ``nxtmins[si]``).  The specialized no-hooks loop converts
+        # in ``nxtmins[si]``).  The specialized window loop converts
         # the staged entries into per-SM binary heaps and keeps them
-        # there; the general loop (sampler / recorder / lrr) consumes a
+        # there; the general loop (recorder / lrr) consumes a
         # *round* structure instead: ``rnds[si]`` is a sorted list read
         # through cursor ``ris[si]``, re-queues collect unsorted in
         # ``nxts[si]``, and the two merge whenever a re-queued entry
@@ -606,8 +610,9 @@ class GPUSimulator:
                 intern_hits += nw
             return out
 
-        def dispatch_to(si: int, now: int) -> bool:
-            """Dispatch the next non-skipped thread block to SM ``si``;
+        def dispatch_to(si: int, now: int, issued: int) -> bool:
+            """Dispatch the next non-skipped thread block to SM ``si``
+            (``issued``: the exact machine-wide count the sampler sees);
             return False when the launch is exhausted."""
             nonlocal next_tb, dispatch_free, seq_counter
             nonlocal specified_tb, unit_t0, unit_i0
@@ -647,7 +652,7 @@ class GPUSimulator:
                 return True
             return False
 
-        def retire_tb(tb: _TBState, si: int, now: int) -> None:
+        def retire_tb(tb: _TBState, si: int, now: int, issued: int) -> None:
             nonlocal specified_tb
             resident[si] -= 1
             if has_sampler:
@@ -658,13 +663,13 @@ class GPUSimulator:
                     )
                 sampler.on_retire(tb.tb_id, now, issued)
             while resident[si] < occ:
-                if not dispatch_to(si, now):
+                if not dispatch_to(si, now, issued):
                     break
 
         # Initial greedy fill: thread blocks go to SMs round-robin.
         for _slot in range(occ):
             for si in range(num_sms):
-                if not dispatch_to(si, 0):
+                if not dispatch_to(si, 0, 0):
                     break
 
         event_heap: list = [(0, si) for si in range(num_sms) if nxts[si]]
@@ -684,13 +689,6 @@ class GPUSimulator:
             rec_unit = rec.unit_insts
             rec_left = rec_unit
             rec_flush = rec.flush
-        # Without hooks, non-memory instructions of the SM's sole
-        # ready warp touch only private state, so segments may run past
-        # the next *global* event; with a sampler or recorder observing
-        # the global instruction order, every batch must stay strictly
-        # before it.  Memory ops and trace-ending retires always must
-        # (shared caches / DRAM / dispatch bookkeeping).
-        no_hooks = not has_sampler and not rec_on
         wall = 0
 
         # Counter locals (folded into SimCounters at the end).
@@ -714,26 +712,47 @@ class GPUSimulator:
         # on one SM interact with the rest of the machine only through
         # (a) memory instructions (shared L2/DRAM state and its
         # access-order-dependent timing), (b) thread-block retirement
-        # (global dispatch bookkeeping), and (c) sampler/recorder hooks
-        # (which observe the global instruction order).  Everything else
-        # is private to the SM, so a window simulates the SM's own warp
-        # pool in a tight local loop and only defers back to the global
-        # heap when one of those *barrier* instructions would run at or
-        # past the next global event.
-        barrier_all = not no_hooks
+        # (global dispatch bookkeeping and the sampler hooks that fire
+        # there), and (c) a recorder (which observes the global order of
+        # every instruction).  Everything else is private to the SM, so
+        # a window simulates the SM's own warp pool in a tight local loop
+        # and only defers back to the global heap when one of those
+        # *barrier* instructions would run at or past the next global
+        # event.  On the general loop below a sampler also makes every
+        # instruction a barrier (``barrier_all``): it runs there only
+        # under lrr, where no run-ahead record exists.
+        barrier_all = has_sampler or rec_on
 
-        # ---- specialized window loop: no hooks, default scheduler ----
-        # The common experiment configuration (no sampler, no recorder,
-        # "oldest" scheduling) gets a copy of the window loop with every
-        # per-instruction conditional that is constant in that mode
-        # removed: no hook accounting, no lrr sequence renumbering, and
-        # the issued/busy-cycle tallies accumulate in window-local
-        # variables flushed at window end instead of per instruction.
-        # The window-entry exemption ("first") collapses to a constant
-        # per-window defer threshold (the global heap only changes at
-        # defers).  It drains the event heap completely, so the general
-        # loop below is skipped; results are bit-identical to both the
-        # general loop and the reference engine.
+        # ---- specialized window loop: no recorder, default scheduler ----
+        # The common experiment configurations — full runs and TBPoint's
+        # sampled runs, both with "oldest" scheduling — get a copy of the
+        # window loop with every per-instruction conditional that is
+        # constant in that mode removed: no recorder accounting, no lrr
+        # sequence renumbering, and the issued/busy-cycle tallies
+        # accumulate in window-local variables flushed at window end
+        # instead of per instruction.  The window-entry exemption
+        # ("first") collapses to a constant per-window defer threshold
+        # (the global heap only changes at defers).  It drains the event
+        # heap completely, so the general loop below is skipped; results
+        # are bit-identical to both the general loop and the reference
+        # engine.
+        #
+        # Lazy ``issued``: a sampler reads ``(now, issued)`` only in hooks
+        # that fire at block retirement, at the cycle-0 fill and at
+        # launch end, and retirements keep global (cycle, sm) order here
+        # (a retiring instruction at t >= hbar defers).  The reference
+        # engine's ``issued`` at a retire at (t, si) counts every
+        # instruction ordered before (t, si) plus the retiring one: the
+        # flushed ``issued``, plus this window's unflushed ``wi``, minus
+        # the other SMs' run-ahead at or after (t, si).  Popped event
+        # times are monotone, so that run-ahead can only be the part of
+        # an SM's last window at or past that window's ``hbar`` — its
+        # *tail*.  With a sampler attached each window records its tail
+        # (runs of back-to-back issue cycles ``(a, b)`` in ``tail_runs``,
+        # segments as ``(last, t0, cum, pc, idx)`` in ``tail_segs``) and
+        # ``ahead`` counts the overlap at each retire; without one the
+        # record threshold ``tbar`` stays infinite and nothing is
+        # written.
         #
         # Pool structure: each SM's warp pool is a binary heap of the
         # mutable entries — one C-level heapreplace per requeue.  Any
@@ -748,7 +767,7 @@ class GPUSimulator:
         # insorts/re-sorts, and the heap won everywhere — 0.65-0.99x
         # of the round time, worst exactly on the memory-bound kernels
         # this PR targets (DESIGN.md §8).
-        if no_hooks and not lrr:
+        if not rec_on and not lrr:
             whs = []
             for si in range(num_sms):
                 wh = nxts[si]
@@ -756,6 +775,27 @@ class GPUSimulator:
                 nxtmins[si] = _INF
                 heapify(wh)
                 whs.append(wh)
+            tail_runs: list[list] = [[] for _ in range(num_sms)]
+            tail_segs: list[list] = [[] for _ in range(num_sms)]
+            tbar = _INF
+
+            def ahead(si: int, t: int) -> int:
+                """Tail instructions ordered after (t, si) in (cycle,
+                sm) order.  SM si's own tail is empty here: its retires
+                run at t < hbar, before any tail entry of its window."""
+                n = 0
+                for sj in range(num_sms):
+                    thr = t if sj > si else t + 1
+                    for a, b in reversed(tail_runs[sj]):
+                        if b <= thr:
+                            break
+                        n += b - (a if a > thr else thr)
+                    for last, t0, cum, pc, idx in reversed(tail_segs[sj]):
+                        if last < thr:
+                            break
+                        n += idx - bisect_left(cum, cum[pc] + thr - t0, pc, idx)
+                return n
+
             # lint: hot
             while event_heap:
                 n_events += 1
@@ -773,14 +813,25 @@ class GPUSimulator:
                     hbar = h[0] if h[1] < si else h[0] + 1
                 else:
                     hbar = _INF
+                if has_sampler:
+                    tbar = hbar
+                    tail_runs[si].clear()
+                    tail_segs[si].clear()
                 wi = 0
                 wlast = -1
+                # Tail runs: from tbar on, every cycle in [t - wi, t)
+                # issued exactly one instruction, because idle skips and
+                # recorded segments flush ``wi`` (an unrecorded segment
+                # ends before tbar).  So runs are written only there and
+                # at window end, never per instruction.
                 while True:  # issue slots within this SM's window
                     e = wh[0]
                     r = e[0]
                     if r > t:
                         # Idle skip: flush the contiguous issue streak.
                         if wi:
+                            if t > tbar:
+                                tail_runs[si].append((t - wi, t))
                             issued += wi
                             per_sm_issued[si] += wi
                             wlast = t - 1
@@ -834,7 +885,11 @@ class GPUSimulator:
                             tb = w.tb
                             tb.live -= 1
                             if tb.live == 0:
-                                retire_tb(tb, si, t + 1)
+                                retire_tb(
+                                    tb, si, t + 1,
+                                    issued + wi - ahead(si, t)
+                                    if has_sampler else issued,
+                                )
                                 nxt = nxts[si]
                                 if nxt:
                                     for x in nxt:
@@ -856,7 +911,11 @@ class GPUSimulator:
                         wi += 1
                         tb.live -= 1
                         if tb.live == 0:
-                            retire_tb(tb, si, t + 1)
+                            retire_tb(
+                                tb, si, t + 1,
+                                issued + wi - ahead(si, t)
+                                if has_sampler else issued,
+                            )
                             nxt = nxts[si]
                             if nxt:
                                 for x in nxt:
@@ -907,8 +966,17 @@ class GPUSimulator:
                                 e[0] = done
                                 if done >= bound:
                                     replace(wh, e)
-                                wi += u
-                                t = t + cum[idx - 1] - base + 1
+                                last = t + cum[idx - 1] - base
+                                if last >= tbar:
+                                    tail_runs[si].append((t - wi, t))
+                                    tail_segs[si].append((last, t, cum, pc, idx))
+                                    issued += wi + u
+                                    per_sm_issued[si] += wi + u
+                                    wlast = last
+                                    wi = 0
+                                else:
+                                    wi += u
+                                t = last + 1
                                 continue
                         e[3] = pc1
                         e[0] = done
@@ -922,6 +990,8 @@ class GPUSimulator:
                     t += 1
 
                 if wi:
+                    if t > tbar:
+                        tail_runs[si].append((t - wi, t))
                     issued += wi
                     per_sm_issued[si] += wi
                     wlast = t - 1
@@ -1033,7 +1103,7 @@ class GPUSimulator:
                             tb.live -= 1
                             if tb.live == 0:
                                 nxtmins[si] = nxtmin
-                                retire_tb(tb, si, t + 1)
+                                retire_tb(tb, si, t + 1, issued)
                                 nxtmin = nxtmins[si]
                         t += 1
                         continue
@@ -1061,7 +1131,7 @@ class GPUSimulator:
                     tb.live -= 1
                     if tb.live == 0:
                         nxtmins[si] = nxtmin
-                        retire_tb(tb, si, t + 1)
+                        retire_tb(tb, si, t + 1, issued)
                         nxtmin = nxtmins[si]
                     t += 1
                     continue

@@ -5,12 +5,17 @@ dispatch decision; all TBPoint policy (region entry, warming,
 fast-forwarding — Section IV-B2) lives in the implementation
 (:class:`repro.core.intralaunch.RegionSampler`).
 
-Hooks and the compact engine: attaching a sampler or recorder switches
-the issue loop to its general (hook-aware) variant — segment batches are
-clipped at recorder unit boundaries and every callback fires at exactly
-the cycle and issued-count the reference engine would report, so hook
-observations are bit-identical across engines (property-tested in
-``tests/test_sim_compaction.py``).
+Hooks and the compact engine: every callback fires at exactly the cycle
+and issued-count the reference engine would report, so hook
+observations are bit-identical across engines.
+``tests/test_sim_compaction.py`` logs every callback, with its
+arguments and return value, on both engines and compares the logs.
+A sampler alone keeps the launch on the specialized window loop: the
+hooks fire only at block retirement, the cycle-0 fill and launch end,
+and the engine recomputes the exact issued count at those moments from
+the other SMs' recorded run-ahead.  A recorder (or the ``lrr``
+scheduler) switches to the general loop, where segment batches are
+clipped at recorder unit boundaries and at the next global event.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ class DispatchSampler(Protocol):
 
 class NullSampler:
     """A sampler that simulates everything (used to exercise the hook
-    path in tests; ``sampler=None`` is the fast path)."""
+    path in tests).  It runs on the same window loop as
+    ``sampler=None`` and yields the same timing."""
 
     def __init__(self) -> None:
         self.skipped_warp_insts = 0

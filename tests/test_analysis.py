@@ -1,6 +1,5 @@
 """Tests for the analysis layer: classification, reports, drivers."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (

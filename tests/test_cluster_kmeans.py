@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.kmeans import (
-    KMeansResult,
     bic_score,
     kmeans,
     random_projection,

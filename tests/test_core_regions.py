@@ -1,7 +1,6 @@
 """Tests for homogeneous-region identification (Section IV-B1)."""
 
 import numpy as np
-import pytest
 
 from repro.config import SamplingConfig
 from repro.core.epochs import EpochTable

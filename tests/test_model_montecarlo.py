@@ -5,7 +5,6 @@ import pytest
 
 from repro.model.montecarlo import (
     GAUSS_SPREAD,
-    IPCVariation,
     ipc_variation,
     sample_stall_latencies,
 )

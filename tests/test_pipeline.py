@@ -1,10 +1,9 @@
 """Integration tests for the end-to-end TBPoint pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import run_full
-from repro.config import GPUConfig, SamplingConfig
+from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
 from repro.profiler import profile_kernel
 

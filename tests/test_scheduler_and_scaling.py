@@ -7,7 +7,6 @@ from repro.analysis.scaling import run_scaling
 from repro.baselines import run_full
 from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
-from repro.profiler import profile_kernel
 from repro.sim import GPUSimulator
 
 from tests.conftest import make_uniform_kernel

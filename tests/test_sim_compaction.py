@@ -8,21 +8,29 @@ sampling unit (IPC and BBV), and sampler callback stream.  The property
 tests drive randomly shaped launches with random ``FixedUnitRecorder``
 unit sizes so unit boundaries land mid-segment, which forces the
 segment-batching path to split segments exactly where the reference
-engine would have issued the boundary instruction.
+engine would have issued the boundary instruction.  Sampler callback
+streams are logged call by call (arguments and return values) under
+TBPoint's ``RegionSampler`` on registry representatives and under
+random launches and region layouts.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import GPUConfig
+from repro.config import GPUConfig, SamplingConfig
+from repro.core import RegionSampler, build_epochs, identify_regions, plan_inter_launch
+from repro.profiler import profile_kernel, profile_launch
 from repro.sim import FixedUnitRecorder, GPUSimulator, SimCounters
+from repro.sim.sampler_hooks import NullSampler
 from repro.trace import BlockTrace, LaunchTrace, WarpTrace
 from repro.trace.instruction import OP_ALU, OP_MEM_GLOBAL
-from repro.workloads import get_workload
+from repro.workloads import ALL_KERNELS, get_workload
 from repro.workloads.base import LaunchSpec, Segment, build_kernel
 
 from tests.conftest import make_manual_launch, make_uniform_kernel
@@ -49,8 +57,49 @@ def result_fingerprint(result, recorder=None):
     return fp
 
 
-def run_both(launch, gpu=None, unit_insts=None, num_bbs=None):
-    """Run both engines on ``launch``; return their fingerprints."""
+class CallbackLog:
+    """A :class:`DispatchSampler` wrapper that records every callback
+    with its arguments and return value, in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    @property
+    def skipped_warp_insts(self):
+        return self.inner.skipped_warp_insts
+
+    @property
+    def extra_cycles(self):
+        return self.inner.extra_cycles
+
+    def _call(self, name, *args):
+        out = getattr(self.inner, name)(*args)
+        self.log.append((name, *args, out))
+        return out
+
+    def on_dispatch(self, tb_id, now, issued):
+        return self._call("on_dispatch", tb_id, now, issued)
+
+    def on_retire(self, tb_id, now, issued):
+        return self._call("on_retire", tb_id, now, issued)
+
+    def on_unit_start(self, now):
+        return self._call("on_unit_start", now)
+
+    def on_unit_complete(self, insts, cycles, now, issued):
+        return self._call("on_unit_complete", insts, cycles, now, issued)
+
+    def finalize(self, now, issued):
+        return self._call("finalize", now, issued)
+
+
+def run_both(launch, gpu=None, unit_insts=None, num_bbs=None, sampler=None):
+    """Run both engines on ``launch``; return their fingerprints.
+
+    ``sampler`` is a zero-argument factory of a fresh sampler per
+    engine; its callback log (every call, arguments and return value)
+    is appended to the fingerprint."""
     fps = []
     for engine in ("reference", "compact"):
         sim = GPUSimulator(gpu or GPUConfig(), engine=engine)
@@ -60,8 +109,12 @@ def run_both(launch, gpu=None, unit_insts=None, num_bbs=None):
                 unit_insts=unit_insts,
                 num_bbs=num_bbs or getattr(launch, "num_bbs", 1),
             )
-        result = sim.run_launch(launch, recorder=recorder)
-        fps.append(result_fingerprint(result, recorder))
+        hooks = None if sampler is None else CallbackLog(sampler())
+        result = sim.run_launch(launch, sampler=hooks, recorder=recorder)
+        fp = result_fingerprint(result, recorder)
+        if hooks is not None:
+            fp += (tuple(hooks.log),)
+        fps.append(fp)
     return fps
 
 
@@ -87,10 +140,10 @@ class TestRegistryKernelEquivalence:
 
 
 @st.composite
-def random_launches(draw):
+def random_launches(draw, max_blocks=20):
     """Small launches diverse in block count, trace length, and memory
     intensity — enough shape variety to hit every issue-loop branch."""
-    num_blocks = draw(st.integers(min_value=1, max_value=20))
+    num_blocks = draw(st.integers(min_value=1, max_value=max_blocks))
     insts = draw(st.integers(min_value=8, max_value=48))
     mem_ratio = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
     warps = draw(st.integers(min_value=1, max_value=3))
@@ -130,10 +183,213 @@ class TestUnitBoundaryProperty:
         assert ref == compact
 
 
+def _profiled(name):
+    """(kernel, profile, inter-launch plan) at the paper-mix scale."""
+    kernel = get_workload(name, scale=0.125)
+    profile = profile_kernel(kernel)
+    return kernel, profile, plan_inter_launch(profile, SamplingConfig())
+
+
+def region_sampler_factory(launch, launch_profile, gpu):
+    """Factory of TBPoint's sampler for one launch, as the pipeline
+    builds it."""
+    sampling = SamplingConfig()
+    occupancy = gpu.system_occupancy(launch.warps_per_block)
+    table = identify_regions(build_epochs(launch_profile, occupancy), sampling)
+    return lambda: RegionSampler(
+        region_of=table.region_of,
+        block_warp_insts=launch_profile.warp_insts,
+        config=sampling,
+        occupancy=occupancy,
+        cluster_of_region={r.region_id: r.cluster for r in table.regions},
+    )
+
+
+@lru_cache(maxsize=None)
+def _first_representative(name):
+    """(launch, launch profile) of the first launch TBPoint simulates
+    for ``name`` at a small scale."""
+    kernel = get_workload(name, scale=0.03125)
+    profile = profile_kernel(kernel)
+    lid = plan_inter_launch(profile, SamplingConfig()).simulated_launches[0]
+    return kernel.launches[lid], profile.launches[lid]
+
+
+#: Machines the per-kernel sampler oracle runs on: the default 48x14,
+#: the paper's smaller 24x7 design point, and a 4-SM ``lrr`` machine
+#: (sampled ``lrr`` launches stay on the general loop).
+SAMPLED_GPUS = {
+    "48x14": GPUConfig(),
+    "24x7": GPUConfig(warps_per_sm=24, num_sms=7),
+    "4sm-lrr": GPUConfig(num_sms=4, warps_per_sm=16, scheduler="lrr"),
+}
+
+
+class TestSamplerCallbackStreams:
+    """Every sampler callback — order, arguments (``now``, ``issued``)
+    and return value — is identical across engines, so a sampler's
+    decisions cannot depend on which engine ran it."""
+
+    @pytest.mark.parametrize("gpu_id", list(SAMPLED_GPUS))
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_region_sampler_every_kernel(self, name, gpu_id):
+        gpu = SAMPLED_GPUS[gpu_id]
+        launch, launch_profile = _first_representative(name)
+        factory = region_sampler_factory(launch, launch_profile, gpu)
+        ref, compact = run_both(launch, gpu=gpu, sampler=factory)
+        assert ref[-1], "sampler saw no callbacks"
+        assert ref == compact
+
+    @pytest.mark.parametrize("num_sms", [2, 3, 4, 5, 6, 7])
+    def test_simultaneous_retires_across_sms(self, num_sms):
+        # Identical ALU-only blocks retire on every SM in the same
+        # cycle, so each hook's exact ``issued`` depends on the
+        # (cycle, SM) tie order across the other SMs' run-ahead tails;
+        # alternating region runs make the sampler fast-forward.
+        launch = make_manual_launch([40] * (6 * num_sms), mem_every=0)
+        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=4)
+        n = launch.num_blocks
+        region_of = np.array([(i // (2 * num_sms)) % 2 for i in range(n)])
+        insts = profile_launch(launch).warp_insts
+        occupancy = gpu.system_occupancy(launch.warps_per_block)
+        factory = lambda: RegionSampler(
+            region_of, insts,
+            SamplingConfig(min_warm_units=2, min_region_epochs=1),
+            occupancy,
+        )
+        ref, compact = run_both(launch, gpu=gpu, sampler=factory)
+        assert len(ref[-1]) >= 2 * n
+        assert ref == compact
+
+    @pytest.mark.parametrize("name", ["hotspot", "mst", "lbm", "stream"])
+    def test_region_sampler_on_representatives(self, name):
+        kernel, profile, plan = _profiled(name)
+        for gpu in (GPUConfig(), GPUConfig(warps_per_sm=24, num_sms=7)):
+            for lid in plan.simulated_launches:
+                launch = kernel.launches[lid]
+                factory = region_sampler_factory(
+                    launch, profile.launches[lid], gpu
+                )
+                ref, compact = run_both(launch, gpu=gpu, sampler=factory)
+                assert ref[-1], "sampler saw no callbacks"
+                assert ref == compact, (gpu.warps_per_sm, gpu.num_sms, lid)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        launch=random_launches(),
+        num_sms=st.sampled_from([1, 2, 3, 4]),
+        scheduler=st.sampled_from(["oldest", "lrr"]),
+    )
+    def test_null_sampler_streams(self, launch, num_sms, scheduler):
+        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=8, scheduler=scheduler)
+        ref, compact = run_both(launch, gpu=gpu, sampler=NullSampler)
+        assert ref == compact
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        launch=random_launches(max_blocks=80),
+        num_sms=st.sampled_from([1, 2, 3]),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=1),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_region_sampler_streams_random_regions(self, launch, num_sms, runs):
+        # Random runs of region labels make the sampler warm,
+        # fast-forward and exit mid-launch, so skip decisions feed back
+        # into dispatch.
+        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=4)
+        n = launch.num_blocks
+        labels = [label for label, length in runs for _ in range(length)]
+        region_of = np.array([labels[i % len(labels)] for i in range(n)])
+        insts = profile_launch(launch).warp_insts
+        occupancy = gpu.system_occupancy(launch.warps_per_block)
+        factory = lambda: RegionSampler(
+            region_of, insts,
+            SamplingConfig(min_warm_units=2, min_region_epochs=1),
+            occupancy,
+        )
+        ref, compact = run_both(launch, gpu=gpu, sampler=factory)
+        assert ref == compact
+
+    def test_sampler_with_recorder(self):
+        kernel, profile, plan = _profiled("hotspot")
+        lid = plan.simulated_launches[0]
+        launch = kernel.launches[lid]
+        gpu = GPUConfig()
+        ref, compact = run_both(
+            launch, gpu=gpu, unit_insts=997, num_bbs=launch.num_bbs,
+            sampler=region_sampler_factory(launch, profile.launches[lid], gpu),
+        )
+        assert ref == compact
+
+
+class TestSampledWindowLoop:
+    """A sampler that changes nothing must not change how the compact
+    engine runs: sampled launches take the same window loop, with the
+    same per-SM run-ahead, as unsampled ones."""
+
+    ENGAGEMENT = (
+        "events_popped", "heap_pushes", "segment_hits", "segment_insts",
+        "rounds_sorted",
+    )
+
+    def test_no_skip_sampler_keeps_full_run_counters(self):
+        launch = get_workload("mst", scale=0.125).launches[0]
+        n = launch.num_blocks
+        gpu = GPUConfig()
+        sim = GPUSimulator(gpu)
+        plain = sim.run_launch(launch)
+        sampler = RegionSampler(
+            np.full(n, -1), profile_launch(launch).warp_insts,
+            occupancy=gpu.system_occupancy(launch.warps_per_block),
+        )
+        sampled = sim.run_launch(launch, sampler=sampler)
+        assert sampled.skipped_warp_insts == 0
+        assert result_fingerprint(sampled) == result_fingerprint(plain)
+        for name in self.ENGAGEMENT:
+            assert getattr(sampled.counters, name) == getattr(
+                plain.counters, name
+            ), name
+
+    @pytest.mark.parametrize("kind", ["null", "region-no-skip"])
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_every_kernel_keeps_full_run_counters(self, name, kind):
+        launch, launch_profile = _first_representative(name)
+        gpu = GPUConfig()
+        sim = GPUSimulator(gpu)
+        plain = sim.run_launch(launch)
+        if kind == "null":
+            sampler = NullSampler()
+        else:
+            sampler = RegionSampler(
+                np.full(launch.num_blocks, -1), launch_profile.warp_insts,
+                occupancy=gpu.system_occupancy(launch.warps_per_block),
+            )
+        sampled = sim.run_launch(launch, sampler=sampler)
+        assert sampled.skipped_warp_insts == 0
+        assert result_fingerprint(sampled) == result_fingerprint(plain)
+        for counter in self.ENGAGEMENT:
+            assert getattr(sampled.counters, counter) == getattr(
+                plain.counters, counter
+            ), counter
+
+
 class TestDegenerateTraces:
     """Unvalidated traces may carry a DRAM opcode with zero transactions
     (static stall 0) — the one case that can break the compact engine's
-    saturated-prefix reasoning, so it must be detected and excluded."""
+    segment prefix-sum reasoning, so it must be detected and excluded."""
 
     @staticmethod
     def _degenerate_launch(num_blocks=6, n=24):
