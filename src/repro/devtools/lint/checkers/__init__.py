@@ -8,7 +8,6 @@ from repro.devtools.lint.checkers import (  # noqa: F401
     determinism,
     fork_safety,
     hot_loop,
-    message_protocol,
     oracle_parity,
     process_safety,
 )
@@ -20,6 +19,5 @@ __all__ = [
     "oracle_parity",
     "async_safety",
     "fork_safety",
-    "message_protocol",
     "counter_parity",
 ]

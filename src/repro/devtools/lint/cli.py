@@ -18,10 +18,6 @@ from repro.devtools.lint.core import REGISTRY
 from repro.devtools.lint.report import format_human, format_json, format_rules
 from repro.devtools.lint.runner import run_lint
 
-#: Default on-disk parse-cache location (relative to the lint root).
-DEFAULT_CACHE_NAME = ".lint-cache.json"
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the lint arguments; shared by the standalone entry point
     and the ``repro lint`` subcommand so their flags never drift."""
@@ -59,14 +55,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "(the CI mode); without this flag any finding fails",
     )
     parser.add_argument(
-        "--no-parse-cache", action="store_true",
-        help="disable the on-disk per-file parse cache",
-    )
-    parser.add_argument(
-        "--parse-cache", type=Path, default=None, metavar="FILE",
-        help=f"parse-cache location (default: <root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
         "--checker", action="append", dest="checkers", metavar="NAME",
         help="run only this checker (repeatable); default: all "
              f"({', '.join(REGISTRY)})",
@@ -74,7 +62,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rules", type=str, default=None, metavar="RULES",
         help="comma-separated rule ids or family prefixes to run "
-             "(e.g. ASYNC,MSG001); unknown names are a usage error "
+             "(e.g. ASYNC,CTR001); unknown names are a usage error "
              "(exit 2)",
     )
     parser.add_argument(
@@ -100,9 +88,6 @@ def run(args: argparse.Namespace) -> int:
         candidate = root / DEFAULT_BASELINE_NAME
         if candidate.is_file() or args.write_baseline:
             baseline_path = candidate
-    cache_path = None
-    if not args.no_parse_cache:
-        cache_path = args.parse_cache or (root / DEFAULT_CACHE_NAME)
     rules = None
     if args.rules is not None:
         rules = [spec for spec in args.rules.split(",") if spec.strip()]
@@ -113,7 +98,6 @@ def run(args: argparse.Namespace) -> int:
             root=root,
             tests_dir=args.tests_dir,
             baseline_path=None if args.write_baseline else baseline_path,
-            cache_path=cache_path,
             checker_names=args.checkers,
             rules=rules,
             baseline_strict=baseline_strict,
@@ -145,8 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.devtools.lint",
         description="Static determinism/process-safety/hot-loop/"
                     "oracle-parity and concurrency-contract checks "
-                    "(async/fork safety, message protocol, counter "
-                    "parity) for the reproduction.",
+                    "(async/fork safety, counter parity) for the "
+                    "reproduction.",
     )
     configure_parser(parser)
     return run(parser.parse_args(argv))

@@ -23,7 +23,6 @@ Pragma syntax (found in comments, via :mod:`tokenize`):
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-#: Bump whenever rules change behaviour: invalidates the parse cache.
+#: Bump whenever rules change behaviour; reported in ``--json`` output.
 LINT_VERSION = 1
 
 _PRAGMA_RE = re.compile(
@@ -144,12 +143,6 @@ class ParsedFile:
         names (at any depth)?  Used for subsystem-scoped rules."""
         dirs = set(self.parts[:-1])
         return any(name in dirs for name in names)
-
-    def content_hash(self, salt: str = "") -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(f"lint:{LINT_VERSION}:{salt}:".encode())
-        h.update(self.source.encode())
-        return h.hexdigest()
 
 
 @dataclass

@@ -29,11 +29,6 @@ def format_human(result: LintResult, show_baselined: bool = True) -> str:
         f"{len(result.new)} finding(s)"
         + (f" + {len(result.baselined)} baselined" if result.baselined else "")
         + f" in {result.files_checked} file(s)"
-        + (f" ({result.cache_hits} cached)" if result.cache_hits else "")
-        + (
-            f" ({result.project_cache_hits} project-cached)"
-            if result.project_cache_hits else ""
-        )
     )
     lines.append(summary)
     return "\n".join(lines)

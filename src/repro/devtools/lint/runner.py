@@ -1,4 +1,4 @@
-"""Lint runner: file discovery, parse cache, checker execution.
+"""Lint runner: file discovery and checker execution.
 
 Determinism note: the runner is itself held to the determinism contract
 it enforces — files are discovered with ``sorted(rglob(...))``
@@ -6,21 +6,14 @@ it enforces — files are discovered with ``sorted(rglob(...))``
 order, and findings are reported in ``(path, line, col, rule)`` order,
 so two runs over the same tree produce byte-identical output.
 
-The parse cache (``--cache``) has two sections.  Per-file entries store
-each file's findings keyed by a content hash salted with the lint
-version and the selected ruleset, so unchanged files are not re-parsed
-across runs.  Project-wide checkers (oracle parity, async safety,
-message protocol, counter parity) are cross-file by nature, so their
-entries are *dependency-aware*: keyed on a combined hash over the
-content hashes of every contributing file (all linted files plus the
-parsed test suite) — editing any one contributing file invalidates
-every project entry.  CI persists the cache file between runs.
+Every run parses every file afresh: the whole tree lints in a few
+seconds, so no cache stands between an edit and its findings.
+Project-wide checkers (oracle parity, async safety, counter parity)
+see every linted file plus the parsed test suite.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,14 +29,10 @@ from repro.devtools.lint.core import (
     REGISTRY,
 )
 
-#: Bump when cache file layout changes (entries are additionally salted
-#: with the lint version and ruleset via the content hashes).
-CACHE_VERSION = 2
-
 #: Version of the ``--json`` output shape (key set/meaning), distinct
 #: from :data:`LINT_VERSION` which tracks rule behaviour.  CI parses
 #: against this.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -54,8 +43,6 @@ class LintResult:
     new: list[Finding]               #: findings not covered by the baseline
     baselined: list[Finding]         #: findings the baseline accepts
     files_checked: int = 0
-    cache_hits: int = 0              #: per-file cache hits
-    project_cache_hits: int = 0      #: project-checker cache hits
     errors: list[str] = field(default_factory=list)  #: unparsable files
 
     @property
@@ -71,8 +58,6 @@ class LintResult:
             "schema": JSON_SCHEMA_VERSION,
             "version": LINT_VERSION,
             "files_checked": self.files_checked,
-            "cache_hits": self.cache_hits,
-            "project_cache_hits": self.project_cache_hits,
             "errors": list(self.errors),
             "counts": dict(
                 sorted(Counter(f.rule for f in self.findings).items())
@@ -107,114 +92,6 @@ def _rel(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _decode_findings(entry: dict) -> list[Finding] | None:
-    try:
-        return [
-            Finding(
-                path=str(f["path"]), line=int(f["line"]),
-                col=int(f["col"]), rule=str(f["rule"]),
-                message=str(f["message"]), checker=str(f["checker"]),
-            )
-            for f in entry["findings"]
-        ]
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-class _ParseCache:
-    """On-disk findings cache: per-file entries keyed by content hash,
-    plus dependency-aware project-checker entries keyed by a combined
-    hash over every contributing file (see :func:`_project_state_hash`)."""
-
-    def __init__(self, path: Path | None, salt: str):
-        self.path = path
-        self.salt = salt
-        self.entries: dict[str, dict] = {}
-        self.project_entries: dict[str, dict] = {}
-        self.hits = 0
-        self.project_hits = 0
-        self._dirty = False
-        if path is not None:
-            try:
-                data = json.loads(path.read_text())
-                if int(data.get("version", 0)) == CACHE_VERSION:
-                    self.entries = dict(data.get("files", {}))
-                    self.project_entries = dict(data.get("project", {}))
-            except (OSError, ValueError, TypeError):
-                self.entries = {}
-                self.project_entries = {}
-
-    def get(self, rel: str, content_hash: str) -> list[Finding] | None:
-        entry = self.entries.get(rel)
-        if not entry or entry.get("sha") != content_hash:
-            return None
-        findings = _decode_findings(entry)
-        if findings is None:
-            return None
-        self.hits += 1
-        return findings
-
-    def put(self, rel: str, content_hash: str, findings: list[Finding]) -> None:
-        self.entries[rel] = {
-            "sha": content_hash,
-            "findings": [f.as_dict() for f in findings],
-        }
-        self._dirty = True
-
-    def get_project(
-        self, checker_name: str, state_hash: str
-    ) -> list[Finding] | None:
-        entry = self.project_entries.get(checker_name)
-        if not entry or entry.get("sha") != state_hash:
-            return None
-        findings = _decode_findings(entry)
-        if findings is None:
-            return None
-        self.project_hits += 1
-        return findings
-
-    def put_project(
-        self, checker_name: str, state_hash: str, findings: list[Finding]
-    ) -> None:
-        self.project_entries[checker_name] = {
-            "sha": state_hash,
-            "findings": [f.as_dict() for f in findings],
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        payload = {
-            "version": CACHE_VERSION,
-            "files": {rel: self.entries[rel] for rel in sorted(self.entries)},
-            "project": {
-                name: self.project_entries[name]
-                for name in sorted(self.project_entries)
-            },
-        }
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass  # cache is an accelerator, never a failure source
-
-
-def _project_state_hash(
-    files: list[ParsedFile], test_files: list[ParsedFile], salt: str
-) -> str:
-    """Combined hash of every file a project checker can read.  Any
-    contributing file changing (content, rename, add, remove — in the
-    linted set *or* the test suite) changes the hash, so a cross-file
-    rule can never serve a stale cached verdict."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"lint-project:{LINT_VERSION}:{salt}:".encode())
-    for label, group in (("src", files), ("test", test_files)):
-        for pf in sorted(group, key=lambda p: p.rel):
-            h.update(f"{label}:{pf.rel}:{pf.content_hash(salt)}\n".encode())
-    return h.hexdigest()
-
-
 def select_rules(specs: list[str]) -> set[str]:
     """Resolve ``--rules`` entries (exact rule ids or family prefixes:
     ``ASYNC001`` or ``ASYNC``) against the registry.  An entry matching
@@ -245,7 +122,6 @@ def run_lint(
     root: Path | None = None,
     tests_dir: Path | None = None,
     baseline_path: Path | None = None,
-    cache_path: Path | None = None,
     checker_names: list[str] | None = None,
     rules: list[str] | None = None,
     baseline_strict: bool = False,
@@ -265,13 +141,10 @@ def run_lint(
         (default: ``<root>/tests`` when it exists).
     baseline_path:
         Baseline suppression file; ``None`` means no baseline.
-    cache_path:
-        Findings cache (per-file + project sections); ``None`` disables
-        caching.
     checker_names:
         Subset of checkers to run (default: all registered).
     rules:
-        Rule ids or family prefixes (``["ASYNC", "MSG001"]``) limiting
+        Rule ids or family prefixes (``["ASYNC", "CTR001"]``) limiting
         which rules run/report; unknown entries raise ``ValueError``.
     baseline_strict:
         Raise :class:`~repro.devtools.lint.baseline.BaselineError` on
@@ -302,16 +175,6 @@ def run_lint(
                 f"unknown checkers {unknown}; registered: {sorted(REGISTRY)}"
             )
 
-    ruleset = ",".join(
-        sorted(
-            rule
-            for checker in active
-            for rule in checker.rules
-            if selected is None or rule in selected
-        )
-    )
-    cache = _ParseCache(cache_path, ruleset)
-
     def _wanted(finding: Finding) -> bool:
         return selected is None or finding.rule in selected
 
@@ -333,24 +196,13 @@ def run_lint(
             continue
         parsed.append(pf)
         result.files_checked += 1
-        content_hash = pf.content_hash(ruleset)
-        cached = cache.get(rel, content_hash)
-        if cached is not None:
-            raw.extend(cached)
-            continue
-        file_findings: list[Finding] = []
         for checker in active:
             for finding in checker.check_file(pf):
                 if _wanted(finding) and not pf.is_suppressed(
                     finding.line, finding.rule
                 ):
-                    file_findings.append(finding)
-        cache.put(rel, content_hash, file_findings)
-        raw.extend(file_findings)
-    result.cache_hits = cache.hits
+                    raw.append(finding)
 
-    # Project-wide checkers: dependency-aware caching — one entry per
-    # checker, keyed on the combined hash of every contributing file.
     test_files: list[ParsedFile] = []
     if tests_dir is not None:
         for path in discover_files([tests_dir]):
@@ -362,23 +214,13 @@ def run_lint(
                 continue  # unparsable test files cannot vouch for coverage
     ctx = ProjectContext(files=parsed, test_files=test_files)
     by_rel = {pf.rel: pf for pf in parsed}
-    state_hash = _project_state_hash(parsed, test_files, ruleset)
     for checker in active:
-        cached = cache.get_project(checker.name, state_hash)
-        if cached is not None:
-            raw.extend(cached)
-            continue
-        project_findings: list[Finding] = []
         for finding in checker.check_project(ctx):
             pf = by_rel.get(finding.path)
             if pf is not None and pf.is_suppressed(finding.line, finding.rule):
                 continue
             if _wanted(finding):
-                project_findings.append(finding)
-        cache.put_project(checker.name, state_hash, project_findings)
-        raw.extend(project_findings)
-    result.project_cache_hits = cache.project_hits
-    cache.save()
+                raw.append(finding)
 
     result.findings = sorted(raw, key=lambda f: f.sort_key)
     baseline = load_baseline(baseline_path, strict=baseline_strict)

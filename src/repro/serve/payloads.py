@@ -31,6 +31,8 @@ same pure function evaluated twice.
 
 from __future__ import annotations
 
+import math
+
 from repro.config import GPUConfig, SamplingConfig
 from repro.exec.engine import ExecutionConfig
 from repro.exec.journal import sweep_key
@@ -122,6 +124,10 @@ def normalize_request(kind: str, params: dict) -> dict:
     launch = _number(params, "launch", 0, integral=True)
     _require(0 < scale <= 1, "scale must be in (0, 1]")
     _require(launch >= 0, "launch must be >= 0")
+    if "timeout" in params:  # validated here, but never part of the key
+        timeout = _number(params, "timeout", None, integral=False)
+        _require(math.isfinite(timeout) and timeout > 0,
+                 f"timeout must be a finite number > 0, not {timeout!r}")
     norm = {"kind": kind, "kernel": kernel, "scale": scale, "seed": seed}
     if kind == "simulate":
         norm["launch"] = launch

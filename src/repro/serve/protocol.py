@@ -17,6 +17,11 @@ Responses::
     {"id": 7, "ok": true, "result": {...}}
     {"id": 7, "ok": false, "error": "deadline exceeded in queue"}
 
+:data:`WIRE_SCHEMA` declares every field and request kind the wire
+carries, and :func:`encode_message` refuses any frame it does not
+declare.  Decoding stays unchecked, so a server still answers a
+malformed request with an error reply instead of hanging up.
+
 The module carries both transports of the same framing: blocking
 socket helpers (:func:`send_message` / :func:`recv_message`) for the
 client, and asyncio stream helpers (:func:`read_message` /
@@ -32,6 +37,8 @@ import json
 import socket
 import struct
 
+from repro.serve.payloads import COMPUTE_KINDS
+
 #: Protocol/framing version, embedded in ``ping``/``stats`` responses.
 PROTOCOL_VERSION = 2
 
@@ -39,14 +46,22 @@ PROTOCOL_VERSION = 2
 #: prefixes from a misbehaving peer, not a real payload limit.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
-#: Fields every wire message must carry, by direction.  The MSG002 lint
-#: rule enforces this at every send site: a field may only become
-#: required here once every sender already emits it unconditionally
-#: (the additive-evolution rule, DESIGN.md §15; pairs with the
-#: ``PROTOCOL_VERSION`` compatibility contract in §14).
-REQUIRED_FIELDS = {
-    "request": ("id", "kind"),
-    "response": ("id", "ok"),
+#: The wire, declared once: each direction's required and optional
+#: envelope fields, and every request kind a server answers.  A frame
+#: with ``ok`` is a response; any other frame is a request.
+#: Evolution is additive (DESIGN.md §15; pairs with the
+#: ``PROTOCOL_VERSION`` contract in §14): a new field enters as
+#: optional, and becomes required only once every sender emits it.
+WIRE_SCHEMA = {
+    "request": {
+        "required": ("id", "kind"),
+        "optional": ("params",),
+        "kinds": ("ping", "stats", "shutdown", *COMPUTE_KINDS),
+    },
+    "response": {
+        "required": ("id", "ok"),
+        "optional": ("result", "error", "error_kind", "retry_after"),
+    },
 }
 
 _HEADER = struct.Struct(">I")
@@ -56,8 +71,26 @@ class ProtocolError(Exception):
     """Malformed framing or payload on the wire."""
 
 
+def _check_frame(obj: dict) -> None:
+    """Raise :class:`ProtocolError` unless :data:`WIRE_SCHEMA` declares
+    every field of ``obj`` and its request kind."""
+    direction = "response" if "ok" in obj else "request"
+    schema = WIRE_SCHEMA[direction]
+    missing = [name for name in schema["required"] if name not in obj]
+    if missing:
+        raise ProtocolError(f"{direction} is missing required field(s) {missing}")
+    declared = (*schema["required"], *schema["optional"])
+    undeclared = sorted(str(name) for name in obj if name not in declared)
+    if undeclared:
+        raise ProtocolError(f"{direction} has undeclared field(s) {undeclared}")
+    if direction == "request" and obj["kind"] not in schema["kinds"]:
+        raise ProtocolError(f"unknown request kind {obj['kind']!r}")
+
+
 def encode_message(obj: dict) -> bytes:
-    """One framed message: length prefix + compact JSON payload."""
+    """One framed message: length prefix + compact JSON payload, after
+    checking the frame against :data:`WIRE_SCHEMA`."""
+    _check_frame(obj)
     payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_MESSAGE_BYTES:
         raise ProtocolError(f"message too large ({len(payload)} bytes)")
@@ -146,8 +179,8 @@ async def write_message(writer: asyncio.StreamWriter, obj: dict) -> None:
 __all__ = [
     "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
-    "REQUIRED_FIELDS",
     "ProtocolError",
+    "WIRE_SCHEMA",
     "decode_payload",
     "encode_message",
     "read_message",

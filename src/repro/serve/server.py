@@ -512,12 +512,7 @@ class Server:
             )
         norm = normalize_request(kind, params)
         key = request_key(norm)
-        timeout = params.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError) as exc:
-                raise RequestError(f"malformed timeout: {exc}") from exc
+        timeout = params.get("timeout")  # validated by normalize_request
 
         stored = self._journal_results.get(key)
         if stored is not None:

@@ -1,7 +1,7 @@
-"""Tests for ``repro lint``: the AST checker framework, the four
-built-in checkers (against planted-violation fixtures under
-``tests/fixtures/lint/``), pragma suppression, the baseline file, the
-parse cache, JSON output shape, and the CLI wiring."""
+"""Tests for ``repro lint``: the AST checker framework, the built-in
+checkers (against planted-violation fixtures under
+``tests/fixtures/lint/``), pragma suppression, the baseline file, JSON
+output shape, and the CLI wiring."""
 
 import json
 import re
@@ -27,7 +27,6 @@ REGISTRY_FILE = FIXTURES / "sim" / "registry_fixture.py"
 ASYNC_FILE = FIXTURES / "serve" / "async_violations.py"
 ASYNC_SUPPRESSED = FIXTURES / "serve" / "async_suppressed.py"
 FORK_FILE = FIXTURES / "fork_violations.py"
-MSG_FILE = FIXTURES / "msg_serve" / "serve" / "wire.py"
 CTR_FILE = FIXTURES / "ctr_serve" / "serve" / "counters_fixture.py"
 
 
@@ -49,7 +48,7 @@ def _rules(result):
 # ----------------------------------------------------------------------
 
 def test_determinism_catches_planted_violations():
-    result = _lint([DET_FILE], cache_path=None)
+    result = _lint([DET_FILE])
     assert _rules(result) == Counter(
         {"DET001": 1, "DET002": 2, "DET003": 1, "DET004": 2, "DET005": 2}
     )
@@ -59,7 +58,7 @@ def test_determinism_seeded_and_sorted_forms_pass():
     source = DET_FILE.read_text()
     lines = {
         f.line: f.rule
-        for f in _lint([DET_FILE], cache_path=None).findings
+        for f in _lint([DET_FILE]).findings
     }
     for lineno, rule in lines.items():
         assert "clean" not in source.splitlines()[lineno - 1], (
@@ -77,7 +76,7 @@ def test_determinism_subsystem_scoping(tmp_path):
     (tmp_path / "core").mkdir()
     inside = tmp_path / "core" / "mod.py"
     inside.write_text(src)
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[tmp_path], root=tmp_path)
     assert [(f.path, f.rule) for f in result.findings] == [
         ("core/mod.py", "DET001")
     ]
@@ -97,7 +96,7 @@ def test_determinism_scope_includes_serve(tmp_path):
         "import time\n\ndef f():\n"
         "    return time.monotonic()  # lint: disable=DET001\n"
     )
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[tmp_path], root=tmp_path)
     assert [(f.path, f.rule) for f in result.findings] == [
         ("serve/mod.py", "DET001")
     ]
@@ -120,14 +119,14 @@ def test_repo_serve_wall_clock_is_pragmad_not_baselined():
 # ----------------------------------------------------------------------
 
 def test_process_safety_catches_planted_violations():
-    result = _lint([PROC_FILE], cache_path=None)
+    result = _lint([PROC_FILE])
     assert _rules(result) == Counter(
         {"PROC001": 3, "PROC002": 4, "PROC003": 3}
     )
 
 
 def test_process_safety_module_level_names_pass():
-    result = _lint([PROC_FILE], cache_path=None)
+    result = _lint([PROC_FILE])
     source_lines = PROC_FILE.read_text().splitlines()
     for f in result.findings:
         assert "clean" not in source_lines[f.line - 1]
@@ -138,7 +137,7 @@ def test_process_safety_module_level_names_pass():
 # ----------------------------------------------------------------------
 
 def test_hot_loop_catches_planted_violations():
-    result = _lint([HOT_FILE], cache_path=None)
+    result = _lint([HOT_FILE])
     assert _rules(result) == Counter(
         {"HOT001": 3, "HOT002": 3, "HOT003": 1}
     )
@@ -146,7 +145,7 @@ def test_hot_loop_catches_planted_violations():
 
 def test_hot_loop_only_fires_inside_marked_regions():
     # cold_loop has the identical body but no ``# lint: hot`` mark.
-    result = _lint([HOT_FILE], cache_path=None)
+    result = _lint([HOT_FILE])
     source = HOT_FILE.read_text().splitlines()
     cold_start = next(
         i for i, line in enumerate(source, 1) if "def cold_loop" in line
@@ -161,7 +160,7 @@ def test_hot_loop_only_fires_inside_marked_regions():
 
 def test_hot_pragma_suppression():
     # hot_justified's sorted() carries a trailing disable pragma.
-    result = _lint([HOT_FILE], cache_path=None)
+    result = _lint([HOT_FILE])
     source = HOT_FILE.read_text().splitlines()
     justified = next(
         i for i, line in enumerate(source, 1) if "disable=HOT002" in line
@@ -176,7 +175,6 @@ def test_hot_pragma_suppression():
 def test_oracle_parity_full_coverage_is_clean():
     result = _lint(
         [REGISTRY_FILE], tests_dir=FIXTURES / "fake_tests_full",
-        cache_path=None,
     )
     assert not result.findings
 
@@ -184,7 +182,6 @@ def test_oracle_parity_full_coverage_is_clean():
 def test_oracle_parity_flags_uncovered_registrations():
     result = _lint(
         [REGISTRY_FILE], tests_dir=FIXTURES / "fake_tests_partial",
-        cache_path=None,
     )
     assert _rules(result) == Counter({"ORA001": 2})
     flagged = {f.message.split("'")[1] for f in result.findings}
@@ -196,14 +193,14 @@ def test_oracle_parity_flags_uncovered_registrations():
 # ----------------------------------------------------------------------
 
 def test_async_safety_catches_planted_violations():
-    result = _lint([ASYNC_FILE], cache_path=None)
+    result = _lint([ASYNC_FILE])
     assert _rules(result) == Counter(
         {"ASYNC001": 5, "ASYNC002": 1, "ASYNC003": 1}
     )
 
 
 def test_async_safety_one_hop_helper_attributed_to_async_call_site():
-    result = _lint([ASYNC_FILE], cache_path=None)
+    result = _lint([ASYNC_FILE])
     hops = [f for f in result.findings if "sync helper" in f.message]
     assert len(hops) == 1
     assert "flush_index" in hops[0].message
@@ -211,8 +208,25 @@ def test_async_safety_one_hop_helper_attributed_to_async_call_site():
     assert "one-hop" in source[hops[0].line - 1]
 
 
+def test_async_safety_one_hop_helper_in_sibling_module(tmp_path):
+    # The helper lives in another file of the same package: the finding
+    # lands on the async call site, and de-fanging the helper clears it.
+    (tmp_path / "serve").mkdir()
+    helper = tmp_path / "serve" / "helpers.py"
+    helper.write_text("def flush(path):\n    path.write_text('x')\n")
+    (tmp_path / "serve" / "daemon.py").write_text(
+        "async def handle(path):\n    flush(path)\n"
+    )
+    result = run_lint(paths=[tmp_path], root=tmp_path)
+    assert [(f.rule, f.path) for f in result.findings] == [
+        ("ASYNC001", "serve/daemon.py")
+    ]
+    helper.write_text("def flush(path):\n    return None\n")
+    assert not run_lint(paths=[tmp_path], root=tmp_path).findings
+
+
 def test_async_safety_pragma_suppression():
-    assert not _lint([ASYNC_SUPPRESSED], cache_path=None).findings
+    assert not _lint([ASYNC_SUPPRESSED]).findings
 
 
 def test_async_blocking_rule_scoped_to_serve(tmp_path):
@@ -221,7 +235,7 @@ def test_async_blocking_rule_scoped_to_serve(tmp_path):
     (tmp_path / "analysis").mkdir()
     mod = tmp_path / "analysis" / "mod.py"
     mod.write_text("import time\n\nasync def f():\n    time.sleep(1)\n")
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[tmp_path], root=tmp_path)
     assert not result.findings
 
 
@@ -233,7 +247,7 @@ def test_async_create_task_drop_fires_everywhere(tmp_path):
         "import asyncio\n\nasync def f():\n"
         "    asyncio.create_task(asyncio.sleep(0))\n"
     )
-    result = run_lint(paths=[mod], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[mod], root=tmp_path)
     assert [f.rule for f in result.findings] == ["ASYNC003"]
 
 
@@ -251,7 +265,7 @@ def test_async_ambiguous_helper_name_is_skipped(tmp_path):
     (tmp_path / "serve" / "c.py").write_text(
         "async def h(p):\n    flush(p)\n"
     )
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[tmp_path], root=tmp_path)
     assert not [f for f in result.findings if f.rule == "ASYNC001"]
 
 
@@ -260,12 +274,12 @@ def test_async_ambiguous_helper_name_is_skipped(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_fork_safety_catches_planted_violations():
-    result = _lint([FORK_FILE], cache_path=None)
+    result = _lint([FORK_FILE])
     assert _rules(result) == Counter({"FORK001": 4, "FORK002": 1})
 
 
 def test_fork_safety_guarded_worker_is_clean():
-    result = _lint([FORK_FILE], cache_path=None)
+    result = _lint([FORK_FILE])
     source = FORK_FILE.read_text().splitlines()
     for f in result.findings:
         assert "clean" not in source[f.line - 1], (
@@ -286,49 +300,8 @@ def test_fork_safety_picklable_args_pass(tmp_path):
         "        target=worker, args=(child, cfg)\n"
         "    )\n"
     )
-    result = run_lint(paths=[mod], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[mod], root=tmp_path)
     assert not [f for f in result.findings if f.rule.startswith("FORK")]
-
-
-# ----------------------------------------------------------------------
-# Message-protocol checker
-# ----------------------------------------------------------------------
-
-def test_message_protocol_catches_planted_violations():
-    result = _lint([MSG_FILE], cache_path=None)
-    assert _rules(result) == Counter({"MSG001": 4, "MSG002": 1})
-    messages = " ".join(f.message for f in result.findings)
-    for token in ("'params'", "'deadline'", "'render'", "'halt'", "'id'"):
-        assert token in messages, token
-
-
-def test_message_protocol_send_site_covers_cross_file_recv(tmp_path):
-    # The pass is cross-file: a key sent in one serve/ module satisfies
-    # a read in another.
-    (tmp_path / "serve").mkdir()
-    (tmp_path / "serve" / "sender.py").write_text(
-        "def send(sock, send_message):\n"
-        '    send_message(sock, {"id": 1, "kind": "simulate", "params": {}})\n'
-    )
-    (tmp_path / "serve" / "receiver.py").write_text(
-        "def handle(msg):\n"
-        '    if msg.get("kind") == "simulate":\n'
-        '        return msg.get("params")\n'
-        "    return None\n"
-    )
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
-    assert not [f for f in result.findings if f.rule.startswith("MSG")]
-
-
-def test_message_protocol_required_fields_constant_matches_wire():
-    # The production protocol module actually declares the contract the
-    # fixture mirrors.
-    from repro.serve.protocol import REQUIRED_FIELDS
-
-    assert REQUIRED_FIELDS == {
-        "request": ("id", "kind"),
-        "response": ("id", "ok"),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +309,7 @@ def test_message_protocol_required_fields_constant_matches_wire():
 # ----------------------------------------------------------------------
 
 def test_counter_parity_catches_planted_violations():
-    result = _lint([CTR_FILE], cache_path=None)
+    result = _lint([CTR_FILE])
     assert _rules(result) == Counter({"CTR001": 2})
     messages = " ".join(f.message for f in result.findings)
     assert "'ghost'" in messages and "'untracked'" in messages
@@ -355,7 +328,7 @@ def test_counter_parity_asdict_flushes_whole_class(tmp_path):
         "    def __init__(self):\n        self.counters = PairCounters()\n"
         "    def on_hit(self):\n        self.counters.hits += 1\n"
     )
-    result = run_lint(paths=[tmp_path], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[tmp_path], root=tmp_path)
     assert not [f for f in result.findings if f.rule == "CTR001"]
 
 
@@ -364,7 +337,7 @@ def test_counter_parity_asdict_flushes_whole_class(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_pragmas_suppress_every_planted_violation():
-    result = _lint([SUPPRESSED_FILE], cache_path=None)
+    result = _lint([SUPPRESSED_FILE])
     assert not result.findings
 
 
@@ -387,11 +360,11 @@ def test_pragma_parsing_trailing_and_standalone():
 # ----------------------------------------------------------------------
 
 def test_baseline_roundtrip_suppresses_known_findings(tmp_path):
-    first = _lint([DET_FILE], cache_path=None)
+    first = _lint([DET_FILE])
     assert first.findings and not first.baselined
     baseline = tmp_path / "lint-baseline.json"
     write_baseline(baseline, first.findings)
-    second = _lint([DET_FILE], baseline_path=baseline, cache_path=None)
+    second = _lint([DET_FILE], baseline_path=baseline)
     assert not second.new
     assert len(second.baselined) == len(first.findings)
     assert not second.ok
@@ -407,7 +380,7 @@ def test_baseline_counts_cap_occurrences(tmp_path):
         "a = glob.glob('*')\n"
         "b = glob.glob('*')\n"
     )
-    first = run_lint(paths=[src], root=tmp_path, cache_path=None)
+    first = run_lint(paths=[src], root=tmp_path)
     assert len(first.findings) == 2
     baseline = tmp_path / "lint-baseline.json"
     write_baseline(baseline, first.findings)
@@ -417,7 +390,7 @@ def test_baseline_counts_cap_occurrences(tmp_path):
     data["entries"][key] = 1
     baseline.write_text(json.dumps(data))
     second = run_lint(
-        paths=[src], root=tmp_path, baseline_path=baseline, cache_path=None
+        paths=[src], root=tmp_path, baseline_path=baseline
     )
     assert len(second.new) == 1 and len(second.baselined) == 1
     assert second.new[0].baseline_key == key
@@ -449,85 +422,14 @@ def test_load_baseline_strict_raises(tmp_path):
 def test_new_rules_interact_with_baseline(tmp_path):
     # Concurrency-contract findings baseline exactly like the PR 5
     # rules (line-number-free keys, count-capped).
-    first = _lint([ASYNC_FILE], cache_path=None)
+    first = _lint([ASYNC_FILE])
     assert len(first.findings) == 7
     baseline = tmp_path / "lint-baseline.json"
     write_baseline(baseline, first.findings)
-    second = _lint([ASYNC_FILE], baseline_path=baseline, cache_path=None)
+    second = _lint([ASYNC_FILE], baseline_path=baseline)
     assert not second.new
     assert len(second.baselined) == 7
     assert second.ok_against_baseline and not second.ok
-
-
-# ----------------------------------------------------------------------
-# Parse cache
-# ----------------------------------------------------------------------
-
-def test_parse_cache_hits_and_identical_findings(tmp_path):
-    cache = tmp_path / "cache.json"
-    first = _lint([DET_FILE, PROC_FILE], cache_path=cache)
-    assert first.cache_hits == 0
-    assert cache.is_file()
-    second = _lint([DET_FILE, PROC_FILE], cache_path=cache)
-    assert second.cache_hits == 2
-    assert [f.as_dict() for f in second.findings] == [
-        f.as_dict() for f in first.findings
-    ]
-
-
-def test_parse_cache_invalidated_by_edit(tmp_path):
-    src = tmp_path / "mod.py"
-    src.write_text("import glob\nx = glob.glob('*')\n")
-    cache = tmp_path / "cache.json"
-    run_lint(paths=[src], root=tmp_path, cache_path=cache)
-    src.write_text("import glob\nx = sorted(glob.glob('*'))\n")
-    result = run_lint(paths=[src], root=tmp_path, cache_path=cache)
-    assert result.cache_hits == 0
-    assert not result.findings
-
-
-def test_project_cache_hits_and_dependency_invalidation(tmp_path):
-    """Satellite contract: project-checker cache entries are keyed on
-    the content hashes of *all* contributing files — editing a helper
-    the finding isn't even located in invalidates the entry."""
-    (tmp_path / "serve").mkdir()
-    helper = tmp_path / "serve" / "helpers.py"
-    helper.write_text("def flush(path):\n    path.write_text('x')\n")
-    daemon = tmp_path / "serve" / "daemon.py"
-    daemon.write_text("async def handle(path):\n    flush(path)\n")
-    cache = tmp_path / "cache.json"
-
-    first = run_lint(paths=[tmp_path], root=tmp_path, cache_path=cache)
-    assert [f.rule for f in first.findings] == ["ASYNC001"]
-    assert first.findings[0].path == "serve/daemon.py"
-    assert first.project_cache_hits == 0
-
-    second = run_lint(paths=[tmp_path], root=tmp_path, cache_path=cache)
-    assert second.cache_hits == 2
-    assert second.project_cache_hits > 0
-    assert [f.as_dict() for f in second.findings] == [
-        f.as_dict() for f in first.findings
-    ]
-
-    # De-fang the helper: daemon.py is untouched, yet the cross-file
-    # finding must disappear (a per-file-keyed cache would serve it
-    # stale from daemon.py's unchanged entry).
-    helper.write_text("def flush(path):\n    return None\n")
-    third = run_lint(paths=[tmp_path], root=tmp_path, cache_path=cache)
-    assert third.project_cache_hits == 0
-    assert not third.findings
-
-
-def test_project_cache_persisted_shape(tmp_path):
-    (tmp_path / "serve").mkdir()
-    (tmp_path / "serve" / "mod.py").write_text("x = 1\n")
-    cache = tmp_path / "cache.json"
-    run_lint(paths=[tmp_path], root=tmp_path, cache_path=cache)
-    data = json.loads(cache.read_text())
-    assert set(data) == {"version", "files", "project"}
-    assert "async-safety" in data["project"]
-    for entry in data["project"].values():
-        assert set(entry) == {"sha", "findings"}
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +437,8 @@ def test_project_cache_persisted_shape(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_findings_sorted_and_output_deterministic():
-    a = _lint([DET_FILE, PROC_FILE, HOT_FILE], cache_path=None)
-    b = _lint([DET_FILE, PROC_FILE, HOT_FILE], cache_path=None)
+    a = _lint([DET_FILE, PROC_FILE, HOT_FILE])
+    b = _lint([DET_FILE, PROC_FILE, HOT_FILE])
     keys = [f.sort_key for f in a.findings]
     assert keys == sorted(keys)
     assert format_human(a) == format_human(b)
@@ -545,18 +447,18 @@ def test_findings_sorted_and_output_deterministic():
 def test_syntax_error_reported_not_fatal(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n")
-    result = run_lint(paths=[bad], root=tmp_path, cache_path=None)
+    result = run_lint(paths=[bad], root=tmp_path)
     assert result.errors and "syntax error" in result.errors[0]
 
 
 def test_unknown_checker_name_raises():
     with pytest.raises(ValueError, match="unknown checkers"):
-        _lint([DET_FILE], cache_path=None, checker_names=["nope"])
+        _lint([DET_FILE], checker_names=["nope"])
 
 
 def test_checker_selection_limits_rules():
     result = _lint(
-        [DET_FILE, PROC_FILE], cache_path=None,
+        [DET_FILE, PROC_FILE],
         checker_names=["process-safety"],
     )
     assert {f.rule for f in result.findings} == {
@@ -565,10 +467,10 @@ def test_checker_selection_limits_rules():
 
 
 def test_rules_filter_family_prefix_and_exact_id():
-    result = _lint([DET_FILE, ASYNC_FILE], cache_path=None, rules=["ASYNC"])
+    result = _lint([DET_FILE, ASYNC_FILE], rules=["ASYNC"])
     assert set(_rules(result)) == {"ASYNC001", "ASYNC002", "ASYNC003"}
     result = _lint(
-        [DET_FILE, ASYNC_FILE], cache_path=None, rules=["ASYNC003", "DET"]
+        [DET_FILE, ASYNC_FILE], rules=["ASYNC003", "DET"]
     )
     rules = set(_rules(result))
     assert "ASYNC003" in rules and "DET001" in rules
@@ -577,10 +479,10 @@ def test_rules_filter_family_prefix_and_exact_id():
 
 def test_rules_filter_unknown_name_raises():
     with pytest.raises(ValueError, match="unknown rule"):
-        _lint([DET_FILE], cache_path=None, rules=["NOPE"])
+        _lint([DET_FILE], rules=["NOPE"])
     with pytest.raises(ValueError, match="unknown rule"):
         # A prefix matching nothing is just as much of a typo.
-        _lint([DET_FILE], cache_path=None, rules=["ASYNC", "MSG9"])
+        _lint([DET_FILE], rules=["ASYNC", "MSG9"])
 
 
 # ----------------------------------------------------------------------
@@ -588,22 +490,22 @@ def test_rules_filter_unknown_name_raises():
 # ----------------------------------------------------------------------
 
 def test_cli_exit_codes(tmp_path, capsys):
-    args = [str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache"]
+    args = [str(DET_FILE), "--root", str(FIXTURES)]
     assert lint_main(args) == 1
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
     assert lint_main(
-        [str(clean), "--root", str(tmp_path), "--no-parse-cache"]
+        [str(clean), "--root", str(tmp_path)]
     ) == 0
     capsys.readouterr()
 
 
 def test_cli_error_on_new_with_baseline(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    first = _lint([DET_FILE], cache_path=None)
+    first = _lint([DET_FILE])
     write_baseline(baseline, first.findings)
     args = [
-        str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(DET_FILE), "--root", str(FIXTURES),
         "--baseline", str(baseline),
     ]
     assert lint_main(args) == 1  # without --error-on-new: findings fail
@@ -613,16 +515,16 @@ def test_cli_error_on_new_with_baseline(tmp_path, capsys):
 
 def test_cli_json_output_shape(capsys):
     rc = lint_main([
-        str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(DET_FILE), "--root", str(FIXTURES),
         "--json",
     ])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {
-        "schema", "version", "files_checked", "cache_hits",
-        "project_cache_hits", "errors", "counts", "new", "baselined",
+        "schema", "version", "files_checked", "errors", "counts", "new",
+        "baselined",
     }
-    assert payload["schema"] == 1  # CI parses against this
+    assert payload["schema"] == 2  # CI parses against this
     assert payload["files_checked"] == 1
     assert payload["counts"]["DET001"] == 1
     finding = payload["new"][0]
@@ -634,7 +536,7 @@ def test_cli_json_output_shape(capsys):
 
 def test_cli_rules_filter(capsys):
     rc = lint_main([
-        str(ASYNC_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(ASYNC_FILE), "--root", str(FIXTURES),
         "--rules", "ASYNC003",
     ])
     assert rc == 1
@@ -644,7 +546,7 @@ def test_cli_rules_filter(capsys):
 
 def test_cli_unknown_rule_exits_2(capsys):
     rc = lint_main([
-        str(ASYNC_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(ASYNC_FILE), "--root", str(FIXTURES),
         "--rules", "BOGUS",
     ])
     assert rc == 2
@@ -654,7 +556,7 @@ def test_cli_unknown_rule_exits_2(capsys):
 
 def test_cli_unreadable_baseline_exits_2(tmp_path, capsys):
     base_args = [
-        str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(DET_FILE), "--root", str(FIXTURES),
     ]
     rc = lint_main(base_args + ["--baseline", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -673,7 +575,7 @@ def test_cli_unreadable_baseline_exits_2(tmp_path, capsys):
 def test_cli_write_baseline(tmp_path, capsys):
     baseline = tmp_path / "lint-baseline.json"
     rc = lint_main([
-        str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        str(DET_FILE), "--root", str(FIXTURES),
         "--write-baseline", "--baseline", str(baseline),
     ])
     assert rc == 0
@@ -693,7 +595,7 @@ def test_repro_cli_lint_subcommand(capsys):
     from repro._cli import main as repro_main
 
     rc = repro_main([
-        "lint", str(DET_FILE), "--root", str(FIXTURES), "--no-parse-cache",
+        "lint", str(DET_FILE), "--root", str(FIXTURES),
     ])
     assert rc == 1
     assert "DET001" in capsys.readouterr().out
@@ -713,19 +615,18 @@ def test_repository_tree_is_lint_clean():
     registered = set(all_rules())
     for rule in (
         "ASYNC001", "ASYNC002", "ASYNC003", "FORK001", "FORK002",
-        "MSG001", "MSG002", "CTR001",
+        "CTR001",
     ):
         assert rule in registered, f"{rule} not registered"
     result = run_lint(
         paths=[REPO_ROOT / "src" / "repro"],
         root=REPO_ROOT,
         tests_dir=REPO_ROOT / "tests",
-        cache_path=None,
     )
     assert not result.errors
     assert not result.new, format_human(result)
     # The concurrency rules must hold outright — never via baseline.
-    new_families = ("ASYNC", "FORK", "MSG", "CTR")
+    new_families = ("ASYNC", "FORK", "CTR")
     assert not [
         f for f in result.findings if f.rule.startswith(new_families)
     ], format_human(result)

@@ -14,6 +14,7 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -85,9 +86,22 @@ class TestProtocol:
             decode_payload(b"\xff\xfe")
 
     def test_rejects_oversize_message(self):
-        big = {"blob": "x" * (MAX_MESSAGE_BYTES + 1)}
-        with pytest.raises(ProtocolError):
+        big = {"id": 1, "ok": True, "result": {"blob": "x" * MAX_MESSAGE_BYTES}}
+        with pytest.raises(ProtocolError, match="too large"):
             encode_message(big)
+
+    @pytest.mark.parametrize("frame, reason", [
+        ({"kind": "ping"}, "missing"),
+        ({"id": 1}, "missing"),
+        ({"id": 1, "result": {}}, "missing"),
+        ({"ok": True, "result": {}}, "missing"),
+        ({"id": 1, "kind": "ping", "deadline": 5}, "undeclared"),
+        ({"id": 1, "ok": False, "error": "x", "trace": []}, "undeclared"),
+        ({"id": 1, "kind": "render", "params": {}}, "unknown request kind"),
+    ])
+    def test_rejects_frames_the_schema_does_not_declare(self, frame, reason):
+        with pytest.raises(ProtocolError, match=reason):
+            encode_message(frame)
 
     def test_zero_length_frame_rejected(self):
         from repro.serve.protocol import recv_message
@@ -136,6 +150,24 @@ class TestProtocolLimitsAgainstServer:
             finally:
                 raw.close()
             self._assert_server_still_serves(handle)
+
+    def test_unknown_kind_gets_an_error_reply(self, serve_dir):
+        """Decoding is unchecked: a frame the schema would refuse to
+        send still gets an ``ok: false`` reply, not a hang-up."""
+        from repro.serve.protocol import recv_message
+
+        payload = json.dumps({"id": 5, "kind": "render"}).encode()
+        with start_server(serve_dir) as handle:
+            raw = self._raw_connection(handle.socket_path)
+            try:
+                raw.sendall(struct.pack(">I", len(payload)) + payload)
+                reply = recv_message(raw)
+            finally:
+                raw.close()
+            self._assert_server_still_serves(handle)
+        assert reply is not None
+        assert reply["id"] == 5 and reply["ok"] is False
+        assert "render" in reply["error"]
 
     def test_partial_frame_disconnect_mid_payload(self, serve_dir):
         with start_server(serve_dir) as handle:
@@ -189,6 +221,13 @@ class TestNormalization:
         a = normalize_request("simulate", {"kernel": KERNEL, "timeout": 5})
         b = normalize_request("simulate", {"kernel": KERNEL})
         assert request_key(a) == request_key(b)
+
+    @pytest.mark.parametrize(
+        "timeout", [True, "5", None, 0, -1, float("nan"), float("inf")]
+    )
+    def test_rejects_bad_timeouts(self, timeout):
+        with pytest.raises(RequestError, match="timeout"):
+            normalize_request("simulate", {"kernel": KERNEL, "timeout": timeout})
 
     @pytest.mark.parametrize("params", [
         {"kernel": "bogus"},
