@@ -32,6 +32,15 @@ KERNEL = os.environ.get("REPRO_BENCH_EXEC_KERNEL", "mst")
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.125"))
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
+#: Top-level keys of the record, in order (checked against the
+#: checked-in file by ``tests/test_bench_records.py``).
+RECORD_KEYS = (
+    "kernel", "scale", "jobs", "cpus", "representative_launches",
+    "serial_seconds", "parallel_seconds", "parallel_speedup",
+    "exec_path", "exec_workers", "exec_reason",
+    "profile_cold_seconds", "profile_warm_seconds", "cache_speedup",
+    "identical_estimates",
+)
 
 
 def _timed(fn):
@@ -85,6 +94,7 @@ def test_parallel_speedup_and_cache_reuse(tmp_path):
         "cache_speedup": round(cache_speedup, 3),
         "identical_estimates": True,
     }
+    assert tuple(record) == RECORD_KEYS
     OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
     emit(render_table(
         ["metric", "value"],

@@ -16,14 +16,14 @@ Measures what ``repro serve`` exists for and records it to
   re-simulation latency is reported alongside, honestly — for
   paper-scale launches the simulation itself dominates, so warm
   re-simulation alone buys the process+synthesis overhead, not 5x;
+  these three run on one worker, so every request meets the same warm
+  stores;
 * **sustained throughput** — ≥4 concurrent client threads driving
-  distinct warm requests; requests/sec plus the sims-run counter so
-  coalescing can't inflate the number.
-* **worker-pool throughput** — the same concurrent drive against
-  supervised pools of 1, 2 and 4 worker processes (``--workers``,
-  DESIGN.md §14), reported next to the thread path. No speedup is
-  gated: on a single-core host the honest numbers show no scaling,
-  and the pool's value there is crash isolation, not parallelism.
+  distinct warm requests against supervised pools of 1, 2 and 4 worker
+  processes (``--workers``, DESIGN.md §14); requests/sec plus the
+  sims-run counter so coalescing can't inflate the number.  No
+  speedup is gated: a pool wider than the host's cores has nothing to
+  scale onto.
 
 Every served payload in this bench is asserted bit-identical to a
 fresh direct run (:func:`repro.serve.direct_payload`) before any
@@ -62,6 +62,9 @@ from conftest import emit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_serve.json"
+#: Top-level keys of the record, in order (checked against the
+#: checked-in file by ``tests/test_bench_records.py``).
+RECORD_KEYS = ("scale", "repeats", "cpus", "kernels", "workers_throughput")
 
 KERNELS = tuple(
     k.strip()
@@ -118,7 +121,7 @@ def _bench_kernel(kernel: str, scale: float, tmp_path: Path) -> dict:
 
     # Journal-enabled daemon: first request simulates (warm engine,
     # resident trace), repeats replay from the journal.
-    with _start(tmp_path, f"{kernel}-journal", journal=True) as handle:
+    with _start(tmp_path, f"{kernel}-journal", journal=True, workers=1) as handle:
         with ServeClient(handle.socket_path) as client:
             first, first_s = _timed(lambda: client.call("simulate", params))
             repeat_samples = []
@@ -131,7 +134,7 @@ def _bench_kernel(kernel: str, scale: float, tmp_path: Path) -> dict:
     assert stats["counters"]["journal_hits"] == REPEATS
 
     # No-journal daemon: repeats genuinely re-simulate on warm state.
-    with _start(tmp_path, f"{kernel}-resim") as handle:
+    with _start(tmp_path, f"{kernel}-resim", workers=1) as handle:
         with ServeClient(handle.socket_path) as client:
             warm0 = client.call("simulate", params)
             resim_samples = []
@@ -206,32 +209,9 @@ def _drive_concurrent(handle: ServerThread) -> tuple[float, dict]:
     return elapsed, stats
 
 
-def _bench_throughput(tmp_path: Path) -> dict:
-    per_client = max(3, REPEATS)
-    total = CLIENTS * per_client
-    with _start(tmp_path, "throughput", max_concurrency=CLIENTS) as handle:
-        elapsed, stats = _drive_concurrent(handle)
-    c = stats["counters"]
-    # Distinct keys per client: every request really simulated.
-    assert c["sims_run"] >= total
-    return {
-        "kernel": THROUGHPUT_KERNEL,
-        "scale": SCALE,
-        "clients": CLIENTS,
-        "requests": total,
-        "elapsed_seconds": round(elapsed, 4),
-        "requests_per_second": round(total / elapsed, 2),
-        "sims_run": c["sims_run"],
-        "coalesced_hits": c["coalesced_hits"],
-        "max_queue_depth": c["max_queue_depth"],
-        "queue_p90_ms": round(stats["queue"].get("p90_ms", 0.0), 2),
-    }
-
-
 def _bench_worker_throughput(tmp_path: Path) -> list[dict]:
-    """The same concurrent drive against supervised worker pools of 1,
-    2 and 4 processes (PR 9): where the thread path serializes the hot
-    loop under the GIL, workers scale with cores — reported honestly,
+    """The concurrent drive against supervised worker pools of 1, 2
+    and 4 processes: workers scale with cores — reported honestly,
     including on hosts where there are no extra cores to scale onto."""
     per_client = max(3, REPEATS)
     total = CLIENTS * per_client
@@ -241,7 +221,6 @@ def _bench_worker_throughput(tmp_path: Path) -> list[dict]:
             tmp_path,
             f"workers{workers}",
             workers=workers,
-            max_concurrency=CLIENTS,
             max_backlog=4 * CLIENTS,
         ) as handle:
             elapsed, stats = _drive_concurrent(handle)
@@ -251,14 +230,17 @@ def _bench_worker_throughput(tmp_path: Path) -> list[dict]:
         assert not w["degraded"]
         assert w["crashes"] == 0 and w["hangs"] == 0
         rows.append({
+            "kernel": THROUGHPUT_KERNEL,
+            "scale": SCALE,
             "workers": workers,
             "clients": CLIENTS,
             "requests": total,
             "elapsed_seconds": round(elapsed, 4),
             "requests_per_second": round(total / elapsed, 2),
             "sims_run": c["sims_run"],
+            "coalesced_hits": c["coalesced_hits"],
             "shed_requests": c["shed_requests"],
-            "worker_queue_p90_ms": w.get("queue_wait_p90_ms", 0.0),
+            "queue_p90_ms": round(stats["queue"].get("p90_ms", 0.0), 3),
             "avg_job_ms": w.get("avg_job_ms", 0.0),
         })
     return rows
@@ -266,16 +248,15 @@ def _bench_worker_throughput(tmp_path: Path) -> list[dict]:
 
 def test_serve_warm_vs_cold(tmp_path):
     kernels = [_bench_kernel(k, SCALE, tmp_path) for k in KERNELS]
-    throughput = _bench_throughput(tmp_path)
     workers_throughput = _bench_worker_throughput(tmp_path)
     record = {
         "scale": SCALE,
         "repeats": REPEATS,
         "cpus": os.cpu_count(),
         "kernels": kernels,
-        "throughput": throughput,
         "workers_throughput": workers_throughput,
     }
+    assert tuple(record) == RECORD_KEYS
     OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
     emit(render_table(
         ["kernel", "blocks", "cold proc (s)", "warm 1st (s)",
@@ -292,23 +273,17 @@ def test_serve_warm_vs_cold(tmp_path):
         title=f"repro serve: warm vs cold (scale {SCALE:g})",
     ))
     emit(render_table(
-        ["metric", "value"],
-        [(k, str(v)) for k, v in throughput.items()],
-        title=f"Sustained throughput ({CLIENTS} concurrent clients)",
-    ))
-    emit(render_table(
-        ["path", "req/s", "elapsed (s)", "shed", "queue p90 (ms)"],
-        [("threads", f"{throughput['requests_per_second']:.2f}",
-          f"{throughput['elapsed_seconds']:.2f}", "0",
-          f"{throughput['queue_p90_ms']:.1f}")] + [
-            (f"workers={r['workers']}",
+        ["workers", "req/s", "elapsed (s)", "shed", "queue p90 (ms)"],
+        [
+            (str(r["workers"]),
              f"{r['requests_per_second']:.2f}",
              f"{r['elapsed_seconds']:.2f}",
              str(r["shed_requests"]),
-             f"{r['worker_queue_p90_ms']:.1f}")
+             f"{r['queue_p90_ms']:.1f}")
             for r in workers_throughput
         ],
-        title=f"Thread path vs worker pool ({CLIENTS} concurrent clients)",
+        title=f"Sustained throughput ({CLIENTS} concurrent clients, "
+              f"{THROUGHPUT_KERNEL})",
     ))
 
     # Acceptance gates -------------------------------------------------
@@ -320,8 +295,6 @@ def test_serve_warm_vs_cold(tmp_path):
         # Warm re-simulation must at least beat the cold process —
         # the overhead it removes is real even when the sim dominates.
         assert r["warm_resim_seconds"] < r["cold_process_seconds"], r
-    assert throughput["requests_per_second"] > 0
-    assert throughput["sims_run"] >= throughput["requests"]
     # Worker pools must answer everything correctly; no speedup gate —
     # on a single-core host the honest numbers show no scaling.
     for r in workers_throughput:

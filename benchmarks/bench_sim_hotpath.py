@@ -84,6 +84,9 @@ KERNELS = [
 SCALE = float(os.environ.get("REPRO_BENCH_SIM_SCALE", "0.125"))
 REPS = int(os.environ.get("REPRO_BENCH_SIM_REPS", "5"))
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+#: Top-level keys of the record, in order (checked against the
+#: checked-in file by ``tests/test_bench_records.py``).
+RECORD_KEYS = ("method", "reps", "cpus", "kernels", "best_speedup")
 SMOKE_BASELINE = Path(__file__).resolve().parent / "sim_smoke_baseline.json"
 
 #: A >30% relative-throughput drop against the checked-in baseline
@@ -253,6 +256,7 @@ def test_sim_hotpath_throughput():
         "kernels": records,
         "best_speedup": max(r["speedup"] for r in records),
     }
+    assert tuple(payload) == RECORD_KEYS
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(render_table(
         ["kernel", "warp insts", "compact insts/s", "fast spd",

@@ -53,7 +53,12 @@ from repro.analysis.experiments import (
 from repro.analysis.report import render_table
 from repro.config import ExperimentConfig
 from repro.core.estimates import geometric_mean
-from repro.exec import ExecutionConfig, ProfileCache, default_cache_dir
+from repro.exec import (
+    ExecutionConfig,
+    ProfileCache,
+    default_cache_dir,
+    default_jobs,
+)
 from repro.sim.memory import MEMORY_FRONT_ENDS
 from repro.workloads import ALL_KERNELS, TABLE_VI
 
@@ -356,18 +361,16 @@ def cmd_serve(args: argparse.Namespace) -> None:
             socket_path=args.socket,
             host=args.host,
             port=args.port,
-            max_concurrency=args.max_concurrency,
             block_memo=args.block_memo,
             journal=args.journal,
             cache_dir=args.cache_dir,
             metrics_json=args.metrics_json,
             workers=args.workers,
-            worker_retries=args.retries,
+            retries=args.retries,
             hang_timeout=args.hang_timeout,
             max_backlog=args.max_backlog,
             degrade_after=args.degrade_after,
             fault_plan=fault_plan,
-            mp_context=args.mp_context,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -380,11 +383,8 @@ def cmd_serve(args: argparse.Namespace) -> None:
             where = f"{host}:{port}"
         else:
             where = server.socket_path
-        pool = (
-            f"{config.workers} supervised worker(s)"
-            if config.workers else "in-process threads"
-        )
-        print(f"serving on {where} (pid {os.getpid()}, {pool}); "
+        print(f"serving on {where} (pid {os.getpid()}, "
+              f"{config.workers} supervised worker(s)); "
               "'shutdown' request, SIGTERM or SIGINT drains and exits",
               flush=True)
         await server.serve_until_stopped()
@@ -470,6 +470,13 @@ def cmd_table1(args: argparse.Namespace) -> None:
         ],
         title="Table I — projected simulation times",
     ))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
 
 def _nonnegative_int(text: str) -> int:
@@ -612,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port with --host (0 = ephemeral, printed at startup)",
     )
     p.add_argument(
-        "--max-concurrency", type=int, default=2, metavar="N",
-        help="compute requests admitted simultaneously (default 2); "
-             "the rest queue",
-    )
-    p.add_argument(
         "--block-memo", type=int, default=0, metavar="N",
         help="block-memo window for resident launch traces "
              "(default 0 = each launch's full block count, i.e. "
@@ -632,15 +634,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the final stats payload to this file on shutdown",
     )
     p.add_argument(
-        "--workers", type=_nonnegative_int, default=0, metavar="N",
-        help="supervised worker processes for compute (default 0 = "
-             "in-process threads); crashed or hung workers are "
+        "--workers", type=_positive_int, default=default_jobs(),
+        metavar="N",
+        help="supervised worker processes that run every simulation "
+             "(default: every CPU); crashed or hung workers are "
              "respawned and their requests retried (DESIGN.md §14)",
     )
     p.add_argument(
         "--retries", type=_nonnegative_int, default=2, metavar="N",
         help="extra worker attempts per request after a crash/hang "
-             "before falling back to in-process compute (default 2)",
+             "before it fails with error_kind 'failed' (default 2)",
     )
     p.add_argument(
         "--hang-timeout", type=float, default=None, metavar="SECONDS",
@@ -656,18 +659,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--degrade-after", type=int, default=4, metavar="N",
-        help="consecutive worker respawns that flip the daemon into "
-             "degraded in-process mode (default 4)",
+        help="consecutive worker respawns that mark the pool degraded "
+             "for good: compute requests then fail with error_kind "
+             "'unavailable' (default 4)",
     )
     p.add_argument(
         "--fault-plan", default=None, metavar="PATH",
         help="JSON FaultPlan injected into workers (chaos tests/CI "
              "only; see repro.exec.faults)",
-    )
-    p.add_argument(
-        "--mp-context", default=None, choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method for workers "
-             "(default: platform default)",
     )
 
     p = sub.add_parser(

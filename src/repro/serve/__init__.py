@@ -6,10 +6,10 @@ block-memo windows, in-memory profile mirror, optional journal-backed
 idempotent replay — and amortizes process cold-start across requests.
 Clients (:mod:`repro.serve.client`) speak a length-prefixed JSON
 protocol (:mod:`repro.serve.protocol`); request semantics and the
-bit-identity oracle live in :mod:`repro.serve.payloads`.  With
-``--workers N`` compute runs on a supervised pool of crash-isolated
-worker processes (:mod:`repro.serve.supervisor`, PR 9) sharing the
-job body in :mod:`repro.serve.jobs`.
+bit-identity oracle live in :mod:`repro.serve.payloads`.  Compute
+runs on a supervised pool of crash-isolated worker processes
+(:mod:`repro.serve.supervisor`), each running the job body in
+:mod:`repro.serve.jobs`.
 
 DESIGN.md §13–14 document the architecture, the measured warm/cold
 latency and the supervision contract; ``benchmarks/bench_serve.py``

@@ -53,12 +53,21 @@ class RequestError(ValueError):
     in the error response; never tears down the server).
 
     ``kind`` optionally classifies the error machine-readably so
-    scripted clients can react without parsing prose: the server sets
-    ``"overloaded"`` (load shed; ``retry_after`` carries a back-off
-    hint in seconds), ``"draining"`` (shutdown in progress) and
-    ``"deadline"`` (queued past the request's own timeout).  Both
-    fields ride on the error response as ``error_kind`` /
-    ``retry_after`` next to the human-readable ``error`` string.
+    scripted clients can react without parsing prose.  The server sets:
+
+    * ``"overloaded"`` — the worker backlog is full and the request
+      was shed; ``retry_after`` carries a back-off hint in seconds;
+    * ``"draining"`` — shutdown in progress;
+    * ``"deadline"`` — queued past the request's own timeout (the
+      simulation still completes);
+    * ``"unavailable"`` — the worker pool is degraded and runs no more
+      jobs (no ``retry_after``: it does not come back);
+    * ``"failed"`` — the job used up its worker retries; the message
+      carries the last worker error.
+
+    A request that is itself invalid carries no kind.  Both fields
+    ride on the error response as ``error_kind`` / ``retry_after``
+    next to the human-readable ``error`` string.
     """
 
     def __init__(

@@ -1,9 +1,10 @@
 """The long-lived simulation server behind ``repro serve``.
 
-One process owns the hot state every one-shot invocation throws away:
+The daemon and its supervised worker processes
+(:mod:`repro.serve.supervisor`) own the hot state every one-shot
+invocation throws away.  Each worker keeps its own:
 
-* **warm engines** — a pool of idle :class:`GPUSimulator` instances
-  (checkout/checkin), all the system simulator on the default
+* **a warm engine** — the system simulator on the default
   ``GPUConfig``, so simulator-lifetime trace-interning tables survive
   across requests;
 * **resident traces** — :class:`KernelTrace` objects per
@@ -12,34 +13,35 @@ One process owns the hot state every one-shot invocation throws away:
   stop re-synthesizing blocks through the bounded LRU on every pass;
 * **warm profiles** — an in-memory mirror of the content-addressed
   profile cache, backed by the persistent on-disk
-  :class:`~repro.exec.cache.ProfileCache`;
-* **served results** (opt-in ``journal=True``) — completed payloads
-  recorded to a :class:`~repro.exec.journal.SweepJournal` under their
-  request content keys, replayed idempotently across server restarts.
+  :class:`~repro.exec.cache.ProfileCache`.
 
-The asyncio front end admits compute requests under an explicit
-concurrency limit (a semaphore + a same-sized thread pool), coalesces
-duplicate in-flight requests (same content key → one simulation, N
-responses), honours per-request deadlines while queued (the simulation
-itself always completes and warms the server), and drains gracefully on
-shutdown: queued work finishes and every accepted request is answered
-before the socket closes.
+The daemon itself keeps **served results** (opt-in ``journal=True``):
+completed payloads recorded to a
+:class:`~repro.exec.journal.SweepJournal` under their request content
+keys, replayed idempotently across server restarts.
+
+The asyncio front end coalesces duplicate in-flight requests (same
+content key → one simulation, N responses), submits each remaining
+job to the worker pool (bounded by its backlog; past it requests are
+shed), honours per-request deadlines while queued (the simulation
+itself always completes and warms the server), and drains gracefully
+on shutdown: queued work finishes and every accepted request is
+answered before the socket closes.  A degraded pool or a job out of
+retries becomes an error answer (``unavailable`` / ``failed``);
+``ping``, ``stats`` and ``shutdown`` keep working.
 
 Correctness stance: every served payload is bit-identical to
 :func:`repro.serve.payloads.direct_payload` — a fresh direct run of the
-same request — because everything the server keeps warm is a pure
-cache (see that module's docstring).  Concurrent requests touching the
-same resident kernel serialize on a per-kernel lock (the block-memo
-window is shared mutable state); requests for different kernels
-overlap.  Threads buy protocol/queue overlap, not parallel
-simulation — the hot loop is pure Python under the GIL; DESIGN.md §13
-records the honest latency numbers.
+same request — because everything a worker keeps warm is a pure cache
+(see :mod:`repro.serve.jobs`).  DESIGN.md §13–14 record the latency
+numbers and the supervision contract.
 
 Determinism lint: the ``serve`` package is inside ``repro lint``'s
 deterministic scope (DESIGN.md §10), but a server legitimately reads
-the wall clock for deadlines, queue-latency metrics and uptime.  Those
-sites — and only those — carry ``lint: disable=DET001`` pragmas; they
-feed operator metrics, never simulation results.
+the wall clock: here for uptime, in the supervisor for heartbeat
+deadlines and queue waits.  Those sites — and only those — carry
+``lint: disable=DET001`` pragmas; they feed operator metrics and
+watchdogs, never simulation results.
 """
 
 from __future__ import annotations
@@ -50,14 +52,11 @@ import os
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.exec.faults import FaultPlan
 from repro.exec.journal import SweepJournal, default_journal_dir
-from repro.serve.jobs import JobMeta, JobRunner, percentile
+from repro.serve.jobs import JobMeta
 from repro.serve.payloads import (
     RESULTS_VERSION,
     RequestError,
@@ -88,8 +87,12 @@ def default_socket_path(cache_dir: str | Path | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
-    """How one server process runs.
+class ServeConfig(SupervisorConfig):
+    """How one server process runs: the worker-pool settings of
+    :class:`~repro.serve.supervisor.SupervisorConfig` (``workers``,
+    ``retries``, ``hang_timeout``, ``max_backlog``, ``degrade_after``,
+    ``block_memo``, ``cache_dir``, ``fault_plan``) plus the daemon's
+    own.
 
     Attributes
     ----------
@@ -99,91 +102,19 @@ class ServeConfig:
     host / port:
         TCP listen address instead of a unix socket; ``port=0`` binds
         an ephemeral port (read it back from ``Server.address``).
-    max_concurrency:
-        Compute requests admitted simultaneously; the rest queue.
-    block_memo:
-        Block-memo window applied to every resident launch trace.
-        0 (default) sizes each launch's window to its full block
-        count — regeneration-free resident traces.
     journal:
         Record completed payloads to the serve journal and replay them
         idempotently (including across restarts).  Off by default so
         warm-request latency measures warm *simulation*, not a lookup.
-    cache_dir:
-        Override the persistent cache root (profiles + journals).
     metrics_json:
         Dump the final ``stats`` payload to this file on shutdown.
-    queue_latency_window:
-        Most recent queue-wait samples kept for the percentile report.
-    workers:
-        Supervised worker processes for compute (PR 9).  0 (default)
-        keeps the PR 8 in-process thread path; with workers the thread
-        path remains the degraded-mode fallback.
-    worker_retries:
-        Extra worker attempts a job gets after a crash/hang/exception
-        before the daemon falls back to computing it in-process.
-    hang_timeout:
-        Seconds a busy worker may go without a heartbeat before it is
-        killed and its job retried (None disables hang detection).
-    max_backlog:
-        Bound on jobs queued + in flight across the worker pool; past
-        it requests are shed with a structured ``overloaded`` error
-        (0 = unbounded, no shedding).
-    degrade_after:
-        Consecutive worker respawns without a completed job that flip
-        the daemon into degraded (in-process) mode.
-    fault_plan:
-        Deterministic chaos script injected into workers (tests/CI
-        only; see :mod:`repro.exec.faults`).
-    mp_context:
-        ``multiprocessing`` start method for workers (None = platform
-        default chosen by the supervisor).
     """
 
     socket_path: str | None = None
     host: str | None = None
     port: int = 0
-    max_concurrency: int = 2
-    block_memo: int = 0
     journal: bool = False
-    cache_dir: str | None = None
     metrics_json: str | None = None
-    queue_latency_window: int = 100_000
-    workers: int = 0
-    worker_retries: int = 2
-    hang_timeout: float | None = None
-    max_backlog: int = 32
-    degrade_after: int = 4
-    fault_plan: FaultPlan | None = None
-    mp_context: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
-        if self.block_memo < 0:
-            raise ValueError("block_memo must be >= 0 (0 = full launch)")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process)")
-        if self.workers > 0:
-            # Fail fast on bad pool parameters, before a socket binds.
-            self.supervisor_config()
-
-    def supervisor_config(self) -> SupervisorConfig:
-        """The worker-pool view of this config (``workers > 0`` only)."""
-        kwargs: dict = {}
-        if self.mp_context is not None:
-            kwargs["mp_context"] = self.mp_context
-        return SupervisorConfig(
-            workers=self.workers,
-            retries=self.worker_retries,
-            hang_timeout=self.hang_timeout,
-            max_backlog=self.max_backlog,
-            degrade_after=self.degrade_after,
-            block_memo=self.block_memo,
-            cache_dir=self.cache_dir,
-            fault_plan=self.fault_plan,
-            **kwargs,
-        )
 
 
 @dataclass
@@ -218,15 +149,9 @@ class ServeCounters:
     block_regenerations: int = 0
     deadline_misses: int = 0
     draining_rejections: int = 0
-    max_queue_depth: int = 0
-    #: Supervision (PR 9): requests refused with ``overloaded`` because
-    #: the worker backlog was full.
+    #: Requests refused with ``overloaded`` because the worker backlog
+    #: was full.
     shed_requests: int = 0
-    #: Requests computed in-process because the worker pool was
-    #: degraded (repeated respawns) at submit or mid-flight.
-    degraded_fallbacks: int = 0
-    #: Requests computed in-process after exhausting worker retries.
-    worker_exhausted_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -238,13 +163,8 @@ class Server:
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.counters = ServeCounters()
-        # Warm state for the in-process path (and degraded fallback);
-        # each worker process owns its own JobRunner.
-        self._runner = JobRunner(
-            block_memo=self.config.block_memo,
-            cache_dir=self.config.cache_dir,
-        )
-        self._supervisor: WorkerSupervisor | None = None
+        # Compute runs here; each worker process owns its warm state.
+        self._supervisor = WorkerSupervisor(self.config)
         # Idempotent replay (PR 4 journal machinery) ------------------
         self._journal: SweepJournal | None = None
         self._journal_results: dict[str, dict] = {}
@@ -262,15 +182,11 @@ class Server:
             }
         # Admission / lifecycle ---------------------------------------
         self._inflight: dict[str, asyncio.Future] = {}
-        self._queue_waits: deque = deque(maxlen=self.config.queue_latency_window)
-        self._queued = 0
         self._draining = False
         self._pending: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: dict[asyncio.StreamWriter, asyncio.Lock] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._sem: asyncio.Semaphore | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._stop: asyncio.Event | None = None
         self._signals_installed: list[int] = []
         self._t0 = time.monotonic()  # uptime metric  # lint: disable=DET001
@@ -299,14 +215,7 @@ class Server:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._stop = asyncio.Event()
-        self._sem = asyncio.Semaphore(self.config.max_concurrency)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrency,
-            thread_name_prefix="repro-serve",
-        )
-        if self.config.workers > 0:
-            self._supervisor = WorkerSupervisor(self.config.supervisor_config())
-            self._supervisor.start()
+        self._supervisor.start()
         self._install_signal_handlers()
         if self.config.host is not None:
             self._server = await asyncio.start_server(
@@ -371,12 +280,9 @@ class Server:
             if not pending:
                 break
             await asyncio.gather(*pending, return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        if self._supervisor is not None:
-            # Workers are idle by now (pending drained above); stopping
-            # joins processes, so keep it off the event loop.
-            await asyncio.to_thread(self._supervisor.stop)
+        # Workers are idle by now (pending drained above); stopping
+        # joins processes, so keep it off the event loop.
+        await asyncio.to_thread(self._supervisor.stop)
         loop = asyncio.get_running_loop()
         for sig in self._signals_installed:
             try:
@@ -453,9 +359,20 @@ class Server:
             return  # connection already torn down
         try:
             async with lock:
-                await write_message(writer, obj)
-        except (ConnectionError, RuntimeError, OSError):
-            pass  # peer vanished; its response is simply dropped
+                try:
+                    await write_message(writer, obj)
+                except ProtocolError as exc:
+                    # The response cannot be framed (too large, or a
+                    # field the schema does not declare); nothing was
+                    # written, so answer the request with the reason.
+                    self.counters.errors += 1
+                    await write_message(writer, {
+                        "id": obj.get("id"),
+                        "ok": False,
+                        "error": f"response not sent: {exc}",
+                    })
+        except (ConnectionError, RuntimeError, OSError, ProtocolError):
+            pass  # peer vanished, or even the error reply cannot be framed
 
     async def _handle_message(
         self, msg: dict, writer: asyncio.StreamWriter
@@ -485,9 +402,9 @@ class Server:
         except RequestError as exc:
             self.counters.errors += 1
             response = {"id": rid, "ok": False, "error": str(exc)}
-            # Additive, machine-readable error classification (PR 9):
-            # same protocol version, scripted clients can react to
-            # overloaded/draining/deadline without parsing prose.
+            # Machine-readable error classification (the kinds are
+            # listed on RequestError): scripted clients react without
+            # parsing prose.
             if exc.kind is not None:
                 response["error_kind"] = exc.kind
             if exc.retry_after is not None:
@@ -498,7 +415,7 @@ class Server:
         await self._send(writer, response)
 
     # ------------------------------------------------------------------
-    # Compute requests: coalescing, admission, deadlines
+    # Compute requests: coalescing, the worker pool, deadlines
     # ------------------------------------------------------------------
     async def _handle_compute(self, kind: str, params: dict) -> dict:
         if kind == "simulate":
@@ -548,16 +465,25 @@ class Server:
 
     async def _compute(self, norm: dict, key: str, fut: asyncio.Future) -> None:
         """Owner task for one content key: run the job on the worker
-        pool (or the in-process thread path), publish ``("ok",
-        payload)`` / ``("error", RequestError)`` to every waiter.  Runs
-        to completion even if every requester's deadline lapsed — the
-        result warms the journal for the next asker."""
+        pool, publish ``("ok", payload)`` / ``("error", RequestError)``
+        to every waiter.  Runs to completion even if every requester's
+        deadline lapsed — the result warms the journal for the next
+        asker."""
         try:
-            if self._supervisor is not None:
-                payload, meta = await self._compute_in_worker(norm)
-            else:
-                payload, meta = await self._compute_in_thread(norm)
-            self._apply_meta(meta)
+            try:
+                payload, meta = await asyncio.wrap_future(
+                    self._supervisor.submit(norm)
+                )
+            except Overloaded as exc:
+                self.counters.shed_requests += 1
+                raise RequestError(
+                    str(exc), kind="overloaded", retry_after=exc.retry_after
+                ) from None
+            except WorkersUnavailable as exc:
+                raise RequestError(str(exc), kind="unavailable") from None
+            except WorkerJobFailed as exc:
+                raise RequestError(str(exc), kind="failed") from None
+            self._apply_meta(JobMeta(**meta))
             if self._journal is not None:
                 # The journal fsyncs every line; keep it off the loop.
                 await asyncio.to_thread(self._journal.record, key, payload)
@@ -571,60 +497,6 @@ class Server:
             self._inflight.pop(key, None)
         if not fut.done():
             fut.set_result(outcome)
-
-    async def _compute_in_worker(self, norm: dict) -> tuple[dict, JobMeta]:
-        """Run one job on the supervised pool.  Admission is the pool's
-        bounded backlog (shed past it — never unbounded queueing); a
-        degraded pool or an exhausted retry budget falls back to the
-        in-process path so the request is still answered.  Injected
-        faults only ever fire inside workers (the plan's parent-PID
-        guard), so the fallback attempt is always clean."""
-        assert self._supervisor is not None
-        try:
-            wfut = self._supervisor.submit(norm)
-        except Overloaded as exc:
-            self.counters.shed_requests += 1
-            raise RequestError(
-                str(exc), kind="overloaded", retry_after=exc.retry_after
-            ) from None
-        except WorkersUnavailable:
-            self.counters.degraded_fallbacks += 1
-            return await self._compute_in_thread(norm)
-        try:
-            payload, meta_dict = await asyncio.wrap_future(wfut)
-        except RequestError:
-            raise  # the request's own fault, same on any path
-        except WorkersUnavailable:
-            self.counters.degraded_fallbacks += 1
-            return await self._compute_in_thread(norm)
-        except WorkerJobFailed:
-            self.counters.worker_exhausted_fallbacks += 1
-            return await self._compute_in_thread(norm)
-        return payload, JobMeta(**meta_dict)
-
-    async def _compute_in_thread(self, norm: dict) -> tuple[dict, JobMeta]:
-        """The PR 8 in-process path: admit under the concurrency
-        semaphore, run on the daemon's thread pool."""
-        assert self._sem is not None
-        loop = asyncio.get_running_loop()
-        t0 = time.monotonic()  # queue-latency metric  # lint: disable=DET001
-        self._queued += 1
-        self.counters.max_queue_depth = max(
-            self.counters.max_queue_depth, self._queued
-        )
-        admitted = False
-        try:
-            async with self._sem:
-                self._queued -= 1
-                admitted = True
-                wait = time.monotonic() - t0  # queue-latency metric  # lint: disable=DET001
-                self._queue_waits.append(wait)
-                return await loop.run_in_executor(
-                    self._executor, self._runner.run, norm
-                )
-        finally:
-            if not admitted:
-                self._queued -= 1
 
     def _apply_meta(self, meta: JobMeta) -> None:
         c = self.counters
@@ -652,38 +524,20 @@ class Server:
     # Stats
     # ------------------------------------------------------------------
     def stats_payload(self) -> dict:
-        waits = sorted(self._queue_waits)
-        queue: dict = {
-            "depth": self._queued,
-            "samples": len(waits),
-        }
-        if waits:
-            queue.update(
-                p50_ms=percentile(waits, 0.50) * 1e3,
-                p90_ms=percentile(waits, 0.90) * 1e3,
-                p99_ms=percentile(waits, 0.99) * 1e3,
-                max_ms=waits[-1] * 1e3,
-            )
-        payload = {
+        return {
             "protocol": PROTOCOL_VERSION,
             "results_version": RESULTS_VERSION,
             "pid": os.getpid(),
             "uptime_s": time.monotonic() - self._t0,  # uptime metric  # lint: disable=DET001
             "draining": self._draining,
-            "max_concurrency": self.config.max_concurrency,
             "block_memo": self.config.block_memo,
             "journal": self._journal is not None,
             "journal_entries": len(self._journal_results),
             "counters": self.counters.as_dict(),
-            "queue": queue,
+            "queue": self._supervisor.queue_stats(),
             "inflight": len(self._inflight),
+            "workers": self._supervisor.snapshot(),
         }
-        # In-process warm stores (worker processes keep their own; the
-        # keys below describe the daemon's thread-path/fallback runner).
-        payload.update(self._runner.stats())
-        if self._supervisor is not None:
-            payload["workers"] = self._supervisor.snapshot()
-        return payload
 
 
 def run_server(config: ServeConfig | None = None) -> None:

@@ -1,11 +1,11 @@
-"""Supervised worker-process pool behind the serve daemon (PR 9).
+"""Supervised worker-process pool: the serve daemon's compute route.
 
-PR 8's daemon computed on an in-process thread pool: one segfault, OOM
-kill or runaway request took down every warm store with the process,
-and the GIL serialized compute.  This module lifts the PR 4 supervisor
-discipline (``exec/engine.py``: per-attempt supervision, retries,
-pool respawn, degrade-to-serial) into the serving layer as a pool of
-**long-lived worker processes**, each holding its own warm
+Every compute request runs in a pool of **long-lived worker
+processes**, so one segfault, OOM kill or runaway request never takes
+the daemon down, and simulations use more than one core.  The module
+lifts the sweep supervisor's discipline (``exec/engine.py``:
+per-attempt supervision, retries, pool respawn) into the serving
+layer; each worker holds its own warm
 :class:`~repro.serve.jobs.JobRunner` (per-worker simulators, resident
 traces, profile mirror — the PR 7 ``sim/worker`` reuse identity), fed
 over a duplex pipe with per-request heartbeats.
@@ -16,7 +16,9 @@ Supervision contract (DESIGN.md §14, chaos-tested in
 * **Crash isolation** — a worker death (``BrokenPipe``/process
   sentinel) never touches the daemon: the worker is respawned and its
   in-flight job is retried on a healthy worker, up to ``retries``
-  extra attempts.  The daemon's coalescing map and journal are
+  extra attempts; a job that uses them all fails with
+  :class:`WorkerJobFailed` carrying the last worker error.  The
+  daemon's coalescing map and journal are
   untouched — waiters keep waiting on the same future and the
   eventually-served payload is bit-identical to a fresh direct run
   (jobs are pure functions of their normalized request).
@@ -31,11 +33,11 @@ Supervision contract (DESIGN.md §14, chaos-tested in
   :class:`Overloaded` carrying a ``retry_after`` hint derived from the
   observed job-duration EWMA, and the server sheds the request with a
   structured ``overloaded`` error instead of queueing without bound.
-* **Graceful degradation** — ``degrade_after`` consecutive respawns
-  without a completed job flips the pool into degraded mode: every
-  queued and future job fails fast with :class:`WorkersUnavailable`
-  and the server falls back to its in-process thread path, so a
-  worker-killing environment degrades throughput, never availability.
+* **Degradation** — ``degrade_after`` consecutive respawns without a
+  completed job flips the pool into degraded mode for good: every
+  queued and future job fails fast with :class:`WorkersUnavailable`,
+  which the server answers as an ``unavailable`` error while ``ping``,
+  ``stats`` and ``shutdown`` keep working.
 
 Exactly-once stance: the *daemon* coalesces duplicate content keys
 onto one future before anything reaches this pool, so per content key
@@ -64,6 +66,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 
+from repro.exec.engine import default_jobs
 from repro.exec.faults import FaultPlan
 from repro.serve.jobs import JobRunner, percentile
 from repro.serve.payloads import RequestError
@@ -72,7 +75,7 @@ from repro.serve.payloads import RequestError
 #: ready (fork/spawn + imports must finish within this).
 SPAWN_TIMEOUT = 120.0
 
-#: Queue-wait samples kept for the supervisor's latency report.
+#: Queue-wait samples kept for the daemon's ``queue`` stats block.
 QUEUE_WAIT_WINDOW = 10_000
 
 
@@ -86,13 +89,12 @@ class Overloaded(Exception):
 
 
 class WorkersUnavailable(Exception):
-    """The pool is degraded or stopped; the caller should fall back to
-    the in-process path (the request is still served)."""
+    """The pool is degraded or stopped; no job will run on it again."""
 
 
 class WorkerJobFailed(Exception):
     """A job exhausted its worker retry budget; the last failure is the
-    message.  The caller decides the final fallback."""
+    message."""
 
 
 def _default_mp_context() -> str:
@@ -109,17 +111,15 @@ def _default_mp_context() -> str:
 @dataclass(frozen=True)
 class SupervisorConfig:
     """How the worker pool runs (all reachable via ``repro serve``
-    flags; see ``ServeConfig`` for the daemon-level view).
+    flags; ``ServeConfig`` extends it with the daemon's own settings).
 
     Attributes
     ----------
     workers:
-        Long-lived worker processes (must be >= 1 here; the daemon
-        maps ``--workers 0`` to "no supervisor at all").
+        Long-lived worker processes (>= 1; default: every CPU).
     retries:
         Extra attempts a job gets after a worker crash/hang/exception
-        before it is failed back to the daemon (which then falls back
-        to the in-process path).
+        before it fails with :class:`WorkerJobFailed`.
     hang_timeout:
         Seconds a busy worker may go without a heartbeat before it is
         declared hung, killed and its job retried.  ``None`` disables
@@ -131,16 +131,19 @@ class SupervisorConfig:
     degrade_after:
         Consecutive worker respawns (no job completed in between) that
         flip the pool into degraded mode.
-    block_memo / cache_dir:
-        Forwarded to each worker's :class:`JobRunner`.
+    block_memo:
+        Block-memo window applied to every resident launch trace in a
+        worker's :class:`JobRunner`.  0 (default) sizes each launch's
+        window to its full block count — regeneration-free traces.
+    cache_dir:
+        Override the persistent cache root (profiles; the daemon also
+        keeps its journals there).
     fault_plan:
         Deterministic chaos script fired inside workers at
         ``(fault index, attempt)`` coordinates (tests only).
-    mp_context:
-        ``multiprocessing`` start method for workers.
     """
 
-    workers: int = 2
+    workers: int = field(default_factory=default_jobs)
     retries: int = 2
     hang_timeout: float | None = None
     max_backlog: int = 32
@@ -148,11 +151,10 @@ class SupervisorConfig:
     block_memo: int = 0
     cache_dir: str | None = None
     fault_plan: FaultPlan | None = None
-    mp_context: str = field(default_factory=_default_mp_context)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ValueError("workers must be >= 1 for a supervisor")
+            raise ValueError("workers must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.hang_timeout is not None and self.hang_timeout <= 0:
@@ -161,6 +163,8 @@ class SupervisorConfig:
             raise ValueError("max_backlog must be >= 0 (0 = unbounded)")
         if self.degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
+        if self.block_memo < 0:
+            raise ValueError("block_memo must be >= 0 (0 = full launch)")
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +268,7 @@ class WorkerSupervisor:
     def __init__(self, config: SupervisorConfig):
         self.config = config
         self.counters = SupervisorCounters()
-        self._ctx = multiprocessing.get_context(config.mp_context)
+        self._ctx = multiprocessing.get_context(_default_mp_context())
         self._lock = threading.Lock()
         self._pending: deque[_Job] = deque()
         self._workers: list[_Worker] = []
@@ -311,6 +315,10 @@ class WorkerSupervisor:
                 w.process.kill()
             w.process.join(5.0)
             w.conn.close()
+        if self._thread is None or not self._thread.is_alive():
+            # No monitor waits on the wake pipe any more.
+            self._wake_r.close()
+            self._wake_w.close()
 
     @property
     def degraded(self) -> bool:
@@ -562,7 +570,7 @@ class WorkerSupervisor:
             self._enter_degraded_locked(f"cannot spawn workers: {exc}")
 
     def _enter_degraded_locked(self, reason: str) -> None:
-        """Fail everything fast so the daemon's fallback path answers;
+        """Fail everything fast so the daemon answers ``unavailable``;
         kill what's left of the pool."""
         self._degraded = True
         self._degrade_reason = reason
@@ -587,11 +595,25 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def queue_stats(self) -> dict:
+        """Pending depth and submit-to-dispatch waits: the daemon's
+        ``queue`` stats block."""
+        with self._lock:
+            waits = sorted(self._queue_waits)
+            queue: dict = {"depth": len(self._pending), "samples": len(waits)}
+        if waits:
+            queue.update(
+                p50_ms=percentile(waits, 0.50) * 1e3,
+                p90_ms=percentile(waits, 0.90) * 1e3,
+                p99_ms=percentile(waits, 0.99) * 1e3,
+                max_ms=waits[-1] * 1e3,
+            )
+        return queue
+
     def snapshot(self) -> dict:
         """Supervision state for the daemon's stats payload /
         ``--metrics-json`` (safe to call after :meth:`stop`)."""
         with self._lock:
-            waits = sorted(self._queue_waits)
             c = self.counters
             snap: dict = {
                 "configured": self.config.workers,
@@ -599,7 +621,6 @@ class WorkerSupervisor:
                     1 for w in self._workers if w.process.is_alive()
                 ),
                 "busy": sum(1 for w in self._workers if w.job is not None),
-                "pending": len(self._pending),
                 "retries": c.retries,
                 "respawns": c.respawns,
                 "hangs": c.hangs,
@@ -611,17 +632,9 @@ class WorkerSupervisor:
                 "degrade_reason": self._degrade_reason,
                 "hang_timeout": self.config.hang_timeout,
                 "max_backlog": self.config.max_backlog,
-                "mp_context": self.config.mp_context,
             }
             if self._avg_job_s is not None:
                 snap["avg_job_ms"] = round(self._avg_job_s * 1e3, 3)
-            if waits:
-                snap["queue_wait_p50_ms"] = round(
-                    percentile(waits, 0.50) * 1e3, 3
-                )
-                snap["queue_wait_p90_ms"] = round(
-                    percentile(waits, 0.90) * 1e3, 3
-                )
             return snap
 
 

@@ -169,6 +169,27 @@ class TestProtocolLimitsAgainstServer:
         assert reply["id"] == 5 and reply["ok"] is False
         assert "render" in reply["error"]
 
+    def test_unframeable_reply_gets_an_error_reply(self, serve_dir, monkeypatch):
+        """A response the protocol refuses to frame (here: over the
+        size limit) is answered with ``ok: false`` and the reason
+        instead of leaving the client waiting."""
+        from repro.serve import protocol
+
+        with start_server(serve_dir, workers=1) as handle:
+            monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 400)
+            raw = self._raw_connection(handle.socket_path)
+            try:
+                raw.sendall(encode_message({"id": 7, "kind": "stats"}))
+                reply = protocol.recv_message(raw)  # 10 s socket timeout
+            finally:
+                raw.close()
+            monkeypatch.undo()
+            with ServeClient(handle.socket_path) as client:
+                assert client.stats()["counters"]["errors"] == 1
+        assert reply is not None
+        assert reply["id"] == 7 and reply["ok"] is False
+        assert "too large" in reply["error"]
+
     def test_partial_frame_disconnect_mid_payload(self, serve_dir):
         with start_server(serve_dir) as handle:
             raw = self._raw_connection(handle.socket_path)
@@ -303,8 +324,11 @@ class TestBitIdentity:
 
 
 class TestWarmState:
+    """One worker, so every request lands on the same warm stores; the
+    ``JobMeta`` counters report what that worker reused."""
+
     def test_engine_and_kernel_reuse_counters(self, serve_dir):
-        with start_server(serve_dir) as handle:
+        with start_server(serve_dir, workers=1) as handle:
             with ServeClient(handle.socket_path) as client:
                 for _ in range(3):
                     client.simulate(KERNEL, scale=SCALE)
@@ -316,25 +340,34 @@ class TestWarmState:
         assert c["kernels_built"] == 1
         assert c["kernel_warm_hits"] == 2
         assert c["block_regenerations"] == 0
-        assert stats["resident_kernels"] == [f"{KERNEL}@{SCALE:g}/2014"]
-        assert stats["idle_engines"] == 1
+        assert stats["workers"]["jobs_completed"] == 3
+        # The queue record is the pool's: one wait per dispatched job.
+        queue = stats["queue"]
+        assert queue["depth"] == 0 and queue["samples"] == 3
+        assert 0 <= queue["p50_ms"] <= queue["p90_ms"] <= queue["max_ms"]
 
     def test_profile_cache_tiers(self, serve_dir):
-        with start_server(serve_dir) as handle:
+        with start_server(serve_dir, workers=1) as handle:
             with ServeClient(handle.socket_path) as client:
                 client.tbpoint(KERNEL, scale=SCALE)
                 client.tbpoint(KERNEL, scale=SCALE, seed=7)
+                # No journal: the repeat recomputes on the same worker,
+                # whose memory tier holds the profile.
+                client.tbpoint(KERNEL, scale=SCALE)
                 stats = client.stats()
         c = stats["counters"]
         # First estimate computes its profile; a different trace
         # identity computes its own; nothing was on disk yet.
         assert c["profile_computed"] == 2
-        assert stats["resident_profiles"] == 2
+        assert c["profile_memory_hits"] == 1
+        assert c["profile_disk_hits"] == 0
+        assert c["kernels_built"] == 2
+        assert c["kernel_warm_hits"] == 1
 
     def test_shrunken_block_memo_regenerates(self, serve_dir):
         # A deliberately tiny resident window shows the thrash the
         # default (full-launch) window eliminates.
-        with start_server(serve_dir, block_memo=2) as handle:
+        with start_server(serve_dir, workers=1, block_memo=2) as handle:
             with ServeClient(handle.socket_path) as client:
                 client.simulate(KERNEL, scale=SCALE)
                 warm = client.simulate(KERNEL, scale=SCALE)
@@ -347,20 +380,22 @@ class TestWarmState:
 
 class TestCoalescing:
     def test_pipelined_duplicates_simulate_once(self, serve_dir, monkeypatch):
-        from repro.serve.jobs import JobRunner
+        import asyncio
 
         n = 10
         all_arrived = threading.Event()
-        original = JobRunner.run
+        original = Server._compute
 
-        def gated(self, norm, heartbeat=None):
+        async def gated(self, norm, key, fut):
             # The simulation takes milliseconds; on a loaded host it
             # could finish before the last duplicate is read and turn
-            # that one into a second run.  Hold it until all n arrived.
-            assert all_arrived.wait(30), "duplicates never all arrived"
-            return original(self, norm, heartbeat)
+            # that one into a second run.  Hold the key's owner task
+            # until all n arrived.  The gate sits on the event loop: a
+            # forked worker would only see a copy of the event.
+            await asyncio.to_thread(all_arrived.wait, 30)
+            return await original(self, norm, key, fut)
 
-        monkeypatch.setattr(JobRunner, "run", gated)
+        monkeypatch.setattr(Server, "_compute", gated)
         with start_server(serve_dir) as handle:
             with ServeClient(handle.socket_path) as client:
                 try:
@@ -407,7 +442,7 @@ class TestConcurrentIdempotency:
         errors: list[Exception] = []
         lock = threading.Lock()
 
-        with start_server(serve_dir, journal=True, max_concurrency=4) as handle:
+        with start_server(serve_dir, journal=True) as handle:
 
             def hammer(idx: int) -> None:
                 try:
@@ -477,7 +512,7 @@ class TestLifecycle:
     def test_drain_answers_accepted_requests(self, serve_dir):
         """Shutdown mid-queue: everything already accepted is answered
         before the socket goes away."""
-        with start_server(serve_dir, max_concurrency=1) as handle:
+        with start_server(serve_dir, workers=1) as handle:
             client = ServeClient(handle.socket_path)
             rids = [
                 client.submit("simulate", sim_params(seed=seed))
@@ -496,7 +531,7 @@ class TestLifecycle:
         assert not (serve_dir / "serve.sock").exists()
 
     def test_requests_after_shutdown_are_rejected(self, serve_dir):
-        with start_server(serve_dir, max_concurrency=1) as handle:
+        with start_server(serve_dir, workers=1) as handle:
             client = ServeClient(handle.socket_path)
             # Queue enough work that the drain is still in progress
             # when the post-shutdown request arrives.
@@ -512,7 +547,7 @@ class TestLifecycle:
             client.close()
 
     def test_deadline_miss_rejects_the_wait_not_the_work(self, serve_dir):
-        with start_server(serve_dir, journal=True, max_concurrency=1) as handle:
+        with start_server(serve_dir, journal=True, workers=1) as handle:
             with ServeClient(handle.socket_path) as client:
                 # Occupy the only slot, then ask for the impossible.
                 first = client.submit("simulate", sim_params())

@@ -12,8 +12,9 @@ The supervision contract under test:
 3. **Backpressure** — past ``max_backlog`` requests are shed with a
    structured ``overloaded`` error carrying a retry-after hint, never
    queued without bound.
-4. **Graceful degradation** — repeated respawns flip the daemon onto
-   its in-process thread path; requests keep getting answered.
+4. **Degradation** — repeated respawns mark the pool degraded:
+   compute requests get an ``unavailable`` answer, a job out of
+   retries a ``failed`` one, and ``ping``/``stats`` keep working.
 5. **Lifecycle** — SIGTERM drains a real daemon process gracefully and
    flushes ``--metrics-json``; the client survives one reconnect.
 
@@ -86,12 +87,17 @@ class TestWorkerPool:
         assert stats["counters"]["sims_run"] == 1
         assert stats["counters"]["tbpoint_runs"] == 1
 
-    def test_workers_zero_keeps_thread_path(self, tmp_path):
-        with start_server(tmp_path, workers=0) as handle:
-            with ServeClient(handle.socket_path) as client:
-                client.simulate(**sim_params())
-                stats = client.stats()
-        assert "workers" not in stats
+    def test_stopped_pool_closes_its_wake_pipe(self, tmp_path):
+        """Every daemon runs a pool, so a pipe left open per stop leaks
+        two descriptors per server lifetime."""
+        from repro.serve import SupervisorConfig, WorkerSupervisor
+
+        pool = WorkerSupervisor(
+            SupervisorConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        )
+        pool.start()
+        pool.stop()
+        assert pool._wake_r.closed and pool._wake_w.closed
 
     def test_bad_request_rejected_without_retry(self, tmp_path):
         """A RequestError raised inside a worker is the request's own
@@ -111,7 +117,7 @@ class TestCrashIsolation:
     def test_crashed_worker_respawned_and_request_retried(self, tmp_path):
         plan = FaultPlan(faults=(Fault(CRASH, 0, 0),))
         with start_server(
-            tmp_path, workers=2, fault_plan=plan, worker_retries=2
+            tmp_path, workers=2, fault_plan=plan, retries=2
         ) as handle:
             with ServeClient(handle.socket_path) as client:
                 served = client.simulate(**sim_params(seed=11))
@@ -133,7 +139,7 @@ class TestCrashIsolation:
         plan = FaultPlan(faults=(Fault(CRASH, 0, 0),))
         params = sim_params(seed=21)
         with start_server(
-            tmp_path, workers=1, fault_plan=plan, worker_retries=2
+            tmp_path, workers=1, fault_plan=plan, retries=2
         ) as handle:
             with ServeClient(handle.socket_path) as client:
                 rids = [client.submit("simulate", params) for _ in range(4)]
@@ -154,7 +160,7 @@ class TestHangDetection:
             workers=2,
             fault_plan=plan,
             hang_timeout=1.0,
-            worker_retries=2,
+            retries=2,
         ) as handle:
             with ServeClient(handle.socket_path) as client:
                 served = client.simulate(**sim_params(seed=31))
@@ -192,10 +198,11 @@ class TestBackpressure:
 
 
 class TestGracefulDegradation:
-    def test_repeated_crashes_degrade_to_thread_path(self, tmp_path):
+    def test_repeated_crashes_answer_unavailable(self, tmp_path):
         """A worker-killing environment (every attempt crashes) flips
-        the pool into degraded mode; the daemon answers everything on
-        its in-process path, bit-identically."""
+        the pool into degraded mode for good: the job in flight and
+        every later compute request get an ``unavailable`` answer,
+        while ``ping`` and ``stats`` keep working."""
         plan = FaultPlan(
             faults=tuple(Fault(CRASH, 0, a) for a in range(4))
         )
@@ -203,24 +210,30 @@ class TestGracefulDegradation:
             tmp_path,
             workers=1,
             fault_plan=plan,
-            worker_retries=3,
+            retries=3,
             degrade_after=2,
         ) as handle:
             with ServeClient(handle.socket_path) as client:
-                served = client.simulate(**sim_params(seed=51))
-                # Degraded now: later requests skip the pool entirely.
-                later = client.simulate(**sim_params(seed=52))
+                with pytest.raises(ServeError) as first:
+                    client.simulate(**sim_params(seed=51))
+                # Degraded now: later requests never reach a worker.
+                with pytest.raises(ServeError) as later:
+                    client.simulate(**sim_params(seed=52))
+                assert client.ping()["protocol"] >= 1
                 stats = client.stats()
-        assert payloads_equal(served, direct(sim_params(seed=51)))
-        assert payloads_equal(later, direct(sim_params(seed=52)))
+        for excinfo in (first, later):
+            assert excinfo.value.kind == "unavailable"
+            assert excinfo.value.retry_after is None
+            assert "degraded" in str(excinfo.value)
         assert stats["workers"]["degraded"]
         assert stats["workers"]["degrade_reason"]
-        assert stats["counters"]["degraded_fallbacks"] >= 2
+        assert stats["counters"]["errors"] == 2
+        assert stats["counters"]["sims_run"] == 0
 
-    def test_retry_budget_exhaustion_falls_back_in_process(self, tmp_path):
+    def test_retry_budget_exhaustion_answers_failed(self, tmp_path):
         """Crashes consume the per-job budget without tripping the
-        degrade threshold: the job's final fallback runs in-process
-        and the pool stays up for the next request."""
+        degrade threshold: the job fails with the last worker error and
+        the pool stays up for the next request."""
         plan = FaultPlan(
             faults=tuple(Fault(CRASH, 0, a) for a in range(2))
         )
@@ -228,18 +241,24 @@ class TestGracefulDegradation:
             tmp_path,
             workers=1,
             fault_plan=plan,
-            worker_retries=1,
+            retries=1,
             degrade_after=10,
         ) as handle:
             with ServeClient(handle.socket_path) as client:
-                served = client.simulate(**sim_params(seed=61))
+                with pytest.raises(ServeError) as excinfo:
+                    client.simulate(**sim_params(seed=61))
                 clean = client.simulate(**sim_params(seed=62))
+                assert client.ping()["protocol"] >= 1
                 stats = client.stats()
-        assert payloads_equal(served, direct(sim_params(seed=61)))
+        assert excinfo.value.kind == "failed"
+        assert excinfo.value.retry_after is None
+        assert "2 worker attempt(s)" in str(excinfo.value)
+        assert "worker died" in str(excinfo.value)
         assert payloads_equal(clean, direct(sim_params(seed=62)))
-        assert stats["counters"]["worker_exhausted_fallbacks"] == 1
         assert not stats["workers"]["degraded"]
         assert stats["workers"]["failures"] == 1
+        assert stats["counters"]["errors"] == 1
+        assert stats["counters"]["sims_run"] == 1
 
 
 class TestChaosGate:
@@ -264,7 +283,7 @@ class TestChaosGate:
             tmp_path,
             workers=2,
             fault_plan=plan,
-            worker_retries=2,
+            retries=2,
             hang_timeout=1.0,
             metrics_json=str(metrics),
         ) as handle:
@@ -428,7 +447,7 @@ class TestRequestCLI:
         """The machine-readable classification rides the wire: a
         draining server refuses compute with ``error_kind: draining``
         and the client surfaces it as ``ServeError.kind``."""
-        with start_server(tmp_path, max_concurrency=1) as handle:
+        with start_server(tmp_path, workers=1) as handle:
             client = ServeClient(handle.socket_path)
             # Queue enough work that the drain is still in progress
             # when the post-shutdown request arrives.
