@@ -51,7 +51,10 @@ CI guard against hot-path regressions, now covering one compute-bound
 and one memory-bound kernel.  It also times a sampled run (a
 ``RegionSampler`` that skips nothing) against an unsampled run of the
 same launch and fails when that ratio rises >30% above its pin, the
-guard that keeps sampled launches on the fast window loop.
+guard that keeps sampled launches on the fast window loop.  Recorded
+runs (the Random and Ideal-SimPoint baselines' per-unit measurement)
+get the same guard: a run with a ``FixedUnitRecorder`` against a plain
+run of the same launch, pinned as ``recorder_overhead``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.analysis.report import render_table
 from repro.config import GPUConfig
 from repro.core import RegionSampler
 from repro.profiler import profile_launch
-from repro.sim.gpu import GPUSimulator
+from repro.sim.gpu import FixedUnitRecorder, GPUSimulator
 from repro.workloads import get_workload
 
 from conftest import emit
@@ -90,7 +93,8 @@ RECORD_KEYS = ("method", "reps", "cpus", "kernels", "best_speedup")
 SMOKE_BASELINE = Path(__file__).resolve().parent / "sim_smoke_baseline.json"
 
 #: A >30% relative-throughput drop against the checked-in baseline
-#: fails CI; so does a sampled/plain time ratio >30% above its pin.
+#: fails CI; so does a sampled/plain or recorded/plain time ratio >30%
+#: above its pin.
 SMOKE_TOLERANCE = 0.30
 
 
@@ -187,38 +191,67 @@ def bench_launch(launch, reps: int = REPS, gpu: GPUConfig | None = None):
     }
 
 
+def _paired_ratio(run, reps: int):
+    """Median, over order-alternating paired reps, of the time of
+    ``run(True)`` over the time of ``run(False)``.  ``run`` returns
+    ``(seconds, result)``; both sides must simulate identically."""
+    run(False)  # warm-up (untimed)
+    run(True)
+    ratios = []
+    orders = ((False, True), (True, False))
+    for rep in range(reps):
+        seconds = {}
+        results = {}
+        for mode in orders[rep % len(orders)]:
+            seconds[mode], results[mode] = run(mode)
+        assert _fingerprint(results[True]) == _fingerprint(results[False])
+        ratios.append(seconds[True] / seconds[False])
+    return median(ratios)
+
+
 def sampler_overhead(launch, reps: int = REPS, gpu: GPUConfig | None = None):
-    """Median, over order-alternating paired reps, of the time of a run
-    under a :class:`RegionSampler` that skips nothing (every block's
-    region is -1) over the time of a ``sampler=None`` run of the same
-    launch on the same simulator.  Both must simulate identically, so
-    the ratio is the pure cost of carrying the sampler hooks."""
+    """Time of a run under a :class:`RegionSampler` that skips nothing
+    (every block's region is -1) over the time of a ``sampler=None``
+    run of the same launch on the same simulator (:func:`_paired_ratio`):
+    the pure cost of carrying the sampler hooks."""
     gpu = gpu or GPUConfig()
     sim = GPUSimulator(gpu)
     n = launch.num_blocks
     insts = profile_launch(launch).warp_insts
     occupancy = gpu.system_occupancy(launch.warps_per_block)
 
-    def run(mode):
+    def run(sampled):
         sampler = None
-        if mode == "sampled":
+        if sampled:
             sampler = RegionSampler(np.full(n, -1), insts, occupancy=occupancy)
         t0 = time.perf_counter()
         result = sim.run_launch(launch, sampler=sampler)
         return time.perf_counter() - t0, result
 
-    run("plain")  # warm-up (untimed)
-    run("sampled")
-    ratios = []
-    orders = (("plain", "sampled"), ("sampled", "plain"))
-    for rep in range(reps):
-        seconds = {}
-        results = {}
-        for mode in orders[rep % len(orders)]:
-            seconds[mode], results[mode] = run(mode)
-        assert _fingerprint(results["sampled"]) == _fingerprint(results["plain"])
-        ratios.append(seconds["sampled"] / seconds["plain"])
-    return median(ratios)
+    return _paired_ratio(run, reps)
+
+
+def recorder_overhead(launch, reps: int = REPS, gpu: GPUConfig | None = None,
+                      units: int = 100):
+    """Time of a run with a :class:`FixedUnitRecorder` (``units`` units
+    of equal size, BBVs recorded, as the baselines record them) over
+    the time of a plain run of the same launch on the same simulator
+    (:func:`_paired_ratio`): the cost of the recorded route."""
+    sim = GPUSimulator(gpu or GPUConfig())
+    unit_insts = max(1, int(profile_launch(launch).warp_insts.sum()) // units)
+
+    def run(recorded):
+        recorder = None
+        if recorded:
+            recorder = FixedUnitRecorder(unit_insts, launch.num_bbs)
+        t0 = time.perf_counter()
+        result = sim.run_launch(launch, recorder=recorder)
+        seconds = time.perf_counter() - t0
+        if recorder is not None:
+            assert sum(u.insts for u in recorder.units) == result.issued_warp_insts
+        return seconds, result
+
+    return _paired_ratio(run, reps)
 
 
 def test_sim_hotpath_throughput():
@@ -279,7 +312,8 @@ def test_sim_hotpath_smoke():
     system vs in-process reference, so the check holds on any machine);
     >30% drop on either kernel fails.  The sampled path is held to its
     pinned sampled/plain time ratio (:func:`sampler_overhead`); a rise
-    of >30% above the pin fails."""
+    of >30% above the pin fails, and so is the recorded path
+    (:func:`recorder_overhead`)."""
     baseline = json.loads(SMOKE_BASELINE.read_text())
     rows = []
     failures = []
@@ -300,22 +334,26 @@ def test_sim_hotpath_smoke():
                 f"{rec['speedup']:.3f}x fell below {floor:.3f}x "
                 f"(baseline {entry['speedup']:.3f}x - {SMOKE_TOLERANCE:.0%})"
             )
-    entry = baseline["sampler_overhead"]
-    kernel = get_workload(entry["kernel"], scale=entry["scale"])
-    launch = _materialize(kernel.launches[entry["launch_id"]])
-    ratio = sampler_overhead(launch, reps=max(REPS, 9))
-    ceiling = entry["ratio"] * (1 + SMOKE_TOLERANCE)
-    rows.extend([
-        (f"{entry['kernel']}: sampled/plain now", f"{ratio:.3f}x"),
-        (f"{entry['kernel']}: sampled/plain pin", f"{entry['ratio']:.3f}x"),
-        (f"{entry['kernel']}: ceiling", f"{ceiling:.3f}x"),
-    ])
-    if ratio > ceiling:
-        failures.append(
-            f"{entry['kernel']}: sampled/plain time ratio {ratio:.3f}x rose "
-            f"above {ceiling:.3f}x (pin {entry['ratio']:.3f}x + "
-            f"{SMOKE_TOLERANCE:.0%})"
-        )
+    for key, mode, measure in (
+        ("sampler_overhead", "sampled", sampler_overhead),
+        ("recorder_overhead", "recorded", recorder_overhead),
+    ):
+        entry = baseline[key]
+        kernel = get_workload(entry["kernel"], scale=entry["scale"])
+        launch = _materialize(kernel.launches[entry["launch_id"]])
+        ratio = measure(launch, reps=max(REPS, 9))
+        ceiling = entry["ratio"] * (1 + SMOKE_TOLERANCE)
+        rows.extend([
+            (f"{entry['kernel']}: {mode}/plain now", f"{ratio:.3f}x"),
+            (f"{entry['kernel']}: {mode}/plain pin", f"{entry['ratio']:.3f}x"),
+            (f"{entry['kernel']}: ceiling", f"{ceiling:.3f}x"),
+        ])
+        if ratio > ceiling:
+            failures.append(
+                f"{entry['kernel']}: {mode}/plain time ratio {ratio:.3f}x "
+                f"rose above {ceiling:.3f}x (pin {entry['ratio']:.3f}x + "
+                f"{SMOKE_TOLERANCE:.0%})"
+            )
     emit(render_table(
         ["metric", "value"], rows,
         title="Simulator hot-path smoke vs baseline",

@@ -32,11 +32,16 @@ workers, the sweep commands (``headline``/``sensitivity``/``scaling``)
 checkpoint each completed kernel to a journal, and ``--resume`` picks a
 killed sweep back up without recomputing journaled work — all without
 changing results.
+
+Usage errors — a malformed or out-of-range option, an unknown kernel, a
+launch index past the kernel's last launch — exit 2 through the parser
+with a usage message, never with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -59,8 +64,13 @@ from repro.exec import (
     default_cache_dir,
     default_jobs,
 )
-from repro.sim.memory import MEMORY_FRONT_ENDS
 from repro.workloads import ALL_KERNELS, TABLE_VI
+
+
+class UsageError(Exception):
+    """A command-line mistake found only once a command runs (it needs
+    the built workload, or several options together); ``main`` reports
+    it through the parser, which exits 2."""
 
 
 def _experiment(args: argparse.Namespace) -> ExperimentConfig:
@@ -94,7 +104,7 @@ def _kernels(args: argparse.Namespace) -> tuple[str, ...]:
     names = tuple(args.kernels)
     unknown = set(names) - set(ALL_KERNELS)
     if unknown:
-        raise SystemExit(f"unknown kernels: {sorted(unknown)}")
+        raise UsageError(f"unknown kernels: {sorted(unknown)}")
     return names
 
 
@@ -286,20 +296,12 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
     kernel = get_workload(args.kernel, scale=args.scale, seed=args.seed)
     if not 0 <= args.launch < len(kernel.launches):
-        raise SystemExit(
+        raise UsageError(
             f"launch {args.launch} out of range: {args.kernel} has "
             f"{len(kernel.launches)} launches at this scale"
         )
     launch = kernel.launches[args.launch]
-    if args.block_memo is not None:
-        try:
-            launch.resize_block_memo(args.block_memo or launch.num_blocks)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-    sim = GPUSimulator(
-        GPUConfig(), engine=args.engine, mem_front_end=args.mem_front_end
-    )
-    result = sim.run_launch(launch)
+    result = GPUSimulator(GPUConfig()).run_launch(launch)
     ipc = (
         result.issued_warp_insts / result.wall_cycles
         if result.wall_cycles else 0.0
@@ -307,8 +309,6 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     rows = [
         ("kernel", args.kernel),
         ("launch", str(args.launch)),
-        ("engine", args.engine),
-        ("memory front end", args.mem_front_end),
         ("issued warp insts", f"{result.issued_warp_insts:,}"),
         ("wall cycles", f"{result.wall_cycles:,}"),
         ("warp IPC", f"{ipc:.3f}"),
@@ -361,7 +361,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
             socket_path=args.socket,
             host=args.host,
             port=args.port,
-            block_memo=args.block_memo,
             journal=args.journal,
             cache_dir=args.cache_dir,
             metrics_json=args.metrics_json,
@@ -411,9 +410,11 @@ def cmd_request(args: argparse.Namespace) -> None:
     from repro.serve import ServeClient, ServeError, default_socket_path
 
     if args.host is not None:
-        target = {"host": args.host, "port": args.port}
         if args.port is None:
-            raise SystemExit("--host needs an explicit --port")
+            raise UsageError("--host needs an explicit --port")
+        target = {"host": args.host, "port": args.port}
+    elif args.port is not None:
+        raise UsageError("--port needs --host")
     else:
         target = {
             "socket_path": args.socket or default_socket_path(args.cache_dir)
@@ -421,7 +422,7 @@ def cmd_request(args: argparse.Namespace) -> None:
     params: dict | None = None
     if args.kind in ("simulate", "tbpoint"):
         if not args.kernel:
-            raise SystemExit(f"{args.kind} requests need a kernel")
+            raise UsageError(f"{args.kind} requests need a kernel")
         params = {
             "kernel": args.kernel,
             "scale": args.scale,
@@ -432,7 +433,7 @@ def cmd_request(args: argparse.Namespace) -> None:
         if args.timeout is not None:
             params["timeout"] = args.timeout
     elif args.kernel:
-        raise SystemExit(f"'{args.kind}' requests take no kernel")
+        raise UsageError(f"'{args.kind}' requests take no kernel")
     try:
         with ServeClient(**target) as client:
             result = client.call(args.kind, params)
@@ -488,13 +489,27 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be in 0..65535")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="TBPoint reproduction: regenerate the paper's experiments.",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.125,
+        "--scale", type=_positive_float, default=0.125,
         help="workload scale factor, 1.0 = paper scale (default 0.125)",
     )
     parser.add_argument("--seed", type=int, default=2014)
@@ -508,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the persistent functional-profile cache",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="per-task timeout for batch execution: a worker attempt "
              "running longer is declared hung, the pool is respawned "
              "and the task retried (default: no timeout)",
@@ -558,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("kernel", choices=ALL_KERNELS)
     p.add_argument(
-        "--scales", type=float, nargs="+", metavar="S",
+        "--scales", type=_positive_float, nargs="+", metavar="S",
         default=[0.0625, 0.125, 0.25, 0.5],
         help="workload scales to sweep (default: 0.0625 0.125 0.25 0.5)",
     )
@@ -575,27 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch index within the kernel (default 0)",
     )
     p.add_argument(
-        "--engine", choices=["compact", "reference"], default="compact",
-        help="simulation engine (default compact; reference is its "
-             "equivalence oracle)",
-    )
-    p.add_argument(
-        "--mem-front-end", choices=list(MEMORY_FRONT_ENDS), default="fast",
-        help="memory-hierarchy front end (default fast; reference is "
-             "its equivalence oracle)",
-    )
-    p.add_argument(
         "--mem-stats", action="store_true",
         help="also print memory-hierarchy statistics (L1/L2 hit rates, "
              "DRAM row-hit rate, mean queue delay)",
-    )
-    p.add_argument(
-        "--block-memo", type=int, default=None, metavar="N",
-        help="block-memo window for the simulated launch (0 = the "
-             "launch's full block count; default: keep the built-in "
-             "window).  A pure perf knob: results are bit-identical "
-             "for any window; the block-regenerations row shows the "
-             "re-synthesis it saves",
     )
 
     p = sub.add_parser("cache", help="persistent profile-cache maintenance")
@@ -615,14 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on TCP instead of a unix socket",
     )
     p.add_argument(
-        "--port", type=int, default=0, metavar="N",
+        "--port", type=_port, default=0, metavar="N",
         help="TCP port with --host (0 = ephemeral, printed at startup)",
-    )
-    p.add_argument(
-        "--block-memo", type=int, default=0, metavar="N",
-        help="block-memo window for resident launch traces "
-             "(default 0 = each launch's full block count, i.e. "
-             "regeneration-free)",
     )
     p.add_argument(
         "--journal", action="store_true",
@@ -646,7 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
              "before it fails with error_kind 'failed' (default 2)",
     )
     p.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="SECONDS",
+        "--hang-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="kill a busy worker that goes this long without a "
              "heartbeat and retry its request (default: disabled)",
     )
@@ -658,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
              "0 = unbounded)",
     )
     p.add_argument(
-        "--degrade-after", type=int, default=4, metavar="N",
+        "--degrade-after", type=_positive_int, default=4, metavar="N",
         help="consecutive worker respawns that mark the pool degraded "
              "for good: compute requests then fail with error_kind "
              "'unavailable' (default 4)",
@@ -683,7 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="unix socket of the daemon (default: <cache root>/serve.sock)",
     )
     p.add_argument("--host", default=None, help="connect over TCP instead")
-    p.add_argument("--port", type=int, default=None, metavar="N")
+    p.add_argument(
+        "--port", type=_port, default=None, metavar="N",
+        help="TCP port of the daemon (with --host)",
+    )
     p.add_argument(
         "--launch", type=int, default=0, metavar="N",
         help="launch index for simulate requests (default 0)",
@@ -742,12 +738,15 @@ def _run_profiled(command, args: argparse.Namespace):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.profile:
             rc = _run_profiled(_COMMANDS[args.command], args)
         else:
             rc = _COMMANDS[args.command](args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early; not an error.
         return 0

@@ -66,15 +66,14 @@ class JobRunner:
 
     * one engine, the system simulator on the default
       :class:`~repro.config.GPUConfig`, built on first use;
-    * resident kernel traces per (kernel, scale, seed) with block-memo
-      windows enlarged to ``block_memo`` (0 = each launch's full block
-      count);
+    * resident kernel traces per (kernel, scale, seed) with each
+      launch's block-memo window enlarged to its full block count, so
+      warm traces never re-synthesize a block;
     * functional profiles: in-memory mirror over the persistent
       on-disk :class:`~repro.exec.cache.ProfileCache`.
     """
 
-    def __init__(self, block_memo: int = 0, cache_dir: str | None = None):
-        self.block_memo = block_memo
+    def __init__(self, cache_dir: str | None = None):
         self._engine: GPUSimulator | None = None
         self._kernels: dict[tuple, KernelTrace] = {}
         self._profiles: dict[str, KernelProfile] = {}
@@ -92,7 +91,7 @@ class JobRunner:
             return kernel, True
         kernel = get_workload(norm["kernel"], scale=norm["scale"], seed=norm["seed"])
         for launch in kernel.launches:
-            launch.resize_block_memo(self.block_memo or launch.num_blocks)
+            launch.resize_block_memo(launch.num_blocks)
         self._kernels[key] = kernel
         return kernel, False
 

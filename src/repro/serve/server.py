@@ -91,7 +91,7 @@ class ServeConfig(SupervisorConfig):
     """How one server process runs: the worker-pool settings of
     :class:`~repro.serve.supervisor.SupervisorConfig` (``workers``,
     ``retries``, ``hang_timeout``, ``max_backlog``, ``degrade_after``,
-    ``block_memo``, ``cache_dir``, ``fault_plan``) plus the daemon's
+    ``cache_dir``, ``fault_plan``) plus the daemon's
     own.
 
     Attributes
@@ -530,7 +530,6 @@ class Server:
             "pid": os.getpid(),
             "uptime_s": time.monotonic() - self._t0,  # uptime metric  # lint: disable=DET001
             "draining": self._draining,
-            "block_memo": self.config.block_memo,
             "journal": self._journal is not None,
             "journal_entries": len(self._journal_results),
             "counters": self.counters.as_dict(),

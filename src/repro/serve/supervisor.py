@@ -131,10 +131,6 @@ class SupervisorConfig:
     degrade_after:
         Consecutive worker respawns (no job completed in between) that
         flip the pool into degraded mode.
-    block_memo:
-        Block-memo window applied to every resident launch trace in a
-        worker's :class:`JobRunner`.  0 (default) sizes each launch's
-        window to its full block count — regeneration-free traces.
     cache_dir:
         Override the persistent cache root (profiles; the daemon also
         keeps its journals there).
@@ -148,7 +144,6 @@ class SupervisorConfig:
     hang_timeout: float | None = None
     max_backlog: int = 32
     degrade_after: int = 4
-    block_memo: int = 0
     cache_dir: str | None = None
     fault_plan: FaultPlan | None = None
 
@@ -163,8 +158,6 @@ class SupervisorConfig:
             raise ValueError("max_backlog must be >= 0 (0 = unbounded)")
         if self.degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
-        if self.block_memo < 0:
-            raise ValueError("block_memo must be >= 0 (0 = full launch)")
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +168,6 @@ class _WorkerConfig:
     """What one worker process needs to build its warm state (picklable
     for both fork and spawn start methods)."""
 
-    block_memo: int = 0
     cache_dir: str | None = None
     fault_plan: FaultPlan | None = None
 
@@ -191,7 +183,7 @@ def _worker_main(conn: Connection, cfg: _WorkerConfig) -> None:
     # fork, deadlocks on) first-import cost mid-request.
     import repro.core.pipeline  # noqa: F401
 
-    runner = JobRunner(block_memo=cfg.block_memo, cache_dir=cfg.cache_dir)
+    runner = JobRunner(cache_dir=cfg.cache_dir)
     try:
         conn.send(("ready", os.getpid()))
         while True:
@@ -379,7 +371,6 @@ class WorkerSupervisor:
         """Start one worker process (lock held by caller)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         cfg = _WorkerConfig(
-            block_memo=self.config.block_memo,
             cache_dir=self.config.cache_dir,
             fault_plan=self.config.fault_plan,
         )

@@ -7,13 +7,18 @@ its earliest-ready resident warp — then reschedules the SM for
 O(instructions x log) with idle cycles skipped by construction, per the
 HPC guideline of spending time only where work happens.
 
-Two engines share the same dispatch/retire/sampling machinery and are
-bit-identical by construction:
+Two issue loops share the same dispatch/retire/sampling machinery and
+are bit-identical by construction:
 
-* ``"reference"`` — the original per-instruction loop: one heap event,
-  one warp instruction.  Warp state is materialized as plain Python
-  lists, converted per thread block from the numpy trace.
-* ``"compact"`` (default) — the interned, segment-compacted hot path:
+* the **per-instruction loop** (``engine="reference"``): one heap
+  event, one warp instruction.  Warp state is materialized as plain
+  Python lists, converted per thread block from the numpy trace.  It
+  is the equivalence oracle, and it also runs every launch that
+  observes global order at each instruction: launches with a
+  :class:`FixedUnitRecorder` and launches under the ``lrr`` scheduler.
+* the **window loop** (``engine="compact"``, the default) runs every
+  other launch — full runs and TBPoint's sampled runs under the
+  ``oldest`` scheduler:
 
   - **trace interning**: each unique warp trace (keyed by the identity
     of its shared ``op``/``bb`` arrays) is converted to list form once
@@ -25,24 +30,22 @@ bit-identical by construction:
     consecutive non-memory instructions carry a prefix-sum of
     issue-to-issue stall deltas, so one heap event can retire a whole
     segment wherever that is provably timing-equivalent (bounded by the
-    SM's next-ready warp and — when a recorder observes every
-    instruction — the next global event);
+    SM's next-ready warp);
   - **windowed issue**: one global event per SM *window*; the SM's
-    warp pool (a per-SM binary heap in the specialized window loop,
-    which runs every recorder-free ``oldest`` launch, sampled or not)
-    is simulated in a tight local loop that defers back to the global
-    heap only at *barrier* instructions (memory ops, block-retiring
-    final instructions, and every instruction under a recorder);
-  - **lazy ``issued``**: a sampler on the window loop sees the exact
-    machine-wide issued count at each retirement, recomputed from the
-    other SMs' recorded run-ahead tails only when a hook fires;
+    warp pool (a per-SM binary heap) is simulated in a tight local loop
+    that defers back to the global heap only at *barrier* instructions
+    (memory ops and block-retiring final instructions);
+  - **lazy ``issued``**: a sampler sees the exact machine-wide issued
+    count at each retirement, recomputed from the other SMs' recorded
+    run-ahead tails only when a hook fires;
   - **observability**: :class:`SimCounters` tallies events, heap
     pushes, segment/interning hits and memory-batching engagement and
-    is attached to the :class:`LaunchResult`.
+    is attached to the :class:`LaunchResult` (``None`` for launches the
+    per-instruction loop runs).
 
 The timing-equivalence argument lives in DESIGN.md ("Simulator hot
 path"); ``tests/test_sim_compaction.py`` property-checks the two
-engines against each other.
+loops against each other.
 
 Sampling support (Section IV-B2):
 
@@ -63,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -80,14 +83,10 @@ _INF = float("inf")
 #: guards against pathological synthetic inputs.
 _INTERN_CACHE_MAX = 1024
 
-#: Below this many instructions a Python loop beats ``np.bincount`` for
-#: accumulating a segment's basic-block counts.
-_BINCOUNT_MIN = 24
-
 
 @dataclass
 class SimCounters:
-    """Hot-loop statistics of one ``run_launch`` call (compact engine).
+    """Hot-loop statistics of one ``run_launch`` call on the window loop.
 
     Attached to :class:`LaunchResult.counters`; useful for verifying
     that the fast paths actually engage on a given workload before
@@ -100,7 +99,6 @@ class SimCounters:
     segment_insts: int = 0
     interning_hits: int = 0
     interning_misses: int = 0
-    rounds_sorted: int = 0
     #: Warp memory instructions issued and the line transactions they
     #: expanded to (``mem_txns / mem_insts`` = transactions per memory
     #: instruction, the batching exposure of the launch).
@@ -146,8 +144,7 @@ class _TraceTable:
     """
 
     __slots__ = (
-        "n", "stall", "cum", "bb", "bb_np", "pos", "pos_np", "m",
-        "batchable", "_refs",
+        "n", "stall", "cum", "pos", "pos_np", "m", "batchable", "_refs",
     )
 
     def __init__(self, op: np.ndarray, bb: np.ndarray, pos_np: np.ndarray):
@@ -158,8 +155,6 @@ class _TraceTable:
         self.pos_np = pos_np
         self.pos = pos_np.tolist()
         self.m = len(self.pos)
-        self.bb_np = bb
-        self.bb = bb.tolist()
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(np.maximum(stall_np, 1), out=cum[1:])
@@ -186,8 +181,8 @@ class _WarpState:
     """
 
     __slots__ = (
-        "n", "m", "stall", "cum", "pos", "bb", "bb_np",
-        "batchable", "mreq", "maddr", "mspread", "tb",
+        "n", "m", "stall", "cum", "pos", "batchable",
+        "mreq", "maddr", "mspread", "tb",
     )
 
     def __init__(self, tbl: _TraceTable, mreq, maddr, mspread, tb: "_TBState"):
@@ -196,8 +191,6 @@ class _WarpState:
         self.stall = tbl.stall
         self.cum = tbl.cum
         self.pos = tbl.pos
-        self.bb = tbl.bb
-        self.bb_np = tbl.bb_np
         self.batchable = tbl.batchable
         self.mreq = mreq
         self.maddr = maddr
@@ -381,13 +374,15 @@ class GPUSimulator:
     """Trace-driven, event-driven multi-SM GPU timing simulator.
 
     ``engine`` selects the hot-loop implementation: ``"compact"`` (the
-    default interned/segment-compacted path) or ``"reference"`` (the
-    original per-instruction loop).  ``mem_front_end`` independently
-    selects the memory hierarchy implementation: ``"fast"`` (the
-    default batched front end) or ``"reference"`` (the pre-fast-path
-    oracle).  All engine x front-end combinations produce bit-identical
-    :class:`LaunchResult`\\ s; the reference engine sets ``counters``
-    to ``None``.
+    default: the window loop, with launches that carry a recorder or
+    run under the ``lrr`` scheduler delegated to the per-instruction
+    loop) or ``"reference"`` (the per-instruction loop for every
+    launch).  ``mem_front_end`` independently selects the memory
+    hierarchy implementation: ``"fast"`` (the default batched front
+    end) or ``"reference"`` (the pre-fast-path oracle).  All engine x
+    front-end combinations produce bit-identical
+    :class:`LaunchResult`\\ s; the per-instruction loop sets
+    ``counters`` to ``None``.
     """
 
     ENGINES = ("compact", "reference")
@@ -420,7 +415,6 @@ class GPUSimulator:
         sampler: DispatchSampler | None = None,
         recorder: FixedUnitRecorder | None = None,
         reset_memory: bool = True,
-        engine: str | None = None,
     ) -> LaunchResult:
         """Simulate one kernel launch.
 
@@ -434,29 +428,31 @@ class GPUSimulator:
             sampling).  ``None`` simulates everything at full speed.
         recorder:
             Optional fixed-size-unit recorder (baseline measurement).
+            A recorded launch runs on the per-instruction loop.
         reset_memory:
             Invalidate caches and DRAM bank state first, making every
             launch's timing independent of simulation order (required
             for representative-launch sampling to be meaningful).
-        engine:
-            Per-call engine override (``"compact"`` / ``"reference"``).
         """
-        engine = engine or self.engine
-        if engine == "reference":
+        if (
+            self.engine == "reference"
+            or recorder is not None
+            or self.config.scheduler == "lrr"
+        ):
+            # A recorder observes the global order of every instruction
+            # and lrr renumbers a warp's priority at every issue, so the
+            # per-instruction loop is the natural engine for both.
             return self._run_launch_reference(launch, sampler, recorder, reset_memory)
-        if engine != "compact":
-            raise ValueError(f"unknown engine {engine!r}; choose from {self.ENGINES}")
-        return self._run_launch_compact(launch, sampler, recorder, reset_memory)
+        return self._run_launch_compact(launch, sampler, reset_memory)
 
     # ------------------------------------------------------------------
-    # Compact engine: interned traces + segment-compacted issue loop.
+    # Compact engine: interned traces + the per-SM window loop.
     # ------------------------------------------------------------------
 
     def _run_launch_compact(
         self,
         launch: LaunchTrace,
         sampler: DispatchSampler | None,
-        recorder: FixedUnitRecorder | None,
         reset_memory: bool,
     ) -> LaunchResult:
         cfg = self.config
@@ -466,27 +462,14 @@ class GPUSimulator:
         occ = cfg.sm_occupancy(launch.warps_per_block)
         num_blocks = launch.num_blocks
 
-        # Per-SM warp pool.  Entries are mutable lists
+        # Per-SM warp pool: a binary heap of mutable entries
         # ``[ready, seq, warp, pc, stall, stop_pc, n, mi]`` reused
         # across re-queues; ``seq`` is globally unique, so comparisons
         # never reach the warp object.  ``stop_pc`` is the next pc that
         # needs special handling — the warp's next memory instruction or
         # its final instruction, whichever comes first — so the hot loop
         # pays one comparison for both cases.
-        #
-        # Dispatch stages fresh entries in ``nxts[si]`` (min ready time
-        # in ``nxtmins[si]``).  The specialized window loop converts
-        # the staged entries into per-SM binary heaps and keeps them
-        # there; the general loop (recorder / lrr) consumes a
-        # *round* structure instead: ``rnds[si]`` is a sorted list read
-        # through cursor ``ris[si]``, re-queues collect unsorted in
-        # ``nxts[si]``, and the two merge whenever a re-queued entry
-        # ties or beats the sorted head (``nxtmin <= head.ready``) — so
-        # extraction order equals heap order in both cases.
-        rnds: list[list] = [[] for _ in range(num_sms)]
-        ris = [0] * num_sms
-        nxts: list[list] = [[] for _ in range(num_sms)]
-        nxtmins = [_INF] * num_sms
+        whs: list[list] = [[] for _ in range(num_sms)]
         resident = [0] * num_sms
         per_sm_issued = [0] * num_sms
         per_sm_last = [-1] * num_sms
@@ -630,19 +613,15 @@ class GPUSimulator:
                 dispatch_free = start + 4
                 block: BlockTrace = get_block(tb_id)
                 tbst = _TBState(tb_id, len(block.warps))
-                nxt = nxts[si]
-                nm = nxtmins[si]
+                wh = whs[si]
                 r0 = start
                 for w in make_block(block, tbst):
-                    nxt.append([
+                    heappush(wh, [
                         r0, seq_counter, w, 0, w.stall,
                         w.pos[0] if w.m else w.n - 1, w.n, 0,
                     ])
                     seq_counter += 1
-                    if r0 < nm:
-                        nm = r0
                     r0 += 2
-                nxtmins[si] = nm
                 resident[si] += 1
                 if has_sampler and specified_tb < 0:
                     specified_tb = tb_id
@@ -672,7 +651,7 @@ class GPUSimulator:
                 if not dispatch_to(si, 0, 0):
                     break
 
-        event_heap: list = [(0, si) for si in range(num_sms) if nxts[si]]
+        event_heap: list = [(0, si) for si in range(num_sms) if whs[si]]
 
         # Hot-loop local bindings.
         mem = self.mem
@@ -680,15 +659,6 @@ class GPUSimulator:
         pop, push = heappop, heappush
         replace = heapreplace
         bisect = bisect_left
-        lrr = cfg.scheduler == "lrr"
-        rec = recorder
-        rec_on = rec is not None
-        if rec_on:
-            rec_bbv = rec.cur_bbv
-            rec_nbb = rec.num_bbs
-            rec_unit = rec.unit_insts
-            rec_left = rec_unit
-            rec_flush = rec.flush
         wall = 0
 
         # Counter locals (folded into SimCounters at the end).
@@ -698,7 +668,6 @@ class GPUSimulator:
         n_seg_insts = 0
         n_mem = 0
         n_txn = 0
-        n_rounds = 0
 
         # Fast-path engagement snapshot: the hierarchy's counters are
         # cumulative over the simulator's lifetime (reset() zeroes them
@@ -711,31 +680,17 @@ class GPUSimulator:
         # One global event per SM *window*, not per instruction.  Warps
         # on one SM interact with the rest of the machine only through
         # (a) memory instructions (shared L2/DRAM state and its
-        # access-order-dependent timing), (b) thread-block retirement
-        # (global dispatch bookkeeping and the sampler hooks that fire
-        # there), and (c) a recorder (which observes the global order of
-        # every instruction).  Everything else is private to the SM, so
-        # a window simulates the SM's own warp pool in a tight local loop
+        # access-order-dependent timing) and (b) thread-block
+        # retirement (global dispatch bookkeeping and the sampler hooks
+        # that fire there).  Everything else is private to the SM, so a
+        # window simulates the SM's own warp pool in a tight local loop
         # and only defers back to the global heap when one of those
         # *barrier* instructions would run at or past the next global
-        # event.  On the general loop below a sampler also makes every
-        # instruction a barrier (``barrier_all``): it runs there only
-        # under lrr, where no run-ahead record exists.
-        barrier_all = has_sampler or rec_on
-
-        # ---- specialized window loop: no recorder, default scheduler ----
-        # The common experiment configurations — full runs and TBPoint's
-        # sampled runs, both with "oldest" scheduling — get a copy of the
-        # window loop with every per-instruction conditional that is
-        # constant in that mode removed: no recorder accounting, no lrr
-        # sequence renumbering, and the issued/busy-cycle tallies
-        # accumulate in window-local variables flushed at window end
-        # instead of per instruction.  The window-entry exemption
-        # ("first") collapses to a constant per-window defer threshold
-        # (the global heap only changes at defers).  It drains the event
-        # heap completely, so the general loop below is skipped; results
-        # are bit-identical to both the general loop and the reference
-        # engine.
+        # event.  The issued/busy-cycle tallies accumulate in
+        # window-local variables flushed at window end instead of per
+        # instruction, and the barrier threshold is constant per window
+        # (the global heap only changes at defers).  Results are
+        # bit-identical to the per-instruction loop.
         #
         # Lazy ``issued``: a sampler reads ``(now, issued)`` only in hooks
         # that fire at block retirement, at the cycle-0 fill and at
@@ -754,322 +709,87 @@ class GPUSimulator:
         # record threshold ``tbar`` stays infinite and nothing is
         # written.
         #
-        # Pool structure: each SM's warp pool is a binary heap of the
-        # mutable entries — one C-level heapreplace per requeue.  Any
-        # pool structure that extracts strictly in (ready, seq) order
-        # yields identical results, so the choice is invisible in the
-        # output; it is a pure performance decision.  The round
-        # structure the general loop below uses (sorted list consumed
-        # through a cursor, plus an unsorted spill) was measured
-        # against the heap on all twelve registry kernels: DRAM
-        # completion jitter preempts the round head on nearly every
-        # memory return, degenerating rounds into per-issue
-        # insorts/re-sorts, and the heap won everywhere — 0.65-0.99x
-        # of the round time, worst exactly on the memory-bound kernels
-        # this PR targets (DESIGN.md §8).
-        if not rec_on and not lrr:
-            whs = []
-            for si in range(num_sms):
-                wh = nxts[si]
-                nxts[si] = []
-                nxtmins[si] = _INF
-                heapify(wh)
-                whs.append(wh)
-            tail_runs: list[list] = [[] for _ in range(num_sms)]
-            tail_segs: list[list] = [[] for _ in range(num_sms)]
-            tbar = _INF
+        # Pool structure: any structure that extracts strictly in
+        # (ready, seq) order yields identical results, so the choice is
+        # a pure performance decision.  A round structure (a sorted list
+        # consumed through a cursor, plus an unsorted spill) was
+        # measured against the heap on all twelve registry kernels:
+        # DRAM completion jitter preempts the round head on nearly every
+        # memory return, and the heap won everywhere — 0.65-0.99x of
+        # the round time (DESIGN.md §8).
+        tail_runs: list[list] = [[] for _ in range(num_sms)]
+        tail_segs: list[list] = [[] for _ in range(num_sms)]
+        tbar = _INF
 
-            def ahead(si: int, t: int) -> int:
-                """Tail instructions ordered after (t, si) in (cycle,
-                sm) order.  SM si's own tail is empty here: its retires
-                run at t < hbar, before any tail entry of its window."""
-                n = 0
-                for sj in range(num_sms):
-                    thr = t if sj > si else t + 1
-                    for a, b in reversed(tail_runs[sj]):
-                        if b <= thr:
-                            break
-                        n += b - (a if a > thr else thr)
-                    for last, t0, cum, pc, idx in reversed(tail_segs[sj]):
-                        if last < thr:
-                            break
-                        n += idx - bisect_left(cum, cum[pc] + thr - t0, pc, idx)
-                return n
-
-            # lint: hot
-            while event_heap:
-                n_events += 1
-                t, si = pop(event_heap)
-                wh = whs[si]
-                if not wh:
-                    continue
-                # Barrier threshold: constant per window (the global
-                # heap only changes at defers).  A barrier at t >= hbar
-                # would run at/past the next global event, so it defers
-                # and lets (cycle, sm) order decide, exactly as the
-                # reference heap does.
-                if event_heap:
-                    h = event_heap[0]
-                    hbar = h[0] if h[1] < si else h[0] + 1
-                else:
-                    hbar = _INF
-                if has_sampler:
-                    tbar = hbar
-                    tail_runs[si].clear()
-                    tail_segs[si].clear()
-                wi = 0
-                wlast = -1
-                # Tail runs: from tbar on, every cycle in [t - wi, t)
-                # issued exactly one instruction, because idle skips and
-                # recorded segments flush ``wi`` (an unrecorded segment
-                # ends before tbar).  So runs are written only there and
-                # at window end, never per instruction.
-                while True:  # issue slots within this SM's window
-                    e = wh[0]
-                    r = e[0]
-                    if r > t:
-                        # Idle skip: flush the contiguous issue streak.
-                        if wi:
-                            if t > tbar:
-                                tail_runs[si].append((t - wi, t))
-                            issued += wi
-                            per_sm_issued[si] += wi
-                            wlast = t - 1
-                            wi = 0
-                        t = r
-                    pc = e[3]
-                    if pc == e[5]:
-                        # ---- stop: next memory op or trace end -------
-                        w = e[2]
-                        mi = e[7]
-                        if mi < w.m and w.pos[mi] == pc:
-                            # Memory instruction (always a barrier).
-                            if t >= hbar:
-                                push(event_heap, (t, si))
-                                n_pushes += 1
-                                break
-                            mr = w.mreq[mi]
-                            done = mem_load(
-                                si, w.maddr[mi], w.mspread[mi], mr, t
-                            )
-                            n_mem += 1
-                            n_txn += mr
-                            mi += 1
-                            e[7] = mi
-                            wi += 1
-                            pc += 1
-                            if pc < e[6]:
-                                e[3] = pc
-                                e[5] = w.pos[mi] if mi < w.m else e[6] - 1
-                                e[0] = done
-                                # In-place root update: if the new key
-                                # stays strictly below both children
-                                # (seq ties are impossible — seqs are
-                                # unique), heapreplace would sift the
-                                # entry straight back to the root and
-                                # leave the array untouched, so skip
-                                # it.  With sibling warps stalled on
-                                # DRAM this is the common case.
-                                n2 = len(wh)
-                                if n2 > 1:
-                                    bound = wh[1][0]
-                                    if n2 > 2:
-                                        b2 = wh[2][0]
-                                        if b2 < bound:
-                                            bound = b2
-                                    if done >= bound:
-                                        replace(wh, e)
-                                t += 1
-                                continue
-                            pop(wh)
-                            tb = w.tb
-                            tb.live -= 1
-                            if tb.live == 0:
-                                retire_tb(
-                                    tb, si, t + 1,
-                                    issued + wi - ahead(si, t)
-                                    if has_sampler else issued,
-                                )
-                                nxt = nxts[si]
-                                if nxt:
-                                    for x in nxt:
-                                        push(wh, x)
-                                    nxt.clear()
-                                    nxtmins[si] = _INF
-                            t += 1
-                            if not wh:
-                                break
-                            continue
-                        # Final (non-memory) instruction; a barrier only
-                        # when it retires the block's last live warp.
-                        tb = w.tb
-                        if tb.live == 1 and t >= hbar:
-                            push(event_heap, (t, si))
-                            n_pushes += 1
-                            break
-                        pop(wh)
-                        wi += 1
-                        tb.live -= 1
-                        if tb.live == 0:
-                            retire_tb(
-                                tb, si, t + 1,
-                                issued + wi - ahead(si, t)
-                                if has_sampler else issued,
-                            )
-                            nxt = nxts[si]
-                            if nxt:
-                                for x in nxt:
-                                    push(wh, x)
-                                nxt.clear()
-                                nxtmins[si] = _INF
-                        t += 1
-                        if not wh:
-                            break
-                        continue
-                    # ---- non-memory, non-final instruction -----------
-                    done = t + e[4][pc]
-                    pc1 = pc + 1
-                    # Segment bound: the pool's next-ready entry after e
-                    # is the smaller of the root's children (e is still
-                    # at the root).  The same bound doubles as the
-                    # in-place-root test: while the updated key stays
-                    # strictly below both children (seq ties impossible,
-                    # seqs are unique), heapreplace would return the
-                    # entry to the root without moving anything else,
-                    # so the heap is left untouched.
-                    n2 = len(wh)
-                    if n2 > 1:
-                        bound = wh[1][0]
-                        if n2 > 2:
-                            b2 = wh[2][0]
-                            if b2 < bound:
-                                bound = b2
-                    else:
-                        bound = _INF
-                    if done < bound:
-                        w = e[2]
-                        if w.batchable:
-                            cum = w.cum
-                            limit = e[5]
-                            base = cum[pc]
-                            idx = pc1
-                            if idx < limit:
-                                idx = bisect(
-                                    cum, base + bound - t, idx + 1, limit
-                                )
-                            u = idx - pc
-                            if u >= 2:
-                                n_seg_hits += 1
-                                n_seg_insts += u
-                                done = t + cum[idx] - base
-                                e[3] = idx
-                                e[0] = done
-                                if done >= bound:
-                                    replace(wh, e)
-                                last = t + cum[idx - 1] - base
-                                if last >= tbar:
-                                    tail_runs[si].append((t - wi, t))
-                                    tail_segs[si].append((last, t, cum, pc, idx))
-                                    issued += wi + u
-                                    per_sm_issued[si] += wi + u
-                                    wlast = last
-                                    wi = 0
-                                else:
-                                    wi += u
-                                t = last + 1
-                                continue
-                        e[3] = pc1
-                        e[0] = done
-                        wi += 1
-                        t += 1
-                        continue
-                    e[3] = pc1
-                    e[0] = done
-                    replace(wh, e)
-                    wi += 1
-                    t += 1
-
-                if wi:
-                    if t > tbar:
-                        tail_runs[si].append((t - wi, t))
-                    issued += wi
-                    per_sm_issued[si] += wi
-                    wlast = t - 1
-                if wlast >= 0:
-                    per_sm_last[si] = wlast
-                    if wlast > wall:
-                        wall = wlast
+        def ahead(si: int, t: int) -> int:
+            """Tail instructions ordered after (t, si) in (cycle,
+            sm) order.  SM si's own tail is empty here: its retires
+            run at t < hbar, before any tail entry of its window."""
+            n = 0
+            for sj in range(num_sms):
+                thr = t if sj > si else t + 1
+                for a, b in reversed(tail_runs[sj]):
+                    if b <= thr:
+                        break
+                    n += b - (a if a > thr else thr)
+                for last, t0, cum, pc, idx in reversed(tail_segs[sj]):
+                    if last < thr:
+                        break
+                    n += idx - bisect_left(cum, cum[pc] + thr - t0, pc, idx)
+            return n
 
         # lint: hot
         while event_heap:
             n_events += 1
             t, si = pop(event_heap)
-            rnd = rnds[si]
-            ri = ris[si]
-            rlen = len(rnd)
-            nxt = nxts[si]
-            # The spill list's identity never changes within a window
-            # (only cleared and refilled), so its bound methods are
-            # looked up once per window, not once per issue slot.
-            nxt_append = nxt.append
-            nxt_clear = nxt.clear
-            nxtmin = nxtmins[si]
-            first = True
-            last_t = -1
+            wh = whs[si]
+            if not wh:
+                continue
+            # Barrier threshold: constant per window (the global
+            # heap only changes at defers).  A barrier at t >= hbar
+            # would run at/past the next global event, so it defers
+            # and lets (cycle, sm) order decide, exactly as the
+            # reference heap does.
+            if event_heap:
+                h = event_heap[0]
+                hbar = h[0] if h[1] < si else h[0] + 1
+            else:
+                hbar = _INF
+            if has_sampler:
+                tbar = hbar
+                tail_runs[si].clear()
+                tail_segs[si].clear()
+            wi = 0
+            wlast = -1
+            # Tail runs: from tbar on, every cycle in [t - wi, t)
+            # issued exactly one instruction, because idle skips and
+            # recorded segments flush ``wi`` (an unrecorded segment
+            # ends before tbar).  So runs are written only there and
+            # at window end, never per instruction.
             while True:  # issue slots within this SM's window
-                # ---- extract the pool minimum ------------------------
-                if ri == rlen:
-                    if not nxt:
-                        break  # SM drained; nothing left to schedule
-                    # Round rebuild: one allocation per *round*, not
-                    # per issue slot — the amortized cost the round
-                    # structure is built on.
-                    rnd = sorted(nxt)  # lint: disable=HOT002
-                    nxt_clear()
-                    rnds[si] = rnd
-                    ri = 0
-                    rlen = len(rnd)
-                    nxtmin = _INF
-                    n_rounds += 1
-                e = rnd[ri]
-                if nxt and nxtmin <= e[0]:
-                    # A re-queued entry ties or beats the sorted head:
-                    # merge so (ready, seq) order is preserved exactly.
-                    # Same once-per-round amortization as above.
-                    rnd = sorted(rnd[ri:] + nxt)  # lint: disable=HOT002
-                    nxt_clear()
-                    rnds[si] = rnd
-                    ri = 0
-                    rlen = len(rnd)
-                    nxtmin = _INF
-                    n_rounds += 1
-                    e = rnd[0]
+                e = wh[0]
                 r = e[0]
                 if r > t:
-                    # Idle skip within the SM: the next slot time moved;
-                    # it no longer holds the priority the popped event
-                    # had, so barriers must be re-validated.
+                    # Idle skip: flush the contiguous issue streak.
+                    if wi:
+                        if t > tbar:
+                            tail_runs[si].append((t - wi, t))
+                        issued += wi
+                        per_sm_issued[si] += wi
+                        wlast = t - 1
+                        wi = 0
                     t = r
-                    first = False
                 pc = e[3]
                 if pc == e[5]:
-                    # ---- stop instruction: next memory op or trace end
+                    # ---- stop: next memory op or trace end -------
                     w = e[2]
                     mi = e[7]
                     if mi < w.m and w.pos[mi] == pc:
                         # Memory instruction (always a barrier).
-                        if not first:
-                            eh = event_heap
-                            if eh and eh[0][0] <= t:
-                                # Would run at/past the next global
-                                # event: leave the entry unconsumed and
-                                # let global order decide (ties break on
-                                # SM id, as the reference heap does).
-                                push(eh, (t, si))
-                                n_pushes += 1
-                                break
-                        first = False
-                        ri += 1
+                        if t >= hbar:
+                            push(event_heap, (t, si))
+                            n_pushes += 1
+                            break
                         mr = w.mreq[mi]
                         done = mem_load(
                             si, w.maddr[mi], w.mspread[mi], mr, t
@@ -1078,179 +798,141 @@ class GPUSimulator:
                         n_txn += mr
                         mi += 1
                         e[7] = mi
-                        issued += 1
-                        per_sm_issued[si] += 1
-                        last_t = t
-                        if rec_on:
-                            rec_bbv[w.bb[pc]] += 1
-                            rec_left -= 1
-                            if rec_left == 0:
-                                rec_bbv = rec_flush(t + 1, rec_unit)
-                                rec_left = rec_unit
+                        wi += 1
                         pc += 1
                         if pc < e[6]:
                             e[3] = pc
                             e[5] = w.pos[mi] if mi < w.m else e[6] - 1
-                            if lrr:
-                                e[1] = seq_counter
-                                seq_counter += 1
                             e[0] = done
-                            nxt_append(e)
-                            if done < nxtmin:
-                                nxtmin = done
-                        else:
-                            tb = w.tb
-                            tb.live -= 1
-                            if tb.live == 0:
-                                nxtmins[si] = nxtmin
-                                retire_tb(tb, si, t + 1, issued)
-                                nxtmin = nxtmins[si]
+                            # In-place root update: if the new key
+                            # stays strictly below both children
+                            # (seq ties are impossible — seqs are
+                            # unique), heapreplace would sift the
+                            # entry straight back to the root and
+                            # leave the array untouched, so skip
+                            # it.  With sibling warps stalled on
+                            # DRAM this is the common case.
+                            n2 = len(wh)
+                            if n2 > 1:
+                                bound = wh[1][0]
+                                if n2 > 2:
+                                    b2 = wh[2][0]
+                                    if b2 < bound:
+                                        bound = b2
+                                if done >= bound:
+                                    replace(wh, e)
+                            t += 1
+                            continue
+                        pop(wh)
+                        tb = w.tb
+                        tb.live -= 1
+                        if tb.live == 0:
+                            retire_tb(
+                                tb, si, t + 1,
+                                issued + wi - ahead(si, t)
+                                if has_sampler else issued,
+                            )
                         t += 1
-                        continue
-                    # Final (non-memory) instruction: retiring the
-                    # block's last live warp mutates global dispatch
-                    # state (a barrier).
-                    tb = w.tb
-                    if (barrier_all or tb.live == 1) and not first:
-                        eh = event_heap
-                        if eh and eh[0][0] <= t:
-                            push(eh, (t, si))
-                            n_pushes += 1
+                        if not wh:
                             break
-                    first = False
-                    ri += 1
-                    issued += 1
-                    per_sm_issued[si] += 1
-                    last_t = t
-                    if rec_on:
-                        rec_bbv[w.bb[pc]] += 1
-                        rec_left -= 1
-                        if rec_left == 0:
-                            rec_bbv = rec_flush(t + 1, rec_unit)
-                            rec_left = rec_unit
-                    tb.live -= 1
-                    if tb.live == 0:
-                        nxtmins[si] = nxtmin
-                        retire_tb(tb, si, t + 1, issued)
-                        nxtmin = nxtmins[si]
-                    t += 1
-                    continue
-                # ---- non-memory, non-final instruction ---------------
-                if barrier_all and not first:
-                    eh = event_heap
-                    if eh and eh[0][0] <= t:
-                        push(eh, (t, si))
+                        continue
+                    # Final (non-memory) instruction; a barrier only
+                    # when it retires the block's last live warp.
+                    tb = w.tb
+                    if tb.live == 1 and t >= hbar:
+                        push(event_heap, (t, si))
                         n_pushes += 1
                         break
+                    pop(wh)
+                    wi += 1
+                    tb.live -= 1
+                    if tb.live == 0:
+                        retire_tb(
+                            tb, si, t + 1,
+                            issued + wi - ahead(si, t)
+                            if has_sampler else issued,
+                        )
+                    t += 1
+                    if not wh:
+                        break
+                    continue
+                # ---- non-memory, non-final instruction -----------
                 done = t + e[4][pc]
                 pc1 = pc + 1
-                first = False
-                ri += 1
-                # Segment extension: bounded by the SM's next-ready
-                # entry — minimum over both pool halves — and, when
-                # hooks observe the global order, the next global event.
-                if ri < rlen:
-                    bound = rnd[ri][0]
-                    if nxtmin < bound:
-                        bound = nxtmin
+                # Segment bound: the pool's next-ready entry after e
+                # is the smaller of the root's children (e is still
+                # at the root).  The same bound doubles as the
+                # in-place-root test: while the updated key stays
+                # strictly below both children (seq ties impossible,
+                # seqs are unique), heapreplace would return the
+                # entry to the root without moving anything else,
+                # so the heap is left untouched.
+                n2 = len(wh)
+                if n2 > 1:
+                    bound = wh[1][0]
+                    if n2 > 2:
+                        b2 = wh[2][0]
+                        if b2 < bound:
+                            bound = b2
                 else:
-                    bound = nxtmin  # _INF when nothing is queued
-                if barrier_all and event_heap:
-                    e2 = event_heap[0][0]
-                    if e2 < bound:
-                        bound = e2
+                    bound = _INF
                 if done < bound:
                     w = e[2]
                     if w.batchable:
                         cum = w.cum
-                        # The stop pc caps the batch: memory ops and the
-                        # final instruction always take their own slot
-                        # (they are barriers with their own defer rules).
                         limit = e[5]
                         base = cum[pc]
                         idx = pc1
                         if idx < limit:
-                            idx = bisect(cum, base + bound - t, idx + 1, limit)
+                            idx = bisect(
+                                cum, base + bound - t, idx + 1, limit
+                            )
                         u = idx - pc
                         if u >= 2:
                             n_seg_hits += 1
                             n_seg_insts += u
-                            last_t = t + cum[idx - 1] - base
                             done = t + cum[idx] - base
-                            issued += u
-                            per_sm_issued[si] += u
-                            if rec_on:
-                                bb = w.bb
-                                j = pc
-                                while j < idx:
-                                    take = idx - j
-                                    if take > rec_left:
-                                        take = rec_left
-                                    if take < _BINCOUNT_MIN:
-                                        for b in bb[j:j + take]:
-                                            rec_bbv[b] += 1
-                                    else:
-                                        # Amortized over >= _BINCOUNT_MIN
-                                        # instructions; the vectorized
-                                        # tally beats the scalar loop
-                                        # despite the temporary.
-                                        # lint: disable=HOT002
-                                        rec_bbv += np.bincount(
-                                            w.bb_np[j:j + take],
-                                            minlength=rec_nbb,
-                                        )
-                                    rec_left -= take
-                                    j += take
-                                    if rec_left == 0:
-                                        rec_bbv = rec_flush(
-                                            t + cum[j - 1] - base + 1, rec_unit
-                                        )
-                                        rec_left = rec_unit
-                            if lrr:
-                                # One fresh sequence number per notional
-                                # re-queue within the batch.
-                                seq_counter += u
-                                e[1] = seq_counter - 1
                             e[3] = idx
                             e[0] = done
-                            nxt_append(e)
-                            if done < nxtmin:
-                                nxtmin = done
-                            t = last_t + 1
+                            if done >= bound:
+                                replace(wh, e)
+                            last = t + cum[idx - 1] - base
+                            if last >= tbar:
+                                tail_runs[si].append((t - wi, t))
+                                tail_segs[si].append((last, t, cum, pc, idx))
+                                issued += wi + u
+                                per_sm_issued[si] += wi + u
+                                wlast = last
+                                wi = 0
+                            else:
+                                wi += u
+                            t = last + 1
                             continue
-                # Single non-final issue (covers degenerate zero-stall
-                # traces, whose raw ``done = t + stall`` is exact).
-                issued += 1
-                per_sm_issued[si] += 1
-                last_t = t
-                if rec_on:
-                    rec_bbv[e[2].bb[pc]] += 1
-                    rec_left -= 1
-                    if rec_left == 0:
-                        rec_bbv = rec_flush(t + 1, rec_unit)
-                        rec_left = rec_unit
+                    e[3] = pc1
+                    e[0] = done
+                    wi += 1
+                    t += 1
+                    continue
                 e[3] = pc1
-                if lrr:
-                    e[1] = seq_counter
-                    seq_counter += 1
                 e[0] = done
-                nxt_append(e)
-                if done < nxtmin:
-                    nxtmin = done
+                replace(wh, e)
+                wi += 1
                 t += 1
 
-            ris[si] = ri
-            nxtmins[si] = nxtmin
-            if last_t >= 0:
-                per_sm_last[si] = last_t
-                if last_t > wall:
-                    wall = last_t
+            if wi:
+                if t > tbar:
+                    tail_runs[si].append((t - wi, t))
+                issued += wi
+                per_sm_issued[si] += wi
+                wlast = t - 1
+            if wlast >= 0:
+                per_sm_last[si] = wlast
+                if wlast > wall:
+                    wall = wlast
 
         wall += 1  # the last issue occupies its cycle
         if has_sampler:
             sampler.finalize(wall, issued)
-        if rec_on:
-            rec.finalize(wall, rec.unit_insts - rec_left)
 
         counters = SimCounters(
             events_popped=n_events,
@@ -1259,7 +941,6 @@ class GPUSimulator:
             segment_insts=n_seg_insts,
             interning_hits=intern_hits,
             interning_misses=intern_misses,
-            rounds_sorted=n_rounds,
             mem_insts=n_mem,
             mem_txns=n_txn,
             mem_batches=mem.batches - mb0,
@@ -1281,8 +962,8 @@ class GPUSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Reference engine: the original per-instruction loop, kept as the
-    # equivalence oracle for the compact engine.
+    # Per-instruction loop: the equivalence oracle for the window loop,
+    # and the engine of recorded and lrr launches.
     # ------------------------------------------------------------------
 
     def _run_launch_reference(

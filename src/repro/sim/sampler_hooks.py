@@ -10,12 +10,12 @@ and issued-count the reference engine would report, so hook
 observations are bit-identical across engines.
 ``tests/test_sim_compaction.py`` logs every callback, with its
 arguments and return value, on both engines and compares the logs.
-A sampler alone keeps the launch on the specialized window loop: the
-hooks fire only at block retirement, the cycle-0 fill and launch end,
-and the engine recomputes the exact issued count at those moments from
-the other SMs' recorded run-ahead.  A recorder (or the ``lrr``
-scheduler) switches to the general loop, where segment batches are
-clipped at recorder unit boundaries and at the next global event.
+A sampler keeps the launch on the window loop: the hooks fire only at
+block retirement, the cycle-0 fill and launch end, and the engine
+recomputes the exact issued count at those moments from the other SMs'
+recorded run-ahead.  A recorder (or the ``lrr`` scheduler) sends the
+launch to the per-instruction loop, where every hook sees the count
+directly.
 """
 
 from __future__ import annotations

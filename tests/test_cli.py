@@ -18,12 +18,57 @@ class TestParser:
         args = build_parser().parse_args(["--scale", "0.5", "list"])
         assert args.scale == 0.5
 
+    def test_port_bounds_parsed(self):
+        args = build_parser().parse_args(
+            ["serve", "--host", "127.0.0.1", "--port", "65535"]
+        )
+        assert args.port == 65535
+        args = build_parser().parse_args(["serve", "--port", "0"])
+        assert args.port == 0
+
     def test_profile_flag_parsed(self):
         args = build_parser().parse_args(["--profile", "list"])
         assert args.profile is True
         assert args.profile_limit == 30
         args = build_parser().parse_args(["list"])
         assert args.profile is False
+
+
+#: Command lines that are usage errors: each must exit 2 through the
+#: parser, before any work starts and without a traceback.
+USAGE_ERRORS = {
+    "scale-zero": ["--scale", "0", "list"],
+    "scale-nan": ["--scale", "nan", "list"],
+    "scaling-scales-zero": ["scaling", "stream", "--scales", "0"],
+    "run-task-timeout-zero": ["--task-timeout", "0", "run", "stream"],
+    "breakdown-task-timeout-zero": ["--task-timeout", "0", "breakdown", "stream"],
+    "scale-inf": ["--scale", "inf", "list"],
+    "headline-unknown-kernel": ["headline", "nosuch"],
+    "breakdown-unknown-kernel": ["breakdown", "stream", "nosuch"],
+    "sensitivity-unknown-kernel": ["sensitivity", "nosuch"],
+    "simulate-launch-out-of-range": [
+        "--scale", "0.02", "simulate", "stream", "--launch", "999",
+    ],
+    "serve-degrade-after-zero": ["serve", "--degrade-after", "0"],
+    "serve-hang-timeout-negative": ["serve", "--hang-timeout", "-2"],
+    "serve-port-out-of-range": ["serve", "--host", "127.0.0.1", "--port", "99999"],
+    "serve-port-negative": ["serve", "--host", "127.0.0.1", "--port", "-1"],
+    "request-port-out-of-range": [
+        "request", "ping", "--host", "127.0.0.1", "--port", "70000",
+    ],
+    "request-port-without-host": ["request", "ping", "--port", "5"],
+    "request-host-without-port": ["request", "ping", "--host", "127.0.0.1"],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_2(case, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(USAGE_ERRORS[case])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
 
 
 class TestCommands:
@@ -61,10 +106,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "intra-launch" in out
 
-    def test_unknown_kernel_subset_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["headline", "bogus"])
-
     def test_simulate_basic(self, capsys):
         assert main(["--scale", "0.02", "simulate", "stream"]) == 0
         out = capsys.readouterr().out
@@ -90,35 +131,6 @@ class TestCommands:
         # Rates render as percentages, delays in cycles.
         assert "%" in out and "cycles" in out
 
-    def test_simulate_engine_and_front_end_flags(self, capsys):
-        assert main([
-            "--scale", "0.02", "simulate", "stream",
-            "--engine", "reference", "--mem-front-end", "reference",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "reference" in out
-
-    def test_simulate_launch_out_of_range(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["--scale", "0.02", "simulate", "stream",
-                 "--launch", "99999"]
-            )
-
-    def test_simulate_block_memo_row(self, capsys):
-        assert main(
-            ["--scale", "0.02", "simulate", "stream", "--block-memo", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "block regenerations (memo window 8)" in out
-
-    def test_simulate_rejects_negative_block_memo(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["--scale", "0.02", "simulate", "stream",
-                 "--block-memo", "-3"]
-            )
-
     def test_cache_info_reports_journals(self, capsys, tmp_path):
         from repro.exec import SweepJournal
 
@@ -134,12 +146,14 @@ class TestCommands:
         assert journal.path.stem in out
 
     def test_request_needs_kernel_for_compute(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["request", "simulate"])
+        assert exc.value.code == 2
 
     def test_request_rejects_kernel_for_stats(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["request", "stats", "stream"])
+        assert exc.value.code == 2
 
     def test_request_against_absent_server_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit):

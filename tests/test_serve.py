@@ -364,19 +364,6 @@ class TestWarmState:
         assert c["kernels_built"] == 2
         assert c["kernel_warm_hits"] == 1
 
-    def test_shrunken_block_memo_regenerates(self, serve_dir):
-        # A deliberately tiny resident window shows the thrash the
-        # default (full-launch) window eliminates.
-        with start_server(serve_dir, workers=1, block_memo=2) as handle:
-            with ServeClient(handle.socket_path) as client:
-                client.simulate(KERNEL, scale=SCALE)
-                warm = client.simulate(KERNEL, scale=SCALE)
-                stats = client.stats()
-        assert warm["block_regenerations"] > 0
-        assert stats["counters"]["block_regenerations"] > 0
-        direct = direct_payload(normalize_request("simulate", sim_params()))
-        assert payloads_equal(warm, direct)  # thrash never changes results
-
 
 class TestCoalescing:
     def test_pipelined_duplicates_simulate_once(self, serve_dir, monkeypatch):

@@ -1,17 +1,15 @@
-"""Equivalence of the compact (interned, segment-batched) engine and
-the per-instruction reference engine.
+"""Equivalence of the compact engine's window loop (interned,
+segment-batched) and the per-instruction reference loop.
 
-The compact engine's entire claim is *bit-identical results, faster* —
+The window loop's entire claim is *bit-identical results, faster* —
 every test here compares the two engines on the same inputs and demands
-exact equality of every observable ``LaunchResult`` field, recorded
-sampling unit (IPC and BBV), and sampler callback stream.  The property
-tests drive randomly shaped launches with random ``FixedUnitRecorder``
-unit sizes so unit boundaries land mid-segment, which forces the
-segment-batching path to split segments exactly where the reference
-engine would have issued the boundary instruction.  Sampler callback
-streams are logged call by call (arguments and return values) under
-TBPoint's ``RegionSampler`` on registry representatives and under
-random launches and region layouts.
+exact equality of every observable ``LaunchResult`` field and sampler
+callback stream.  Sampler callback streams are logged call by call
+(arguments and return values) under TBPoint's ``RegionSampler`` on
+registry representatives and under random launches and region layouts.
+Recorded and ``lrr`` launches run on the per-instruction loop under
+either engine; recorded runs are compared against plain window-loop
+runs of the same launch instead.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from repro.workloads.base import LaunchSpec, Segment, build_kernel
 from tests.conftest import make_manual_launch, make_uniform_kernel
 
 
-def result_fingerprint(result, recorder=None):
-    """Every observable field of a LaunchResult (+ recorded units)."""
-    fp = (
+def result_fingerprint(result):
+    """Every observable field of a LaunchResult."""
+    return (
         result.issued_warp_insts,
         result.wall_cycles,
         tuple(result.per_sm_issued),
@@ -46,15 +44,6 @@ def result_fingerprint(result, recorder=None):
         result.skipped_warp_insts,
         result.extra_cycles,
     )
-    if recorder is not None:
-        fp += (
-            tuple(
-                (u.start_cycle, u.end_cycle, u.insts,
-                 None if u.bbv is None else tuple(u.bbv))
-                for u in recorder.units
-            ),
-        )
-    return fp
 
 
 class CallbackLog:
@@ -94,7 +83,7 @@ class CallbackLog:
         return self._call("finalize", now, issued)
 
 
-def run_both(launch, gpu=None, unit_insts=None, num_bbs=None, sampler=None):
+def run_both(launch, gpu=None, sampler=None):
     """Run both engines on ``launch``; return their fingerprints.
 
     ``sampler`` is a zero-argument factory of a fresh sampler per
@@ -103,15 +92,9 @@ def run_both(launch, gpu=None, unit_insts=None, num_bbs=None, sampler=None):
     fps = []
     for engine in ("reference", "compact"):
         sim = GPUSimulator(gpu or GPUConfig(), engine=engine)
-        recorder = None
-        if unit_insts is not None:
-            recorder = FixedUnitRecorder(
-                unit_insts=unit_insts,
-                num_bbs=num_bbs or getattr(launch, "num_bbs", 1),
-            )
         hooks = None if sampler is None else CallbackLog(sampler())
-        result = sim.run_launch(launch, sampler=hooks, recorder=recorder)
-        fp = result_fingerprint(result, recorder)
+        result = sim.run_launch(launch, sampler=hooks)
+        fp = result_fingerprint(result)
         if hooks is not None:
             fp += (tuple(hooks.log),)
         fps.append(fp)
@@ -120,16 +103,7 @@ def run_both(launch, gpu=None, unit_insts=None, num_bbs=None, sampler=None):
 
 class TestRegistryKernelEquivalence:
     """Acceptance: identical LaunchResult fields (issued insts, wall
-    cycles, per-SM arrays, unit IPCs/BBVs) on >= 3 registry kernels."""
-
-    @pytest.mark.parametrize("name", ["bfs", "hotspot", "stream"])
-    def test_kernel_equivalent_with_units(self, name):
-        kernel = get_workload(name, scale=0.0625)
-        for launch in kernel.launches[:2]:
-            ref, compact = run_both(
-                launch, unit_insts=997, num_bbs=launch.num_bbs
-            )
-            assert ref == compact
+    cycles, per-SM arrays) on registry kernels."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["black", "kmeans", "lbm"])
@@ -157,30 +131,6 @@ def random_launches(draw, max_blocks=20):
     )
     kernel = build_kernel("prop", "test", "regular", [spec], seed)
     return kernel.launches[0]
-
-
-class TestUnitBoundaryProperty:
-    """A unit boundary landing mid-segment must split the segment: the
-    compact engine's per-unit IPCs and BBVs must match the reference
-    per-instruction path exactly, for any unit size."""
-
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        launch=random_launches(),
-        unit_insts=st.integers(min_value=1, max_value=64),
-        num_sms=st.sampled_from([1, 2, 4]),
-        scheduler=st.sampled_from(["oldest", "lrr"]),
-    )
-    def test_units_identical(self, launch, unit_insts, num_sms, scheduler):
-        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=8, scheduler=scheduler)
-        ref, compact = run_both(
-            launch, gpu=gpu, unit_insts=unit_insts, num_bbs=launch.num_bbs
-        )
-        assert ref == compact
 
 
 def _profiled(name):
@@ -215,13 +165,11 @@ def _first_representative(name):
     return kernel.launches[lid], profile.launches[lid]
 
 
-#: Machines the per-kernel sampler oracle runs on: the default 48x14,
-#: the paper's smaller 24x7 design point, and a 4-SM ``lrr`` machine
-#: (sampled ``lrr`` launches stay on the general loop).
+#: Machines the per-kernel sampler oracle runs on: the default 48x14
+#: and the paper's smaller 24x7 design point.
 SAMPLED_GPUS = {
     "48x14": GPUConfig(),
     "24x7": GPUConfig(warps_per_sm=24, num_sms=7),
-    "4sm-lrr": GPUConfig(num_sms=4, warps_per_sm=16, scheduler="lrr"),
 }
 
 
@@ -282,10 +230,9 @@ class TestSamplerCallbackStreams:
     @given(
         launch=random_launches(),
         num_sms=st.sampled_from([1, 2, 3, 4]),
-        scheduler=st.sampled_from(["oldest", "lrr"]),
     )
-    def test_null_sampler_streams(self, launch, num_sms, scheduler):
-        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=8, scheduler=scheduler)
+    def test_null_sampler_streams(self, launch, num_sms):
+        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=8)
         ref, compact = run_both(launch, gpu=gpu, sampler=NullSampler)
         assert ref == compact
 
@@ -323,16 +270,71 @@ class TestSamplerCallbackStreams:
         ref, compact = run_both(launch, gpu=gpu, sampler=factory)
         assert ref == compact
 
+
+class TestRecordedRuns:
+    """A recorded launch runs on the per-instruction loop and a plain one
+    on the window loop, so recording must change no result field and no
+    sampler callback; and the recorded units must tile the run."""
+
+    @staticmethod
+    def run_pair(launch, gpu, unit_insts, sampler=None):
+        """(plain, recorded) fingerprints of ``launch`` on two fresh
+        compact-engine simulators; asserts the units tile the run."""
+        fps = []
+        for recorder in (None, FixedUnitRecorder(unit_insts, launch.num_bbs)):
+            hooks = None if sampler is None else CallbackLog(sampler())
+            result = GPUSimulator(gpu).run_launch(
+                launch, sampler=hooks, recorder=recorder
+            )
+            fp = result_fingerprint(result)
+            if hooks is not None:
+                fp += (tuple(hooks.log),)
+            fps.append(fp)
+            if recorder is None:
+                assert result.counters is not None  # the window loop ran
+                continue
+            assert result.counters is None  # the per-instruction loop ran
+            units = recorder.units
+            assert units[0].start_cycle == 0
+            for a, b in zip(units, units[1:]):
+                assert a.end_cycle == b.start_cycle
+                assert a.insts == unit_insts
+            assert units[-1].end_cycle == result.wall_cycles
+            assert sum(u.insts for u in units) == result.issued_warp_insts
+            assert all(int(u.bbv.sum()) == u.insts for u in units)
+        return fps
+
+    @pytest.mark.parametrize("name", ["bfs", "hotspot", "stream"])
+    def test_recorded_equals_plain(self, name):
+        kernel = get_workload(name, scale=0.0625)
+        for launch in kernel.launches[:2]:
+            plain, recorded = self.run_pair(launch, GPUConfig(), 997)
+            assert plain == recorded
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        launch=random_launches(),
+        unit_insts=st.integers(min_value=1, max_value=64),
+        num_sms=st.sampled_from([1, 2, 4]),
+    )
+    def test_random_units_tile_the_run(self, launch, unit_insts, num_sms):
+        gpu = GPUConfig(num_sms=num_sms, warps_per_sm=8)
+        plain, recorded = self.run_pair(launch, gpu, unit_insts)
+        assert plain == recorded
+
     def test_sampler_with_recorder(self):
         kernel, profile, plan = _profiled("hotspot")
         lid = plan.simulated_launches[0]
         launch = kernel.launches[lid]
         gpu = GPUConfig()
-        ref, compact = run_both(
-            launch, gpu=gpu, unit_insts=997, num_bbs=launch.num_bbs,
-            sampler=region_sampler_factory(launch, profile.launches[lid], gpu),
-        )
-        assert ref == compact
+        factory = region_sampler_factory(launch, profile.launches[lid], gpu)
+        plain, recorded = self.run_pair(launch, gpu, 997, sampler=factory)
+        assert plain[-1], "sampler saw no callbacks"
+        assert plain == recorded
 
 
 class TestSampledWindowLoop:
@@ -342,7 +344,6 @@ class TestSampledWindowLoop:
 
     ENGAGEMENT = (
         "events_popped", "heap_pushes", "segment_hits", "segment_insts",
-        "rounds_sorted",
     )
 
     def test_no_skip_sampler_keeps_full_run_counters(self):
@@ -427,7 +428,7 @@ class TestDegenerateTraces:
     def test_zero_stall_mem_ops_equivalent(self):
         launch = self._degenerate_launch()
         gpu = GPUConfig(num_sms=2, warps_per_sm=8)
-        ref, compact = run_both(launch, gpu=gpu, unit_insts=7)
+        ref, compact = run_both(launch, gpu=gpu)
         assert ref == compact
 
     def test_zero_stall_dense_blocks_equivalent(self):
@@ -477,6 +478,17 @@ class TestSimCounters:
             GPUConfig(num_sms=2), engine="reference"
         ).run_launch(kernel.launches[0])
         assert result.counters is None
+
+    def test_recorded_and_lrr_launches_take_per_instruction_loop(self):
+        # The compact engine delegates both to the per-instruction loop,
+        # which attaches no counters.
+        launch = make_uniform_kernel(num_launches=1, blocks_per_launch=8).launches[0]
+        recorded = GPUSimulator(GPUConfig(num_sms=2)).run_launch(
+            launch, recorder=FixedUnitRecorder(50, launch.num_bbs)
+        )
+        assert recorded.counters is None
+        lrr = GPUSimulator(GPUConfig(num_sms=2, scheduler="lrr")).run_launch(launch)
+        assert lrr.counters is None
 
     def test_segment_batching_engages_when_unsaturated(self):
         # One block of one warp per SM: a lone resident warp is the
