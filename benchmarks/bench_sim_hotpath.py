@@ -96,6 +96,9 @@ SMOKE_BASELINE = Path(__file__).resolve().parent / "sim_smoke_baseline.json"
 #: fails CI; so does a sampled/plain or recorded/plain time ratio >30%
 #: above its pin.
 SMOKE_TOLERANCE = 0.30
+#: Equal units a recorded run is cut into by :func:`recorder_overhead`
+#: (the setup the ``recorder_overhead`` pin was measured on).
+RECORDER_UNITS = 100
 
 
 def _materialize(launch):
@@ -231,14 +234,14 @@ def sampler_overhead(launch, reps: int = REPS, gpu: GPUConfig | None = None):
     return _paired_ratio(run, reps)
 
 
-def recorder_overhead(launch, reps: int = REPS, gpu: GPUConfig | None = None,
-                      units: int = 100):
-    """Time of a run with a :class:`FixedUnitRecorder` (``units`` units
-    of equal size, BBVs recorded, as the baselines record them) over
-    the time of a plain run of the same launch on the same simulator
-    (:func:`_paired_ratio`): the cost of the recorded route."""
-    sim = GPUSimulator(gpu or GPUConfig())
-    unit_insts = max(1, int(profile_launch(launch).warp_insts.sum()) // units)
+def recorder_overhead(launch, reps: int = REPS):
+    """Time of a run with a :class:`FixedUnitRecorder` (``RECORDER_UNITS``
+    units of equal size, BBVs recorded, as the baselines record them)
+    over the time of a plain run of the same launch on the same default
+    simulator (:func:`_paired_ratio`): the cost of the recorded route."""
+    sim = GPUSimulator(GPUConfig())
+    total = int(profile_launch(launch).warp_insts.sum())
+    unit_insts = max(1, total // RECORDER_UNITS)
 
     def run(recorded):
         recorder = None

@@ -302,6 +302,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         )
     launch = kernel.launches[args.launch]
     result = GPUSimulator(GPUConfig()).run_launch(launch)
+    # The default compact engine always attaches its counters.
+    assert result.counters is not None
     ipc = (
         result.issued_warp_insts / result.wall_cycles
         if result.wall_cycles else 0.0
@@ -312,13 +314,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         ("issued warp insts", f"{result.issued_warp_insts:,}"),
         ("wall cycles", f"{result.wall_cycles:,}"),
         ("warp IPC", f"{ipc:.3f}"),
+        ("block regenerations (memo window "
+         f"{launch.block_memo})",
+         f"{result.counters.block_regenerations:,}"),
     ]
-    if result.counters is not None:
-        rows.append(
-            ("block regenerations (memo window "
-             f"{launch.block_memo})",
-             f"{result.counters.block_regenerations:,}")
-        )
     if args.mem_stats:
         m = result.mem_stats
         rows.extend([

@@ -112,6 +112,7 @@ class TestCommands:
         assert "issued warp insts" in out
         assert "wall cycles" in out
         assert "warp IPC" in out
+        assert "block regenerations" in out
         # Memory statistics only appear with --mem-stats.
         assert "L1 hit rate" not in out
 
