@@ -1,6 +1,6 @@
 """Per-thread-block functional profiling.
 
-:func:`profile_launch` walks every thread block of a launch once and
+:func:`profile_kernel` walks every thread block of every launch once and
 records the three counters TBPoint needs (Sections III and IV-B1):
 
 * warp instructions  — Eq. 2 feature 2, Eq. 5's ``y``;
@@ -10,6 +10,15 @@ records the three counters TBPoint needs (Sections III and IV-B1):
 
 The result is column-wise numpy arrays over thread-block ID, so epoch
 construction (Eq. 4/5) is pure vectorized slicing.
+
+The walk is block-major: thread block ``i`` of every launch, then block
+``i + 1``.  Launches that re-read the same data share their live blocks
+(:mod:`repro.workloads.base`), so a sibling launch asks for block ``i``
+while the first launch's memo window still holds it and gets the same
+object instead of a fresh synthesis.  Walked launch-major, a launch
+wider than the window would have evicted the block before the next
+launch asked for it.  :func:`profile_launch` is the same walk over one
+launch.
 """
 
 from __future__ import annotations
@@ -85,25 +94,35 @@ class LaunchProfile:
         return self.thread_insts / self.thread_insts.mean()
 
 
+def _profile_launches(launches: list[LaunchTrace]) -> list[LaunchProfile]:
+    """Profile several launches in one block-major walk."""
+    walks = [
+        (launch, np.empty((3, launch.num_blocks), dtype=np.int64))
+        for launch in launches
+    ]
+    for tb_id in range(max(launch.num_blocks for launch in launches)):
+        for launch, counts in walks:
+            if tb_id < launch.num_blocks:
+                stats = launch.block(tb_id).stats
+                counts[0, tb_id] = stats.warp_insts
+                counts[1, tb_id] = stats.thread_insts
+                counts[2, tb_id] = stats.mem_requests
+    return [
+        LaunchProfile(
+            kernel_name=launch.kernel_name,
+            launch_id=launch.launch_id,
+            warps_per_block=launch.warps_per_block,
+            warp_insts=counts[0],
+            thread_insts=counts[1],
+            mem_requests=counts[2],
+        )
+        for launch, counts in walks
+    ]
+
+
 def profile_launch(launch: LaunchTrace) -> LaunchProfile:
     """Functionally profile one launch (walks every thread block once)."""
-    n = launch.num_blocks
-    warp_insts = np.empty(n, dtype=np.int64)
-    thread_insts = np.empty(n, dtype=np.int64)
-    mem_requests = np.empty(n, dtype=np.int64)
-    for tb_id in range(n):
-        stats = launch.block(tb_id).stats
-        warp_insts[tb_id] = stats.warp_insts
-        thread_insts[tb_id] = stats.thread_insts
-        mem_requests[tb_id] = stats.mem_requests
-    return LaunchProfile(
-        kernel_name=launch.kernel_name,
-        launch_id=launch.launch_id,
-        warps_per_block=launch.warps_per_block,
-        warp_insts=warp_insts,
-        thread_insts=thread_insts,
-        mem_requests=mem_requests,
-    )
+    return _profile_launches([launch])[0]
 
 
 @dataclass
@@ -137,10 +156,10 @@ class KernelProfile:
 
 def profile_kernel(kernel: KernelTrace) -> KernelProfile:
     """Functionally profile every launch of a kernel (the paper's
-    one-time GPUOcelot pass)."""
+    one-time GPUOcelot pass), block-major across launches."""
     return KernelProfile(
         kernel_name=kernel.name,
-        launches=[profile_launch(launch) for launch in kernel.launches],
+        launches=_profile_launches(kernel.launches),
     )
 
 

@@ -214,9 +214,20 @@ class Server:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        """Start the workers, install the signal handlers and bind.  If
+        the bind fails, the workers and handlers are torn down before
+        the error propagates, so no worker outlives the caller."""
         self._stop = asyncio.Event()
         self._supervisor.start()
         self._install_signal_handlers()
+        try:
+            await self._bind()
+        except BaseException:
+            self._remove_signal_handlers()
+            await asyncio.to_thread(self._supervisor.stop)
+            raise
+
+    async def _bind(self) -> None:
         if self.config.host is not None:
             self._server = await asyncio.start_server(
                 self._on_connection, self.config.host, self.config.port
@@ -246,6 +257,15 @@ class Server:
             except (NotImplementedError, RuntimeError, ValueError):
                 continue
             self._signals_installed.append(sig)
+
+    def _remove_signal_handlers(self) -> None:
+        loop = asyncio.get_running_loop()
+        for sig in self._signals_installed:
+            try:
+                loop.remove_signal_handler(sig)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass
+        self._signals_installed.clear()
 
     def request_stop(self) -> None:
         """Begin graceful shutdown (idempotent, loop-thread only)."""
@@ -283,13 +303,7 @@ class Server:
         # Workers are idle by now (pending drained above); stopping
         # joins processes, so keep it off the event loop.
         await asyncio.to_thread(self._supervisor.stop)
-        loop = asyncio.get_running_loop()
-        for sig in self._signals_installed:
-            try:
-                loop.remove_signal_handler(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        self._signals_installed.clear()
+        self._remove_signal_handlers()
         # mkdir + write_text; idle connections are still being served
         # below, so even the shutdown flush stays off the loop.
         await asyncio.to_thread(self._write_metrics)

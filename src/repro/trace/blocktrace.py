@@ -39,7 +39,7 @@ class BlockTrace:
     as indivisible units.
     """
 
-    __slots__ = ("tb_id", "warps", "_stats")
+    __slots__ = ("tb_id", "warps", "_stats", "__weakref__")
 
     def __init__(self, tb_id: int, warps: list[WarpTrace]):
         if not warps:

@@ -33,8 +33,11 @@ class LaunchTrace:
     ``regenerations`` counts factory calls for blocks that had already
     been synthesized once and were evicted from the window — the
     re-synthesis thrash a too-small window causes on launches wider
-    than it.  :class:`~repro.sim.gpu.SimCounters` snapshots the delta
-    per simulated launch.
+    than it.  A factory may answer such a call with a block another
+    launch still holds (spec-synthesized launches over the same data
+    share live blocks), so a regeneration is not always a synthesis.
+    :class:`~repro.sim.gpu.SimCounters` snapshots the delta per
+    simulated launch.
     """
 
     def __init__(

@@ -23,6 +23,7 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,9 +246,12 @@ def _synthesize_block(
     data_id: int,
     seg_pos: int,
     addr_base: int,
-    num_bbs: int,
 ) -> BlockTrace:
-    """Synthesize one thread block's trace from its segment parameters."""
+    """Synthesize one thread block's trace from its segment parameters.
+
+    The per-block matrices are marked read-only, like the skeleton's
+    arrays: one block object may sit in several launches' memos (see
+    :data:`_live_blocks`)."""
     rng = np.random.Generator(
         np.random.Philox(key=[seed, (data_id << 32) | tb_id])
     )
@@ -331,8 +335,11 @@ def _synthesize_block(
             1,
             32,
         ).astype(np.uint8)
+        active.setflags(write=False)
         active_rows = list(active)
         thread_insts = int(active.sum(dtype=np.int64))
+    for matrix in (mem_req, addr, spread):
+        matrix.setflags(write=False)
 
     warps = [
         WarpTrace.from_columns(
@@ -360,6 +367,15 @@ def _segment_bounds(spec: LaunchSpec) -> np.ndarray:
     return bounds
 
 
+#: Every synthesized block still referenced somewhere, keyed by all the
+#: inputs that shape it: ``(spec, seed, data_id, key_id, tb_id)``.
+#: Launches sharing a ``data_key`` re-read the same data, so block ``i``
+#: is the same object in each of them (perturbed blocks differ by
+#: ``key_id``).  The references are weak: a block lives only as long as
+#: some launch's memo holds it, so sharing never raises resident memory.
+_live_blocks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class SpecBlockFactory:
     """Picklable block factory for spec-synthesized launches.
@@ -367,39 +383,42 @@ class SpecBlockFactory:
     Equivalent to the closure it replaces, but a plain dataclass of
     immutable fields so :class:`LaunchTrace` objects built from specs can
     cross process boundaries (the batch execution engine ships launches
-    to worker processes).
+    to worker processes).  A block that is still live, in this launch
+    or a sibling that re-reads the same data, is returned as is instead
+    of synthesized again.
     """
 
     spec: LaunchSpec
     seed: int
     launch_id: int
     data_id: int
-    num_bbs: int
 
     def __call__(self, tb_id: int) -> BlockTrace:
         spec = self.spec
-        bounds = _segment_bounds(spec)
-        seg_index = int(np.searchsorted(bounds, tb_id, side="right"))
-        seg = spec.segments[seg_index]
-        seg_start = 0 if seg_index == 0 else int(bounds[seg_index - 1])
-        addr_base = self.data_id * _LAUNCH_SPAN
-        seg_base = addr_base + seg_index * (
-            _LAUNCH_SPAN // max(1, len(spec.segments))
-        )
         key_id = self.data_id
         perturb_cut = int(spec.perturb * 10_000)
         if perturb_cut and ((tb_id * 2654435761) % 10_000) < perturb_cut:
             key_id = 1_000_000 + self.launch_id  # launch-specific data
-        return _synthesize_block(
+        key = (spec, self.seed, self.data_id, key_id, tb_id)
+        block = _live_blocks.get(key)
+        if block is not None:
+            return block
+        bounds = _segment_bounds(spec)
+        seg_index = int(np.searchsorted(bounds, tb_id, side="right"))
+        seg_start = 0 if seg_index == 0 else int(bounds[seg_index - 1])
+        seg_base = self.data_id * _LAUNCH_SPAN + seg_index * (
+            _LAUNCH_SPAN // max(1, len(spec.segments))
+        )
+        block = _live_blocks[key] = _synthesize_block(
             tb_id,
-            seg,
+            spec.segments[seg_index],
             spec,
             self.seed,
             key_id,
             tb_id - seg_start,
             int(seg_base),
-            self.num_bbs,
         )
+        return block
 
 
 def make_launch(
@@ -418,7 +437,6 @@ def make_launch(
         seed=seed,
         launch_id=launch_id,
         data_id=data_id,
-        num_bbs=num_bbs,
     )
 
     return LaunchTrace(

@@ -1,10 +1,14 @@
 """Tests for the functional profiler."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.workloads.base as workload_base
 from repro.profiler import profile_kernel, profile_launch
 from repro.profiler.functional import KernelProfile, LaunchProfile
+from repro.workloads import ALL_KERNELS, get_workload
 
 from tests.conftest import make_manual_launch, make_uniform_kernel
 
@@ -74,3 +78,48 @@ class TestKernelProfile:
                 thread_insts=np.array([1]),
                 mem_requests=np.array([1, 2]),
             )
+
+
+class TestBlockMajorWalk:
+    """``profile_kernel`` walks block-major so sibling launches share
+    their live blocks; the profile must not change."""
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_matches_per_launch_profiles_on_fresh_traces(self, name):
+        num_launches = get_workload(name, scale=0.02).num_launches
+        # Each reference launch comes from its own trace, dropped before
+        # the next, so no block is shared with anything.
+        expected = [
+            profile_launch(get_workload(name, scale=0.02).launches[i])
+            for i in range(num_launches)
+        ]
+        profile = profile_kernel(get_workload(name, scale=0.02))
+        assert profile.num_launches == num_launches
+        for got, want in zip(profile.launches, expected):
+            assert (got.launch_id, got.warps_per_block) == (
+                want.launch_id, want.warps_per_block
+            )
+            for col in ("warp_insts", "thread_insts", "mem_requests"):
+                np.testing.assert_array_equal(
+                    getattr(got, col), getattr(want, col)
+                )
+
+    @pytest.mark.parametrize(
+        "name, syntheses", [("stream", 314), ("hotspot", 1849)]
+    )
+    def test_one_synthesis_per_distinct_block(
+        self, monkeypatch, name, syntheses
+    ):
+        calls = []
+        synthesize = workload_base._synthesize_block
+
+        def counting(*args):
+            calls.append(args)
+            return synthesize(*args)
+
+        monkeypatch.setattr(workload_base, "_synthesize_block", counting)
+        monkeypatch.setattr(
+            workload_base, "_live_blocks", weakref.WeakValueDictionary()
+        )
+        profile_kernel(get_workload(name, scale=0.125))
+        assert len(calls) == syntheses

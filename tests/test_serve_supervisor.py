@@ -27,10 +27,13 @@ coordinates, so every scenario here is deterministic — no sleeps to
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -390,6 +393,28 @@ class TestSigtermDrain:
         dumped = json.loads(metrics.read_text())
         assert dumped["counters"]["sims_run"] == 1
         assert dumped["draining"] is True
+
+
+class TestBindFailure:
+    """A daemon that cannot bind leaves no worker or supervisor behind."""
+
+    def test_port_in_use_tears_down_workers(self, tmp_path):
+        from repro._cli import main
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            with pytest.raises(SystemExit, match="cannot listen"):
+                main([
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "serve", "--host", "127.0.0.1", "--port", str(port),
+                    "--workers", "1",
+                ])
+        assert not any(
+            t.name == "repro-serve-supervisor" for t in threading.enumerate()
+        )
+        assert multiprocessing.active_children() == []
 
 
 class TestRequestCLI:

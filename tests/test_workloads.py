@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generators."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,12 +89,16 @@ class TestDeterminism:
     def test_regeneration_identical(self):
         kernel = get_workload("spmv", scale=TINY)
         launch = kernel.launches[0]
-        first = launch.block(7)
-        launch._cache.clear()
+        first = [(w.addr.copy(), w.mem_req.copy())
+                 for w in launch.block(7).warps]
+        # Evict every live copy, so the block is synthesized again.
+        for sibling in kernel.launches:
+            sibling._cache.clear()
         second = launch.block(7)
-        for wa, wb in zip(first.warps, second.warps):
-            np.testing.assert_array_equal(wa.addr, wb.addr)
-            np.testing.assert_array_equal(wa.mem_req, wb.mem_req)
+        assert launch.regenerations == 1
+        for (addr, mem_req), wb in zip(first, second.warps):
+            np.testing.assert_array_equal(addr, wb.addr)
+            np.testing.assert_array_equal(mem_req, wb.mem_req)
 
 
 class TestDataKey:
@@ -124,6 +130,43 @@ class TestDataKey:
         # launches of different levels have different block populations
         sizes = {l.num_blocks for l in kernel.launches}
         assert len(sizes) >= 2
+
+
+def _perturbed(spec: LaunchSpec, tb_id: int) -> bool:
+    cut = int(spec.perturb * 10_000)
+    return ((tb_id * 2654435761) % 10_000) < cut
+
+
+class TestLiveBlockSharing:
+    """Launches that re-read the same data share one live block object
+    per distinct block."""
+
+    def test_siblings_share_all_but_perturbed_blocks(self):
+        kernel = get_workload("stream", scale=TINY)
+        first, second = kernel.launches[0], kernel.launches[1]
+        spec = first._factory.spec
+        assert spec.data_key is not None and spec == second._factory.spec
+        shared = next(t for t in range(first.num_blocks) if not _perturbed(spec, t))
+        perturbed = next(t for t in range(first.num_blocks) if _perturbed(spec, t))
+        assert first.block(shared) is second.block(shared)
+        assert first.block(perturbed) is not second.block(perturbed)
+
+    def test_block_columns_read_only(self):
+        spec = LaunchSpec(
+            segments=(Segment(count=4, mem_ratio=0.2, active_mean=20.0),),
+            warps_per_block=2,
+        )
+        kernel = build_kernel("r", "test", "irregular", [spec], 1)
+        warp = kernel.launches[0].block(0).warps[0]
+        for column in ("mem_req", "addr", "spread", "active"):
+            with pytest.raises(ValueError):
+                getattr(warp, column)[0] = 1
+
+    def test_live_blocks_hold_no_reference(self):
+        kernel = get_workload("stream", scale=TINY)
+        ref = weakref.ref(kernel.launches[0].block(0))
+        del kernel
+        assert ref() is None
 
 
 class TestStructure:
