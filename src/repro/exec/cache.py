@@ -64,7 +64,8 @@ def default_cache_dir() -> Path:
 def kernel_fingerprint(kernel: KernelTrace) -> str:
     """Full content hash of a kernel trace (all launches, all blocks).
 
-    Streams every warp's columns through BLAKE2b in dispatch order.
+    Streams every warp's dense columns (the per-warp ``WarpTrace``
+    views) through BLAKE2b in dispatch order.
     This walks the whole trace — use it only when the trace has no
     provenance; it exists so hand-built traces still get correct
     content-addressed caching.

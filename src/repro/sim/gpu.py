@@ -12,7 +12,9 @@ are bit-identical by construction:
 
 * the **per-instruction loop** (``engine="reference"``): one heap
   event, one warp instruction.  Warp state is materialized as plain
-  Python lists, converted per thread block from the numpy trace.  It
+  Python lists: per-skeleton ``stall``/``bb`` lists shared by the
+  warps running it, and dense operand lists scattered per warp from
+  the block's memory-operand matrices.  It
   is the equivalence oracle, and it also runs every launch that
   observes global order at each instruction: launches with a
   :class:`FixedUnitRecorder` and launches under the ``lrr`` scheduler.
@@ -20,12 +22,12 @@ are bit-identical by construction:
   other launch — full runs and TBPoint's sampled runs under the
   ``oldest`` scheduler:
 
-  - **trace interning**: each unique warp trace (keyed by the identity
-    of its shared ``op``/``bb`` arrays) is converted to list form once
-    per simulator lifetime — relaunches reuse the tables — and the
-    immutable :class:`_TraceTable` is shared across every warp
-    executing that trace; only ``pc`` and the memory-operand slices
-    stay per-warp;
+  - **trace interning**: each unique block skeleton (keyed by the
+    identity of its shared ``op``/``bb`` arrays) is converted to list
+    form once per simulator lifetime — relaunches reuse the tables —
+    and the immutable :class:`_TraceTable` is shared across every warp
+    executing that code; only ``pc`` and the memory operands (one row
+    of the block's operand matrices) stay per-warp;
   - **segment compaction**: per unique trace, run lengths of
     consecutive non-memory instructions carry a prefix-sum of
     issue-to-issue stall deltas, so one heap event can retire a whole
@@ -73,7 +75,7 @@ import numpy as np
 from repro.config import GPUConfig
 from repro.sim.memory import MEMORY_FRONT_ENDS, make_memory
 from repro.sim.sampler_hooks import DispatchSampler
-from repro.trace import STALL_CYCLES, LaunchTrace, is_dram_op
+from repro.trace import STALL_CYCLES, LaunchTrace
 from repro.trace.blocktrace import BlockTrace
 
 _INF = float("inf")
@@ -175,9 +177,9 @@ class _WarpState:
     ``(ready, seq)`` and are reused across re-queues (no per-issue tuple
     allocation).  This object carries everything the entry does not:
     shared :class:`_TraceTable` fields aliased by pointer copy, the
-    per-warp memory operands gathered at the trace's memory positions
-    (O(m) instead of O(5n) list conversion per dispatch), and the
-    owning thread block.
+    warp's memory operands at the trace's memory positions (one row of
+    the block's ``(W, m)`` matrices: O(m) list conversion per dispatch),
+    and the owning thread block.
     """
 
     __slots__ = (
@@ -199,21 +201,23 @@ class _WarpState:
 
 
 class _LegacyWarpState:
-    """Per-warp state of the reference engine: full per-warp lists."""
+    """Per-warp state of the per-instruction loop: dense per-warp lists.
+
+    ``stall`` (static scoreboard stall per instruction; 0 marks
+    DRAM-bound memory ops whose latency the hierarchy computes
+    dynamically) and ``bb`` are shared by every warp running the same
+    skeleton; ``memreq``/``addr``/``spread`` are the warp's own."""
 
     __slots__ = ("pc", "n", "stall", "memreq", "addr", "spread", "bb", "tb")
 
-    def __init__(self, trace, tb: "_TBState"):
-        op = trace.op
-        # Static scoreboard stall per instruction; 0 marks DRAM-bound
-        # memory ops whose latency the hierarchy computes dynamically.
-        self.stall = STALL_CYCLES[op].tolist()
-        self.memreq = trace.mem_req.tolist()
-        self.addr = trace.addr.tolist()
-        self.spread = trace.spread.tolist()
-        self.bb = trace.bb.tolist()
+    def __init__(self, stall, memreq, addr, spread, bb, tb: "_TBState"):
+        self.stall = stall
+        self.memreq = memreq
+        self.addr = addr
+        self.spread = spread
+        self.bb = bb
         self.pc = 0
-        self.n = len(op)
+        self.n = len(stall)
         self.tb = tb
 
 
@@ -487,8 +491,8 @@ class GPUSimulator:
         regen0 = launch.regenerations
         has_sampler = sampler is not None
 
-        # Trace interning: unique warp traces are keyed by the identity
-        # of their (op, bb) arrays — shared across blocks by the
+        # Trace interning: unique block skeletons are keyed by the
+        # identity of their (op, bb) arrays — shared across blocks by the
         # workload generator's skeleton cache — and converted to table
         # form exactly once per *simulator* (the cache lives on the
         # instance, so relaunches of the same trace skip conversion).
@@ -499,98 +503,57 @@ class GPUSimulator:
         intern_hits = 0
         intern_misses = 0
 
-        def make_warp(wt, tbst: _TBState) -> _WarpState:
+        def make_block(block: BlockTrace, tbst: _TBState) -> list[_WarpState]:
+            """Build all warp states of one thread block at once.
+
+            The block's warps share one skeleton, so they share one
+            interned table, and their memory operands are already
+            gathered at the memory positions: each warp's lists are one
+            row of the block's ``(W, m)`` matrices.  A warp whose DRAM
+            op carries no transaction (a degenerate, unvalidated trace)
+            gets a private table keyed on its actual requests.
+            """
             nonlocal intern_hits, intern_misses
-            op = wt.op
-            bb = wt.bb
+            op = block.op
+            bb = block.bb
+            nw = len(block)
             key = (id(op), id(bb))
             ent = intern_cache.get(key)
             if ent is None:
                 intern_misses += 1
-                tbl = _TraceTable(op, bb, np.flatnonzero(is_dram_op(op)))
+                intern_hits += nw - 1
+                tbl = _TraceTable(op, bb, block.pos)
                 intern_cache[key] = (op, tbl)
                 if len(intern_cache) > _INTERN_CACHE_MAX:
                     intern_cache.popitem(last=False)
             else:
-                intern_hits += 1
+                intern_hits += nw
                 tbl = ent[1]
                 intern_cache.move_to_end(key)
-            mem_req = wt.mem_req
-            # The table's memory positions assume every DRAM op carries
-            # transactions.  Unvalidated traces may violate that (a
-            # DRAM op with mem_req == 0 stalls statically for 0 cycles);
-            # give such warps a private table keyed on actual requests.
-            actual = np.flatnonzero(mem_req)
-            if not np.array_equal(actual, tbl.pos_np):
-                tbl = _TraceTable(op, bb, actual)
-            if tbl.m:
-                pos_np = tbl.pos_np
-                mreq = mem_req[pos_np].tolist()
-                maddr = wt.addr[pos_np].tolist()
-                mspread = wt.spread[pos_np].tolist()
-            else:
-                mreq = maddr = mspread = ()
-            return _WarpState(tbl, mreq, maddr, mspread, tbst)
-
-        def make_block(block: BlockTrace, tbst: _TBState) -> list[_WarpState]:
-            """Build all warp states of one thread block at once.
-
-            The block's warps share one skeleton (identical ``op``/``bb``
-            arrays) in every generated workload, so the memory operands
-            of all warps can be gathered with three block-level fancy
-            indexes instead of three per warp, and the degenerate-trace
-            check collapses to two reductions.  Blocks that violate the
-            shared-skeleton assumption (or carry degenerate traces) fall
-            back to the per-warp path.
-            """
-            nonlocal intern_hits, intern_misses
-            warps = block.warps
-            wt0 = warps[0]
-            op = wt0.op
-            bb = wt0.bb
-            for wt in warps:
-                if wt.op is not op or wt.bb is not bb:
-                    return [make_warp(wt, tbst) for wt in warps]
-            nw = len(warps)
-            key = (id(op), id(bb))
-            ent = intern_cache.get(key)
-            fresh = ent is None
-            if fresh:
-                tbl = _TraceTable(op, bb, np.flatnonzero(is_dram_op(op)))
-                intern_cache[key] = (op, tbl)
-                if len(intern_cache) > _INTERN_CACHE_MAX:
-                    intern_cache.popitem(last=False)
-            else:
-                tbl = ent[1]
-                intern_cache.move_to_end(key)
-            m = tbl.m
-            if m:
-                mr = np.array([wt.mem_req for wt in warps])
-                sub = mr[:, tbl.pos_np]
-                # Exact equivalent of the per-warp flatnonzero check:
-                # every tabled position carries requests and no requests
-                # exist elsewhere <=> nonzero(row) == pos for every row.
-                if not (sub.all() and np.count_nonzero(mr) == nw * m):
-                    return [make_warp(wt, tbst) for wt in warps]
-                mreqs = sub.tolist()
-                pos_np = tbl.pos_np
-                maddrs = np.array([wt.addr for wt in warps])[:, pos_np].tolist()
-                mspreads = np.array(
-                    [wt.spread for wt in warps]
-                )[:, pos_np].tolist()
-                out = [
+            if not tbl.m:
+                return [_WarpState(tbl, (), (), (), tbst) for _ in range(nw)]
+            mem_req = block.mem_req
+            if mem_req.all():
+                mreqs = mem_req.tolist()
+                maddrs = block.addr.tolist()
+                mspreads = block.spread.tolist()
+                return [
                     _WarpState(tbl, mreqs[i], maddrs[i], mspreads[i], tbst)
                     for i in range(nw)
                 ]
-            else:
-                if np.array([wt.mem_req for wt in warps]).any():
-                    return [make_warp(wt, tbst) for wt in warps]
-                out = [_WarpState(tbl, (), (), (), tbst) for _ in range(nw)]
-            if fresh:
-                intern_misses += 1
-                intern_hits += nw - 1
-            else:
-                intern_hits += nw
+            out = []
+            for i in range(nw):
+                keep = np.flatnonzero(mem_req[i])
+                own = tbl
+                if len(keep) < tbl.m:
+                    own = _TraceTable(op, bb, tbl.pos_np[keep])
+                out.append(_WarpState(
+                    own,
+                    mem_req[i, keep].tolist(),
+                    block.addr[i, keep].tolist(),
+                    block.spread[i, keep].tolist(),
+                    tbst,
+                ))
             return out
 
         def dispatch_to(si: int, now: int, issued: int) -> bool:
@@ -612,7 +575,7 @@ class GPUSimulator:
                 start = dispatch_free if dispatch_free > now else now
                 dispatch_free = start + 4
                 block: BlockTrace = get_block(tb_id)
-                tbst = _TBState(tb_id, len(block.warps))
+                tbst = _TBState(tb_id, len(block))
                 wh = whs[si]
                 r0 = start
                 for w in make_block(block, tbst):
@@ -997,6 +960,41 @@ class GPUSimulator:
         get_block = launch.block
         has_sampler = sampler is not None
 
+        # Per-skeleton lists, built once per launch and shared by every
+        # warp running the skeleton.  Keyed like the window loop's
+        # interning cache; each entry holds op and bb to pin their ids.
+        skeletons: dict = {}
+
+        def make_block(block: BlockTrace, tbst: _TBState) -> list[_LegacyWarpState]:
+            """Build all warp states of one thread block, scattering each
+            warp's memory operands into dense lists."""
+            op = block.op
+            bb = block.bb
+            key = (id(op), id(bb))
+            ent = skeletons.get(key)
+            if ent is None:
+                ent = skeletons[key] = (
+                    op, bb, STALL_CYCLES[op].tolist(), bb.tolist(),
+                    [0] * len(op), block.pos.tolist(),
+                )
+            stall, bbs, zeros, pos = ent[2:]
+            out = []
+            for mreq, maddr, mspread in zip(
+                block.mem_req.tolist(), block.addr.tolist(),
+                block.spread.tolist(),
+            ):
+                memreq = zeros.copy()
+                addr = zeros.copy()
+                spread = zeros.copy()
+                for p, r, a, d in zip(pos, mreq, maddr, mspread):
+                    memreq[p] = r
+                    addr[p] = a
+                    spread[p] = d
+                out.append(
+                    _LegacyWarpState(stall, memreq, addr, spread, bbs, tbst)
+                )
+            return out
+
         def dispatch_to(si: int, now: int) -> bool:
             """Dispatch the next non-skipped thread block to SM ``si``;
             return False when the launch is exhausted."""
@@ -1015,13 +1013,10 @@ class GPUSimulator:
                 start = dispatch_free if dispatch_free > now else now
                 dispatch_free = start + 4
                 block: BlockTrace = get_block(tb_id)
-                tbst = _TBState(tb_id, len(block.warps))
+                tbst = _TBState(tb_id, len(block))
                 wh = wheaps[si]
-                for stagger, wt in enumerate(block.warps):
-                    heappush(
-                        wh,
-                        (start + 2 * stagger, seq_counter, _LegacyWarpState(wt, tbst)),
-                    )
+                for stagger, w in enumerate(make_block(block, tbst)):
+                    heappush(wh, (start + 2 * stagger, seq_counter, w))
                     seq_counter += 1
                 resident[si] += 1
                 if has_sampler and specified_tb < 0:

@@ -7,10 +7,13 @@ terminology the paper uses (Section II-A):
   *kernel launches*;
 * :class:`~repro.trace.launch.LaunchTrace` — one launch: an ordered
   sequence of *thread blocks*, dispatched greedily by thread-block ID;
-* :class:`~repro.trace.blocktrace.BlockTrace` — one thread block: a set of
-  *warps*;
-* :class:`~repro.trace.warptrace.WarpTrace` — one warp: numpy arrays of
-  *warp instructions* (each executing up to 32 *thread instructions*).
+* :class:`~repro.trace.blocktrace.BlockTrace` — one thread block: its
+  *warps*, which run the same code, held as one structure of arrays (a
+  shared instruction skeleton plus per-warp memory operands at the
+  memory instructions only);
+* :class:`~repro.trace.warptrace.WarpTrace` — one warp: dense numpy
+  columns of *warp instructions* (each executing up to 32 *thread
+  instructions*), a view a block builds on demand.
 
 Traces are generated lazily and deterministically: a
 :class:`LaunchTrace` holds a factory that synthesizes any thread block's

@@ -1,7 +1,7 @@
 """Warp-instruction encoding.
 
 Instructions are stored column-wise as small-integer numpy arrays (see
-:class:`repro.trace.warptrace.WarpTrace`); this module defines the
+:class:`repro.trace.blocktrace.BlockTrace`); this module defines the
 operation classes, the per-class scoreboard stall latencies, and helper
 predicates.
 

@@ -2,9 +2,10 @@
 
 Traces are normally synthesized on demand, but exporting a launch is
 useful for offline inspection, for diffing generator versions, and for
-feeding external tools.  The format is columnar: every warp's columns
-are concatenated in dispatch order with explicit warp/block boundaries,
-so loading is pure slicing.
+feeding external tools.  The format is columnar: every warp's dense
+columns (its ``WarpTrace`` view) are concatenated in dispatch order
+with explicit warp/block boundaries, so loading is slicing plus packing
+each block's warps back into a :class:`BlockTrace`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class ArchiveBlockFactory:
                     self.cols["bb"][lo:hi],
                 )
             )
-        return BlockTrace(tb_id, warps)
+        return BlockTrace.from_warps(tb_id, warps)
 
 
 def save_launch(launch: LaunchTrace, path: str | Path) -> None:

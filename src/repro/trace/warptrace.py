@@ -1,10 +1,12 @@
 """Per-warp instruction trace.
 
-A :class:`WarpTrace` stores one warp's dynamic instruction stream as a
-structure of arrays — the column-wise layout keeps the hot simulation
-loop reading small contiguous integer arrays (see the HPC guide's advice
-on cache-friendly access) and makes functional profiling a handful of
-vectorized reductions.
+A :class:`WarpTrace` is one warp's dynamic instruction stream as dense
+columns, one entry per warp instruction.  Thread blocks are not stored
+this way: :class:`~repro.trace.blocktrace.BlockTrace` keeps all of a
+block's warps in one compact structure of arrays and builds a
+:class:`WarpTrace` as a view on demand (``block.warps``).  The dense
+form is what hand-built and archived traces are written in, what trace
+export and content fingerprints read, and what tests inspect.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class WarpTrace:
 
     All arrays have the same length ``n`` (the number of warp
     instructions).  For non-memory instructions ``mem_req`` is 0 and
-    ``addr``/``spread`` are ignored.
+    ``addr``/``spread`` are ignored: a block does not store them, so
+    they read back as 0 in a view of a :class:`BlockTrace`.
 
     Attributes
     ----------
@@ -129,23 +132,8 @@ class WarpTrace:
         validate: bool = True,
     ) -> "WarpTrace":
         """Build a trace from raw columns, optionally skipping validation
-        (generators validate once per code template, not per warp)."""
+        (views of a trusted :class:`BlockTrace` skip it)."""
         return cls(op, active, mem_req, addr, spread, bb, _validate=validate)
 
 
-def concat_warp_traces(traces: list[WarpTrace]) -> WarpTrace:
-    """Concatenate several warp traces into one stream (used by tests and
-    trace export, not by the simulator)."""
-    if not traces:
-        raise ValueError("nothing to concatenate")
-    return WarpTrace(
-        np.concatenate([t.op for t in traces]),
-        np.concatenate([t.active for t in traces]),
-        np.concatenate([t.mem_req for t in traces]),
-        np.concatenate([t.addr for t in traces]),
-        np.concatenate([t.spread for t in traces]),
-        np.concatenate([t.bb for t in traces]),
-    )
-
-
-__all__ = ["WarpTrace", "concat_warp_traces", "OP_MEM_GLOBAL"]
+__all__ = ["WarpTrace", "OP_MEM_GLOBAL"]

@@ -38,9 +38,7 @@ from repro.trace import (
     BlockTrace,
     KernelTrace,
     LaunchTrace,
-    WarpTrace,
 )
-from repro.trace.blocktrace import BlockStats
 
 #: Cache-line granularity of generated addresses (Table V: 128 B lines).
 LINE = 128
@@ -249,8 +247,9 @@ def _synthesize_block(
 ) -> BlockTrace:
     """Synthesize one thread block's trace from its segment parameters.
 
-    The per-block matrices are marked read-only, like the skeleton's
-    arrays: one block object may sit in several launches' memos (see
+    The block's arrays are filled directly in :class:`BlockTrace`'s
+    compact layout and marked read-only, like the skeleton's arrays: one
+    block object may sit in several launches' memos (see
     :data:`_live_blocks`)."""
     rng = np.random.Generator(
         np.random.Philox(key=[seed, (data_id << 32) | tb_id])
@@ -268,8 +267,9 @@ def _synthesize_block(
     # All warps of a block execute the same code, so the instruction
     # skeleton (op classes, memory positions, basic blocks) is shared and
     # only the data-dependent columns (addresses, coalescing, divergence)
-    # vary per warp.  Everything is generated as (warps, n) matrices in
-    # one pass — the per-warp Python loop only slices views out.
+    # vary per warp.  They are generated as (warps, m) matrices over the
+    # m memory positions only, plus a (warps, n) active-thread matrix
+    # when the segment diverges.
     W = spec.warps_per_block
     op, bb, pos, active_const = _skeleton(seg, spec, n)
     m = len(pos)
@@ -289,14 +289,10 @@ def _synthesize_block(
             1.0, coalesce * (1.0 + float(rng.normal(0.0, seg.coalesce_jitter)))
         )
 
-    mem_req = np.zeros((W, n), dtype=np.uint8)
-    addr = np.zeros((W, n), dtype=np.int64)
-    spread = np.zeros((W, n), dtype=np.int64)
     if m > 0:
-        reqs = np.clip(
+        mem_req = np.clip(
             1 + rng.poisson(max(0.0, coalesce - 1.0), (W, m)), 1, 32
         ).astype(np.uint8)
-        mem_req[:, pos] = reqs
 
         seg_window = seg.reuse_window
         local = rng.random((W, m)) < locality
@@ -317,46 +313,27 @@ def _synthesize_block(
             far = far_base + (
                 rng.integers(0, max(1, seg.working_set // LINE), (W, m)) * LINE
             )
-        addr[:, pos] = np.where(local, a, far)
+        addr = np.where(local, a, far).astype(np.int64, copy=False)
         # Divergent instructions scatter their transactions widely;
         # coalesced ones touch adjacent lines.
-        sp = np.where(
-            reqs > 2, LINE * rng.integers(4, 64, (W, m)), np.int64(LINE)
-        )
-        spread[:, pos] = sp
+        spread = np.where(
+            mem_req > 2, LINE * rng.integers(4, 64, (W, m)), np.int64(LINE)
+        ).astype(np.int64, copy=False)
+    else:
+        mem_req = np.zeros((W, 0), dtype=np.uint8)
+        addr = spread = np.zeros((W, 0), dtype=np.int64)
 
     # Control divergence: per-instruction active thread counts.
-    if active_const is not None:
-        active_rows = [active_const] * W
-        thread_insts = 32 * W * n
-    else:
+    active = active_const
+    if active is None:
         active = np.clip(
             np.rint(rng.normal(seg.active_mean, seg.active_mean * 0.25, (W, n))),
             1,
             32,
         ).astype(np.uint8)
-        active.setflags(write=False)
-        active_rows = list(active)
-        thread_insts = int(active.sum(dtype=np.int64))
-    for matrix in (mem_req, addr, spread):
+    for matrix in (mem_req, addr, spread, active):
         matrix.setflags(write=False)
-
-    warps = [
-        WarpTrace.from_columns(
-            op, active_rows[w], mem_req[w], addr[w], spread[w], bb, validate=False
-        )
-        for w in range(W)
-    ]
-    block = BlockTrace(tb_id, warps)
-    # Stats fall out of the batched matrices for free; pre-setting them
-    # spares the profiler 6 x warps tiny reductions per block.
-    block._stats = BlockStats(
-        tb_id=tb_id,
-        warp_insts=W * n,
-        thread_insts=thread_insts,
-        mem_requests=int(mem_req.sum(dtype=np.int64)),
-    )
-    return block
+    return BlockTrace(tb_id, op, bb, pos, mem_req, addr, spread, active)
 
 
 @lru_cache(maxsize=512)

@@ -114,7 +114,7 @@ def make_manual_launch(
             )
             for _ in range(warps_per_block)
         ]
-        return BlockTrace(tb_id, warps)
+        return BlockTrace.from_warps(tb_id, warps)
 
     return LaunchTrace(
         kernel_name=name,

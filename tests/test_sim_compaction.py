@@ -414,7 +414,7 @@ class TestDegenerateTraces:
                 )
                 for _ in range(2)
             ]
-            return BlockTrace(tb_id, warps)
+            return BlockTrace.from_warps(tb_id, warps)
 
         return LaunchTrace(
             kernel_name="degenerate",

@@ -17,7 +17,6 @@ from repro.trace import (
     is_dram_op,
     is_mem_op,
 )
-from repro.trace.warptrace import concat_warp_traces
 
 
 def make_warp(n=8, mem_every=4):
@@ -111,20 +110,10 @@ class TestWarpTrace:
         with pytest.raises(ValueError):
             WarpTrace(w.op, w.active, mem_req, w.addr, w.spread, w.bb)
 
-    def test_concat(self):
-        a, b = make_warp(8), make_warp(12)
-        c = concat_warp_traces([a, b])
-        assert c.warp_insts == 20
-        assert c.mem_requests == a.mem_requests + b.mem_requests
-
-    def test_concat_empty_list(self):
-        with pytest.raises(ValueError):
-            concat_warp_traces([])
-
 
 class TestBlockTrace:
     def test_stats_aggregate_warps(self):
-        block = BlockTrace(3, [make_warp(), make_warp()])
+        block = BlockTrace.from_warps(3, [make_warp(), make_warp()])
         stats = block.stats
         assert stats.tb_id == 3
         assert stats.warp_insts == 16
@@ -132,22 +121,79 @@ class TestBlockTrace:
         assert stats.stall_probability == stats.mem_requests / stats.warp_insts
 
     def test_stats_cached(self):
-        block = BlockTrace(0, [make_warp()])
+        block = BlockTrace.from_warps(0, [make_warp()])
         assert block.stats is block.stats
 
     def test_requires_warps(self):
         with pytest.raises(ValueError):
-            BlockTrace(0, [])
+            BlockTrace.from_warps(0, [])
 
     def test_bb_counts(self):
-        block = BlockTrace(0, [make_warp(), make_warp()])
+        block = BlockTrace.from_warps(0, [make_warp(), make_warp()])
         assert block.bb_counts(2)[0] == 16
+
+    def test_compact_layout(self):
+        block = BlockTrace.from_warps(0, [make_warp(12), make_warp(12)])
+        assert len(block) == 2
+        np.testing.assert_array_equal(block.pos, [0, 4, 8])
+        assert block.mem_req.shape == block.addr.shape == (2, 3)
+        assert block.spread.shape == (2, 3)
+        # Identical active columns collapse to one shared row.
+        assert block.active.shape == (12,)
+
+    def test_divergent_warps_keep_active_matrix(self):
+        a, b = make_warp(), make_warp()
+        active = b.active.copy()
+        active[3] = 5
+        b = WarpTrace(b.op, active, b.mem_req, b.addr, b.spread, b.bb)
+        block = BlockTrace.from_warps(0, [a, b])
+        assert block.active.shape == (2, 8)
+        assert block.stats.thread_insts == a.thread_insts + b.thread_insts
+        np.testing.assert_array_equal(block.warps[1].active, active)
+
+    def test_views_round_trip_memory_operands(self):
+        a, b = make_warp(), make_warp()
+        b = WarpTrace(b.op, b.active, b.mem_req * 3, b.addr + 4096,
+                      b.spread, b.bb)
+        block = BlockTrace.from_warps(0, [a, b])
+        for orig, view in zip((a, b), block.warps):
+            mem = is_dram_op(orig.op)
+            for name in ("op", "active", "mem_req", "bb"):
+                np.testing.assert_array_equal(
+                    getattr(view, name), getattr(orig, name)
+                )
+            for name in ("addr", "spread"):
+                col = getattr(view, name)
+                np.testing.assert_array_equal(col[mem], getattr(orig, name)[mem])
+                # Ignored outside memory instructions: not stored, read as 0.
+                assert not col[~mem].any()
+            view.validate()
+
+    def test_rejects_warps_with_different_skeletons(self):
+        with pytest.raises(ValueError):
+            BlockTrace.from_warps(0, [make_warp(8), make_warp(12)])
+        a, b = make_warp(), make_warp()
+        bb = b.bb.copy()
+        bb[2] = 1
+        b = WarpTrace(b.op, b.active, b.mem_req, b.addr, b.spread, bb)
+        with pytest.raises(ValueError):
+            BlockTrace.from_warps(0, [a, b])
+
+    def test_rejects_transactions_outside_memory_ops(self):
+        w = make_warp()
+        mem_req = w.mem_req.copy()
+        mem_req[1] = 3  # position 1 is ALU
+        bad = WarpTrace.from_columns(
+            w.op, w.active, mem_req, w.addr, w.spread, w.bb, validate=False
+        )
+        with pytest.raises(ValueError):
+            BlockTrace.from_warps(0, [bad])
 
 
 class TestLaunchTrace:
     def _launch(self, n=10):
         return LaunchTrace(
-            "k", 0, n, 1, lambda tb_id: BlockTrace(tb_id, [make_warp()]), 1
+            "k", 0, n, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
         )
 
     def test_block_range_checked(self):
@@ -168,7 +214,7 @@ class TestLaunchTrace:
 
     def test_factory_id_mismatch_detected(self):
         bad = LaunchTrace(
-            "k", 0, 3, 1, lambda tb_id: BlockTrace(0, [make_warp()]), 1
+            "k", 0, 3, 1, lambda tb_id: BlockTrace.from_warps(0, [make_warp()]), 1
         )
         with pytest.raises(ValueError):
             bad.block(1)
@@ -179,14 +225,14 @@ class TestLaunchTrace:
 
 
 def _picklable_factory(tb_id):
-    return BlockTrace(tb_id, [make_warp()])
+    return BlockTrace.from_warps(tb_id, [make_warp()])
 
 
 class TestBlockMemo:
     def _launch(self, n=10, memo=None):
         return LaunchTrace(
             "k", 0, n, 1,
-            lambda tb_id: BlockTrace(tb_id, [make_warp()]), 1,
+            lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1,
             block_memo=memo,
         )
 
@@ -279,7 +325,7 @@ class TestKernelTrace:
     def test_counts(self):
         launches = [
             LaunchTrace(
-                "k", i, 5, 1, lambda tb_id: BlockTrace(tb_id, [make_warp()]), 1
+                "k", i, 5, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
             )
             for i in range(3)
         ]
@@ -289,14 +335,14 @@ class TestKernelTrace:
 
     def test_rejects_bad_kind(self):
         launch = LaunchTrace(
-            "k", 0, 1, 1, lambda tb_id: BlockTrace(tb_id, [make_warp()]), 1
+            "k", 0, 1, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
         )
         with pytest.raises(ValueError):
             KernelTrace("k", "s", "weird", [launch])
 
     def test_rejects_noncontiguous_launch_ids(self):
         launch = LaunchTrace(
-            "k", 1, 1, 1, lambda tb_id: BlockTrace(tb_id, [make_warp()]), 1
+            "k", 1, 1, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
         )
         with pytest.raises(ValueError):
             KernelTrace("k", "s", "regular", [launch])

@@ -157,10 +157,12 @@ class TestLiveBlockSharing:
             warps_per_block=2,
         )
         kernel = build_kernel("r", "test", "irregular", [spec], 1)
-        warp = kernel.launches[0].block(0).warps[0]
-        for column in ("mem_req", "addr", "spread", "active"):
+        block = kernel.launches[0].block(0)
+        for column in ("op", "bb", "mem_req", "addr", "spread", "active"):
             with pytest.raises(ValueError):
-                getattr(warp, column)[0] = 1
+                getattr(block, column)[0] = 1
+            with pytest.raises(ValueError):
+                getattr(block.warps[0], column)[0] = 1
 
     def test_live_blocks_hold_no_reference(self):
         kernel = get_workload("stream", scale=TINY)
