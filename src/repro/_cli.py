@@ -19,8 +19,8 @@ Every experiment in the evaluation can be regenerated from the shell:
 * ``serve`` / ``request`` — the warm-state simulation service: a
   long-lived daemon that keeps engines, traces and profiles warm
   across requests (DESIGN.md §13), and its one-shot client;
-* ``lint`` — static determinism / process-safety / hot-loop /
-  oracle-parity checks over the source tree (DESIGN.md §10).
+* ``lint`` — static determinism / process-safety / async- and
+  fork-safety checks over the source tree (DESIGN.md §10, §15).
 
 Batch execution applies to every experiment command: ``--jobs N`` fans
 work out across N worker processes (0 = all CPUs, the default; results
@@ -451,8 +451,8 @@ def cmd_request(args: argparse.Namespace) -> None:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Static determinism/process-safety/hot-loop/oracle-parity checks
-    (DESIGN.md §10); flags are shared with ``python -m
+    """Static determinism/process-safety/async/fork-safety checks
+    (DESIGN.md §10, §15); flags are shared with ``python -m
     repro.devtools.lint`` via ``configure_parser``."""
     from repro.devtools.lint.cli import run as lint_run
 
@@ -693,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static determinism/process-safety/hot-loop/oracle-parity "
-             "checks (DESIGN.md §10)",
+        help="static determinism/process-safety/async/fork-safety "
+             "checks (DESIGN.md §10, §15)",
     )
     _configure_lint(p)
     return parser

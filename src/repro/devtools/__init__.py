@@ -5,8 +5,8 @@ invariant: fast paths are bit-identical to their reference oracles, and
 parallel/chaos runs are bit-identical to clean serial runs.  The
 property-test suites enforce that invariant *dynamically*; this package
 enforces the preconditions *statically*, at review time — before a newly
-added wall-clock read, unseeded RNG, unpicklable closure or
-oracle-less fast-path module ever reaches a test run.
+added wall-clock read, unseeded RNG or unpicklable closure ever reaches
+a test run.
 
 Entry points:
 

@@ -1,7 +1,7 @@
 """``repro lint``: AST-based static checks for this repository's
-determinism, process-safety, hot-loop and oracle-parity contracts
-(DESIGN.md §10) and the serving stack's concurrency contracts —
-async/fork safety and counter parity (DESIGN.md §15).
+determinism and process-safety contracts (DESIGN.md §10) and the
+serving stack's concurrency contracts — async and fork safety
+(DESIGN.md §15).
 
 Library API::
 

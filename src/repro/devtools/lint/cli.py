@@ -14,7 +14,6 @@ from repro.devtools.lint.baseline import (
     DEFAULT_BASELINE_NAME,
     write_baseline,
 )
-from repro.devtools.lint.core import REGISTRY
 from repro.devtools.lint.report import format_human, format_json, format_rules
 from repro.devtools.lint.runner import run_lint
 
@@ -23,17 +22,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     and the ``repro lint`` subcommand so their flags never drift."""
     parser.add_argument(
         "paths", nargs="*", type=Path,
-        help="files/directories to lint (default: src/repro)",
+        help="directories or .py files to lint (default: src/repro); "
+             "any other path is a usage error (exit 2)",
     )
     parser.add_argument(
         "--root", type=Path, default=None,
         help="repository root for relative paths and defaults "
              "(default: current directory)",
-    )
-    parser.add_argument(
-        "--tests-dir", type=Path, default=None,
-        help="test-suite directory the oracle-parity checker "
-             "cross-references (default: <root>/tests)",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -55,14 +50,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "(the CI mode); without this flag any finding fails",
     )
     parser.add_argument(
-        "--checker", action="append", dest="checkers", metavar="NAME",
-        help="run only this checker (repeatable); default: all "
-             f"({', '.join(REGISTRY)})",
-    )
-    parser.add_argument(
         "--rules", type=str, default=None, metavar="RULES",
         help="comma-separated rule ids or family prefixes to run "
-             "(e.g. ASYNC,CTR001); unknown names are a usage error "
+             "(e.g. ASYNC,DET001); unknown names are a usage error "
              "(exit 2)",
     )
     parser.add_argument(
@@ -94,11 +84,9 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         result = run_lint(
-            paths=[p for p in args.paths] or None,
+            paths=args.paths or None,
             root=root,
-            tests_dir=args.tests_dir,
             baseline_path=None if args.write_baseline else baseline_path,
-            checker_names=args.checkers,
             rules=rules,
             baseline_strict=baseline_strict,
         )
@@ -127,10 +115,9 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
-        description="Static determinism/process-safety/hot-loop/"
-                    "oracle-parity and concurrency-contract checks "
-                    "(async/fork safety, counter parity) for the "
-                    "reproduction.",
+        description="Static determinism/process-safety and "
+                    "concurrency-contract checks (async/fork safety) "
+                    "for the reproduction.",
     )
     configure_parser(parser)
     return run(parser.parse_args(argv))

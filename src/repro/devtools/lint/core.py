@@ -14,10 +14,7 @@ Pragma syntax (found in comments, via :mod:`tokenize`):
 * ``# lint: disable=RULE[,RULE...]`` — suppress those rules on this
   line (trailing comment) or, when the comment stands alone on its own
   line, on the next line;
-* ``# lint: disable-file=RULE[,RULE...]`` — suppress for the whole file;
-* ``# lint: hot`` — mark the ``def``/``for``/``while`` on this line (or
-  the line below the comment) as a *hot region* for the hot-loop
-  checker.
+* ``# lint: disable-file=RULE[,RULE...]`` — suppress for the whole file.
 """
 
 from __future__ import annotations
@@ -31,10 +28,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 #: Bump whenever rules change behaviour; reported in ``--json`` output.
-LINT_VERSION = 1
+LINT_VERSION = 2
 
 _PRAGMA_RE = re.compile(
-    r"#\s*lint:\s*(?P<kind>disable-file|disable|hot)\s*(?:=\s*(?P<rules>[A-Za-z0-9_,\s]+))?"
+    r"#\s*lint:\s*(?P<kind>disable-file|disable)\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
 )
 
 
@@ -82,8 +79,6 @@ class ParsedFile:
         #: line -> frozenset of suppressed rules on that line
         self.line_disables: dict[int, set[str]] = {}
         self.file_disables: set[str] = set()
-        #: lines carrying a ``# lint: hot`` mark
-        self.hot_lines: set[int] = set()
         self._scan_pragmas()
 
     # ------------------------------------------------------------------
@@ -102,22 +97,15 @@ class ParsedFile:
             match = _PRAGMA_RE.search(tok.string)
             if match is None:
                 continue
-            line = tok.start[0]
-            # A comment alone on its line applies to the next line.
-            alone = self.lines[line - 1].lstrip().startswith("#")
-            kind = match.group("kind")
-            if kind == "hot":
-                self.hot_lines.add(line + 1 if alone else line)
-                continue
             rules = {
-                r.strip() for r in (match.group("rules") or "").split(",")
-                if r.strip()
+                r.strip() for r in match.group("rules").split(",") if r.strip()
             }
-            if not rules:
-                continue
-            if kind == "disable-file":
+            if match.group("kind") == "disable-file":
                 self.file_disables |= rules
             else:
+                line = tok.start[0]
+                # A comment alone on its line applies to the next line.
+                alone = self.lines[line - 1].lstrip().startswith("#")
                 target = line + 1 if alone else line
                 self.line_disables.setdefault(target, set()).update(rules)
 
@@ -125,11 +113,6 @@ class ParsedFile:
         if rule in self.file_disables:
             return True
         return rule in self.line_disables.get(line, ())
-
-    def is_hot_marked(self, node: ast.AST) -> bool:
-        """Is this ``def``/``for``/``while`` marked ``# lint: hot``?"""
-        line = getattr(node, "lineno", None)
-        return line is not None and line in self.hot_lines
 
     # ------------------------------------------------------------------
     # Helpers checkers share
@@ -171,20 +154,12 @@ def _bare_callee(node: ast.Call) -> str | None:
 
 @dataclass
 class ProjectContext:
-    """What project-wide checkers see: every linted file plus the parsed
-    test suite (for cross-referencing implementations against tests)."""
+    """What project-wide checkers see: every linted file."""
 
     files: list[ParsedFile]
-    test_files: list[ParsedFile] = field(default_factory=list)
     _pkg_graphs: dict[str, dict[str, list[FunctionInfo]]] = field(
         default_factory=dict, repr=False
     )
-
-    def by_rel(self, rel: str) -> ParsedFile | None:
-        for pf in self.files:
-            if pf.rel == rel:
-                return pf
-        return None
 
     def package_functions(self, pf: ParsedFile) -> dict[str, list[FunctionInfo]]:
         """The package call graph for ``pf``'s directory: every function
@@ -228,7 +203,7 @@ class Checker:
     ``check_file`` and/or ``check_project``, and decorate with
     :func:`register`."""
 
-    #: unique checker name (used by ``--checker`` selection)
+    #: unique checker name (reported as each finding's ``checker``)
     name: str = ""
     #: rule id -> one-line description
     rules: dict[str, str] = {}

@@ -8,8 +8,7 @@ so two runs over the same tree produce byte-identical output.
 
 Every run parses every file afresh: the whole tree lints in a few
 seconds, so no cache stands between an edit and its findings.
-Project-wide checkers (oracle parity, async safety, counter parity)
-see every linted file plus the parsed test suite.
+Project-wide checkers (async safety) see every linted file.
 """
 
 from __future__ import annotations
@@ -69,20 +68,19 @@ class LintResult:
 
 def discover_files(paths: list[Path]) -> list[Path]:
     """Every ``.py`` file under the given paths, sorted (DET005: never
-    depend on filesystem enumeration order)."""
+    depend on filesystem enumeration order).  A path that is neither a
+    directory nor a ``.py`` file is a usage error (``ValueError`` ->
+    exit 2): a typo'd path silently linting nothing would green-light
+    CI."""
     out: list[Path] = []
     for path in paths:
         if path.is_dir():
             out.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" and path.exists():
             out.append(path)
-    seen: set[Path] = set()
-    unique = []
-    for path in sorted(out):
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
+        else:
+            raise ValueError(f"{path}: no such directory or .py file")
+    return sorted(set(out))
 
 
 def _rel(path: Path, root: Path) -> str:
@@ -120,9 +118,7 @@ def select_rules(specs: list[str]) -> set[str]:
 def run_lint(
     paths: list[Path] | None = None,
     root: Path | None = None,
-    tests_dir: Path | None = None,
     baseline_path: Path | None = None,
-    checker_names: list[str] | None = None,
     rules: list[str] | None = None,
     baseline_strict: bool = False,
 ) -> LintResult:
@@ -136,15 +132,10 @@ def run_lint(
     root:
         Repository root used for relative paths, default discovery and
         the default baseline location (default: cwd).
-    tests_dir:
-        Test-suite directory for the oracle-parity cross-reference
-        (default: ``<root>/tests`` when it exists).
     baseline_path:
         Baseline suppression file; ``None`` means no baseline.
-    checker_names:
-        Subset of checkers to run (default: all registered).
     rules:
-        Rule ids or family prefixes (``["ASYNC", "CTR001"]``) limiting
+        Rule ids or family prefixes (``["ASYNC", "DET001"]``) limiting
         which rules run/report; unknown entries raise ``ValueError``.
     baseline_strict:
         Raise :class:`~repro.devtools.lint.baseline.BaselineError` on
@@ -155,25 +146,12 @@ def run_lint(
     if paths is None:
         default = root / "src" / "repro"
         paths = [default if default.is_dir() else root]
-    if tests_dir is None:
-        candidate = root / "tests"
-        tests_dir = candidate if candidate.is_dir() else None
 
     selected = select_rules(rules) if rules is not None else None
-
-    active: list[Checker] = []
-    for name, cls in REGISTRY.items():
-        if checker_names is not None and name not in checker_names:
-            continue
-        if selected is not None and not set(cls.rules) & selected:
-            continue
-        active.append(cls())
-    if checker_names is not None:
-        unknown = sorted(set(checker_names) - set(REGISTRY))
-        if unknown:
-            raise ValueError(
-                f"unknown checkers {unknown}; registered: {sorted(REGISTRY)}"
-            )
+    active: list[Checker] = [
+        cls() for cls in REGISTRY.values()
+        if selected is None or set(cls.rules) & selected
+    ]
 
     def _wanted(finding: Finding) -> bool:
         return selected is None or finding.rule in selected
@@ -182,7 +160,7 @@ def run_lint(
     parsed: list[ParsedFile] = []
     raw: list[Finding] = []
 
-    for path in discover_files(list(paths)):
+    for path in discover_files(paths):
         rel = _rel(path, root)
         try:
             source = path.read_text()
@@ -203,16 +181,7 @@ def run_lint(
                 ):
                     raw.append(finding)
 
-    test_files: list[ParsedFile] = []
-    if tests_dir is not None:
-        for path in discover_files([tests_dir]):
-            try:
-                test_files.append(
-                    ParsedFile(path, _rel(path, root), path.read_text())
-                )
-            except (OSError, UnicodeDecodeError, SyntaxError):
-                continue  # unparsable test files cannot vouch for coverage
-    ctx = ProjectContext(files=parsed, test_files=test_files)
+    ctx = ProjectContext(files=parsed)
     by_rel = {pf.rel: pf for pf in parsed}
     for checker in active:
         for finding in checker.check_project(ctx):

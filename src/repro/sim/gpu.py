@@ -701,7 +701,6 @@ class GPUSimulator:
                     n += idx - bisect_left(cum, cum[pc] + thr - t0, pc, idx)
             return n
 
-        # lint: hot
         while event_heap:
             n_events += 1
             t, si = pop(event_heap)

@@ -124,7 +124,6 @@ class MemoryHierarchy:
         self._service = dram.service
         self._jitter = dram.jitter
 
-    # lint: hot
     def load(self, sm_id: int, addr: int, spread: int, num_req: int, now: int) -> int:
         """Perform one warp memory instruction's ``num_req`` transactions
         starting at ``addr`` with byte ``spread`` between them; return
@@ -246,7 +245,7 @@ class MemoryHierarchy:
                         # Allocated at most once per *instruction*
                         # (on the first DRAM miss), not per
                         # transaction.
-                        dram_addrs = [a]  # lint: disable=HOT002
+                        dram_addrs = [a]
                     else:
                         dram_addrs.append(a)
             a += spread

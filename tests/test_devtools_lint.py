@@ -13,7 +13,7 @@ import pytest
 from repro.devtools.lint import run_lint
 from repro.devtools.lint.baseline import load_baseline, write_baseline
 from repro.devtools.lint.cli import main as lint_main
-from repro.devtools.lint.core import ParsedFile
+from repro.devtools.lint.core import ParsedFile, all_rules
 from repro.devtools.lint.report import format_human
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -22,21 +22,13 @@ REPO_ROOT = Path(__file__).parent.parent
 DET_FILE = FIXTURES / "sim" / "det_violations.py"
 SUPPRESSED_FILE = FIXTURES / "sim" / "det_suppressed.py"
 PROC_FILE = FIXTURES / "proc_violations.py"
-HOT_FILE = FIXTURES / "hot_violations.py"
-REGISTRY_FILE = FIXTURES / "sim" / "registry_fixture.py"
 ASYNC_FILE = FIXTURES / "serve" / "async_violations.py"
 ASYNC_SUPPRESSED = FIXTURES / "serve" / "async_suppressed.py"
 FORK_FILE = FIXTURES / "fork_violations.py"
-CTR_FILE = FIXTURES / "ctr_serve" / "serve" / "counters_fixture.py"
 
 
-def _lint(paths, tests_dir=None, **kwargs):
-    return run_lint(
-        paths=[Path(p) for p in paths],
-        root=FIXTURES,
-        tests_dir=tests_dir,
-        **kwargs,
-    )
+def _lint(paths, **kwargs):
+    return run_lint(paths=[Path(p) for p in paths], root=FIXTURES, **kwargs)
 
 
 def _rules(result):
@@ -130,62 +122,6 @@ def test_process_safety_module_level_names_pass():
     source_lines = PROC_FILE.read_text().splitlines()
     for f in result.findings:
         assert "clean" not in source_lines[f.line - 1]
-
-
-# ----------------------------------------------------------------------
-# Hot-loop checker
-# ----------------------------------------------------------------------
-
-def test_hot_loop_catches_planted_violations():
-    result = _lint([HOT_FILE])
-    assert _rules(result) == Counter(
-        {"HOT001": 3, "HOT002": 3, "HOT003": 1}
-    )
-
-
-def test_hot_loop_only_fires_inside_marked_regions():
-    # cold_loop has the identical body but no ``# lint: hot`` mark.
-    result = _lint([HOT_FILE])
-    source = HOT_FILE.read_text().splitlines()
-    cold_start = next(
-        i for i, line in enumerate(source, 1) if "def cold_loop" in line
-    )
-    cold_end = next(
-        i for i, line in enumerate(source, 1) if "def hot_function" in line
-    )
-    assert not [
-        f for f in result.findings if cold_start <= f.line < cold_end
-    ]
-
-
-def test_hot_pragma_suppression():
-    # hot_justified's sorted() carries a trailing disable pragma.
-    result = _lint([HOT_FILE])
-    source = HOT_FILE.read_text().splitlines()
-    justified = next(
-        i for i, line in enumerate(source, 1) if "disable=HOT002" in line
-    )
-    assert not [f for f in result.findings if f.line == justified]
-
-
-# ----------------------------------------------------------------------
-# Oracle-parity checker
-# ----------------------------------------------------------------------
-
-def test_oracle_parity_full_coverage_is_clean():
-    result = _lint(
-        [REGISTRY_FILE], tests_dir=FIXTURES / "fake_tests_full",
-    )
-    assert not result.findings
-
-
-def test_oracle_parity_flags_uncovered_registrations():
-    result = _lint(
-        [REGISTRY_FILE], tests_dir=FIXTURES / "fake_tests_partial",
-    )
-    assert _rules(result) == Counter({"ORA001": 2})
-    flagged = {f.message.split("'")[1] for f in result.findings}
-    assert flagged == {"fixture-reference", "fixture-oracle"}
 
 
 # ----------------------------------------------------------------------
@@ -305,34 +241,6 @@ def test_fork_safety_picklable_args_pass(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Counter-parity checker
-# ----------------------------------------------------------------------
-
-def test_counter_parity_catches_planted_violations():
-    result = _lint([CTR_FILE])
-    assert _rules(result) == Counter({"CTR001": 2})
-    messages = " ".join(f.message for f in result.findings)
-    assert "'ghost'" in messages and "'untracked'" in messages
-
-
-def test_counter_parity_asdict_flushes_whole_class(tmp_path):
-    # asdict(self) in any method exports every declared field, so a
-    # fully-updated bundle is clean.
-    (tmp_path / "serve").mkdir()
-    (tmp_path / "serve" / "mod.py").write_text(
-        "from dataclasses import asdict, dataclass\n\n"
-        "@dataclass\nclass PairCounters:\n"
-        "    hits: int = 0\n"
-        "    def as_dict(self):\n        return asdict(self)\n\n"
-        "class D:\n"
-        "    def __init__(self):\n        self.counters = PairCounters()\n"
-        "    def on_hit(self):\n        self.counters.hits += 1\n"
-    )
-    result = run_lint(paths=[tmp_path], root=tmp_path)
-    assert not [f for f in result.findings if f.rule == "CTR001"]
-
-
-# ----------------------------------------------------------------------
 # Pragmas
 # ----------------------------------------------------------------------
 
@@ -347,12 +255,12 @@ def test_pragma_parsing_trailing_and_standalone():
         "a = 1  # lint: disable=DET001\n"
         "# lint: disable=DET002,DET003\n"
         "b = 2\n"
-        "# lint: disable-file=HOT001\n",
+        "# lint: disable-file=PROC003\n",
     )
     assert pf.is_suppressed(1, "DET001")
     assert pf.is_suppressed(3, "DET002") and pf.is_suppressed(3, "DET003")
     assert not pf.is_suppressed(2, "DET002")
-    assert pf.is_suppressed(99, "HOT001")  # file-wide, any line
+    assert pf.is_suppressed(99, "PROC003")  # file-wide, any line
 
 
 # ----------------------------------------------------------------------
@@ -437,8 +345,8 @@ def test_new_rules_interact_with_baseline(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_findings_sorted_and_output_deterministic():
-    a = _lint([DET_FILE, PROC_FILE, HOT_FILE])
-    b = _lint([DET_FILE, PROC_FILE, HOT_FILE])
+    a = _lint([DET_FILE, PROC_FILE, FORK_FILE])
+    b = _lint([DET_FILE, PROC_FILE, FORK_FILE])
     keys = [f.sort_key for f in a.findings]
     assert keys == sorted(keys)
     assert format_human(a) == format_human(b)
@@ -452,15 +360,15 @@ def test_syntax_error_reported_not_fatal(tmp_path):
 
 
 def test_unknown_checker_name_raises():
-    with pytest.raises(ValueError, match="unknown checkers"):
-        _lint([DET_FILE], checker_names=["nope"])
+    # The deleted hot-loop, oracle-parity and counter-parity checkers
+    # are unknown names now, never a silent empty selection.
+    for family in ("HOT", "ORA", "CTR"):
+        with pytest.raises(ValueError, match=f"unknown rule.*{family}"):
+            _lint([DET_FILE], rules=[family])
 
 
 def test_checker_selection_limits_rules():
-    result = _lint(
-        [DET_FILE, PROC_FILE],
-        checker_names=["process-safety"],
-    )
+    result = _lint([DET_FILE, PROC_FILE], rules=["PROC"])
     assert {f.rule for f in result.findings} == {
         "PROC001", "PROC002", "PROC003"
     }
@@ -498,6 +406,43 @@ def test_cli_exit_codes(tmp_path, capsys):
         [str(clean), "--root", str(tmp_path)]
     ) == 0
     capsys.readouterr()
+    # A directory that is not there is a usage error, never a clean run
+    # over zero files.
+    missing = tmp_path / "missing_dir"
+    assert lint_main([str(missing), "--root", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(missing) in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("bad", ["missing.py", "notes.md", "beside_real"])
+def test_cli_unlintable_path_exits_2(tmp_path, capsys, bad):
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    (tmp_path / "notes.md").write_text("x\n")
+    if bad == "beside_real":
+        # One typo'd path fails the run even when another path is real.
+        path, paths = tmp_path / "missing_dir", [clean, tmp_path / "missing_dir"]
+    else:
+        path = tmp_path / bad
+        paths = [path]
+    rc = lint_main([str(p) for p in paths] + ["--root", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--tests-dir", "tests"], ["--checker", "determinism"]],
+    ids=["tests-dir", "checker"],
+)
+def test_cli_removed_options_exit_2(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        lint_main([str(DET_FILE), "--root", str(FIXTURES), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_error_on_new_with_baseline(tmp_path, capsys):
@@ -554,6 +499,16 @@ def test_cli_unknown_rule_exits_2(capsys):
     assert "unknown rule" in err and "BOGUS" in err
 
 
+def test_cli_rules_naming_deleted_family_exits_2(capsys):
+    # The CI invocation before the counter-parity family was deleted.
+    args = [str(ASYNC_SUPPRESSED), "--root", str(FIXTURES), "--rules"]
+    assert lint_main(args + ["ASYNC,FORK,CTR"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown rule" in err and "CTR" in err
+    assert lint_main(args + ["ASYNC,FORK"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_unreadable_baseline_exits_2(tmp_path, capsys):
     base_args = [
         str(DET_FILE), "--root", str(FIXTURES),
@@ -587,8 +542,10 @@ def test_cli_write_baseline(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("DET001", "PROC001", "HOT001", "ORA001"):
-        assert rule in out
+    listed = {line.split()[0] for line in out.splitlines()}
+    assert {rule.rstrip("0123456789") for rule in listed} == {
+        "DET", "PROC", "ASYNC", "FORK"
+    }
 
 
 def test_repro_cli_lint_subcommand(capsys):
@@ -601,43 +558,45 @@ def test_repro_cli_lint_subcommand(capsys):
     assert "DET001" in capsys.readouterr().out
 
 
+def test_repro_cli_lint_missing_dir_exits_2(tmp_path, capsys):
+    from repro._cli import main as repro_main
+
+    missing = tmp_path / "src" / "repro" / "nonexistent_dir"
+    assert repro_main(["lint", str(missing), "--root", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
 # ----------------------------------------------------------------------
 # The repository's own acceptance contract
 # ----------------------------------------------------------------------
 
 def test_repository_tree_is_lint_clean():
-    """ISSUE acceptance: ``repro lint`` reports zero non-baselined
-    findings over ``src/repro`` (with the repo's own tests vouching
-    for oracle parity), and the concurrency-contract families are
-    registered and clean with zero baseline entries."""
-    from repro.devtools.lint.core import all_rules
-
+    """``repro lint`` reports zero non-baselined findings over
+    ``src/repro``, and the concurrency-contract families are registered
+    and clean with zero baseline entries."""
     registered = set(all_rules())
     for rule in (
         "ASYNC001", "ASYNC002", "ASYNC003", "FORK001", "FORK002",
-        "CTR001",
     ):
         assert rule in registered, f"{rule} not registered"
-    result = run_lint(
-        paths=[REPO_ROOT / "src" / "repro"],
-        root=REPO_ROOT,
-        tests_dir=REPO_ROOT / "tests",
-    )
+    result = run_lint(paths=[REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert not result.errors
     assert not result.new, format_human(result)
     # The concurrency rules must hold outright — never via baseline.
-    new_families = ("ASYNC", "FORK", "CTR")
+    new_families = ("ASYNC", "FORK")
     assert not [
         f for f in result.findings if f.rule.startswith(new_families)
     ], format_human(result)
 
 
 def test_src_pragmas_carry_reason_comments():
-    """Satellite contract: every suppression pragma in src/repro carries
-    a human reason — comment text before the pragma marker on the same
-    line, or an explanatory (non-pragma) comment on the line above.
-    The linter's own package is exempt: its docstrings document the
-    pragma syntax itself."""
+    """Every suppression pragma in src/repro names a registered rule
+    and carries a human reason — comment text before the pragma marker
+    on the same line, or an explanatory (non-pragma) comment on the
+    line above.  The linter's own package is exempt: its docstrings
+    document the pragma syntax itself."""
+    registered = set(all_rules())
     offenders = []
     for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
         if "devtools/lint" in path.as_posix():
@@ -647,6 +606,12 @@ def test_src_pragmas_carry_reason_comments():
             match = re.search(r"#\s*lint:\s*disable", line)
             if match is None:
                 continue
+            rules = set(re.findall(r"[A-Z]+[0-9]+", line[match.end():]))
+            if not rules or rules - registered:
+                offenders.append(
+                    f"{path.name}:{idx + 1}: rules {sorted(rules)} are not "
+                    "all registered"
+                )
             before = line[: match.start()]
             inline = "#" in before and before.split("#", 1)[1].strip()
             prev = lines[idx - 1].strip() if idx else ""

@@ -356,6 +356,7 @@ class TestWarmState:
                 client.tbpoint(KERNEL, scale=SCALE)
                 stats = client.stats()
         c = stats["counters"]
+        assert c["tbpoint_requests"] == 3
         # First estimate computes its profile; a different trace
         # identity computes its own; nothing was on disk yet.
         assert c["profile_computed"] == 2
@@ -518,7 +519,10 @@ class TestLifecycle:
         assert not (serve_dir / "serve.sock").exists()
 
     def test_requests_after_shutdown_are_rejected(self, serve_dir):
-        with start_server(serve_dir, workers=1) as handle:
+        metrics = serve_dir / "metrics.json"
+        with start_server(
+            serve_dir, workers=1, metrics_json=str(metrics)
+        ) as handle:
             client = ServeClient(handle.socket_path)
             # Queue enough work that the drain is still in progress
             # when the post-shutdown request arrives.
@@ -532,6 +536,9 @@ class TestLifecycle:
             for rid in rids:
                 client.drain(rid)  # accepted work still answered
             client.close()
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["draining_rejections"] == 1
+        assert counters["simulate_requests"] == 4
 
     def test_deadline_miss_rejects_the_wait_not_the_work(self, serve_dir):
         with start_server(serve_dir, journal=True, workers=1) as handle:
@@ -566,6 +573,24 @@ class TestLifecycle:
         assert payload["counters"]["sims_run"] == 1
         assert payload["counters"]["requests_total"] >= 2
 
+    def test_stats_payload_exports_every_counter_field(self, serve_dir):
+        """Every declared counter reaches ``stats``/``--metrics-json``:
+        ``ServeCounters`` whole, ``SupervisorCounters`` field by field
+        (``snapshot()`` lists those by hand)."""
+        from dataclasses import fields
+
+        from repro.serve.server import ServeCounters
+        from repro.serve.supervisor import SupervisorCounters
+
+        with start_server(serve_dir, workers=1) as handle:
+            with ServeClient(handle.socket_path) as client:
+                stats = client.stats()
+        assert set(stats["counters"]) == {f.name for f in fields(ServeCounters)}
+        missing = {f.name for f in fields(SupervisorCounters)} - set(
+            stats["workers"]
+        )
+        assert not missing, missing
+
     def test_tcp_transport(self, serve_dir):
         config_overrides = {"host": "127.0.0.1", "port": 0}
         with start_tcp_server(serve_dir, **config_overrides) as handle:
@@ -582,7 +607,12 @@ class TestLifecycle:
             with ServeClient(handle.socket_path) as client:
                 with pytest.raises(ServeError, match="unknown"):
                     client.call("simulate", {"kernel": "bogus"})
+                pings = client.stats()["counters"]["ping_requests"]
                 assert client.ping()["protocol"] == PROTOCOL_VERSION
+                c = client.stats()["counters"]
+        assert c["ping_requests"] == pings + 1
+        assert c["stats_requests"] == 2  # the reply counts its own request
+        assert c["simulate_requests"] == 1 and c["errors"] == 1
 
     def test_garbage_frame_drops_connection_not_server(self, serve_dir):
         with start_server(serve_dir) as handle:

@@ -441,7 +441,7 @@ class TestIdleSmBusyCycles:
     """SMs that never issued an instruction must report 0 busy cycles,
     not the phantom ``last + 1 = 1`` the per-SM IPC sum used to see."""
 
-    @pytest.mark.parametrize("engine", ["reference", "compact"])
+    @pytest.mark.parametrize("engine", GPUSimulator.ENGINES)
     def test_idle_sms_report_zero(self, engine):
         launch = make_manual_launch([20, 20])
         result = GPUSimulator(

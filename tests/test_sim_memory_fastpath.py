@@ -243,7 +243,10 @@ class TestBatchCounterParity:
 
 
 def test_registry():
+    # The oracle grids iterate these registries; pinning them here keeps
+    # a grid from silently shrinking.
     assert set(MEMORY_FRONT_ENDS) == {"fast", "reference"}
+    assert set(GPUSimulator.ENGINES) == {"compact", "reference"}
     cfg = tiny_config()
     assert isinstance(make_memory(cfg), MemoryHierarchy)
     assert isinstance(
@@ -297,14 +300,15 @@ def test_engine_front_end_grid_bit_identical(kernel, scheduler):
     both schedulers, which route through different engine loops) yields
     the same LaunchResults on real kernels: the Table VI irregular
     spmv, bfs, sssp and mst and the regular lbm, stream, cfd and
-    kmeans."""
+    kmeans.  The grid is read from the registries, so a newly
+    registered engine or front end joins it by construction."""
     from repro.workloads import get_workload
 
     launches = get_workload(kernel, scale=0.0625).launches[:2]
     prints = set()
     cfg = GPUConfig(scheduler=scheduler)
-    for engine in ("compact", "reference"):
-        for front_end in ("fast", "reference"):
+    for engine in GPUSimulator.ENGINES:
+        for front_end in MEMORY_FRONT_ENDS:
             sim = GPUSimulator(cfg, engine=engine, mem_front_end=front_end)
             prints.add(
                 tuple(_fingerprint(sim.run_launch(l)) for l in launches)
