@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 from repro.config import GPUConfig
 from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
-from repro.sim.gpu import FixedUnitRecorder, GPUSimulator, LaunchResult, UnitRecord
+from repro.sim.gpu import (
+    FixedUnitRecorder,
+    GPUSimulator,
+    LaunchResult,
+    UnitRecord,
+    resolve_gpu,
+)
 from repro.sim.worker import get_simulator, init_worker
 from repro.trace import KernelTrace
 from repro.trace.launch import LaunchTrace
@@ -114,8 +120,11 @@ def run_full(
         Batch execution: with ``jobs > 1``, launches are simulated in
         worker processes and merged in launch order — bit-identical to
         the serial run (the supplied ``simulator`` is then unused).
+
+    ``gpu`` defaults to ``simulator``'s machine; a ``simulator`` built
+    for another machine than ``gpu`` raises ``ValueError``.
     """
-    gpu = gpu or GPUConfig()
+    gpu = resolve_gpu(gpu, simulator)
     exec_config = exec_config or DEFAULT_EXECUTION
 
     jobs = exec_config.effective_jobs

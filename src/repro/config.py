@@ -36,8 +36,6 @@ class GPUConfig:
         thread blocks per SM).
     max_blocks_per_sm:
         Architectural cap on concurrent thread blocks per SM (8 on Fermi).
-    issue_width:
-        Warp instructions issued per SM per cycle (Table V: 1).
     l1_kib / l1_line:
         Per-SM L1 data cache capacity (KiB) and line size (bytes).
     l2_kib / l2_line:
@@ -58,16 +56,15 @@ class GPUConfig:
         (each access adds 0..dram_jitter-1).  Models refresh/command
         interference; keeps uniform workloads from running phase-locked.
         0 disables jitter (useful for exact-arithmetic tests).
-    scheduler:
-        Warp-selection policy among ready warps: ``"oldest"`` favours
-        the earliest-dispatched warp (greedy-then-oldest flavour),
-        ``"lrr"`` is loose round-robin (least-recently-issued first).
+
+    The machine is fixed where the paper fixes it: each SM issues one
+    warp instruction per cycle (Table V), and among ready warps the
+    earliest-dispatched one issues first (greedy-then-oldest).
     """
 
     num_sms: int = 14
     warps_per_sm: int = 48
     max_blocks_per_sm: int = 8
-    issue_width: int = 1
     l1_kib: int = 16
     l1_line: int = 128
     l2_kib: int = 768
@@ -81,21 +78,16 @@ class GPUConfig:
     dram_service: int = 16
     dram_row_bytes: int = 2048
     dram_jitter: int = 9
-    scheduler: str = "oldest"
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
             raise ValueError("num_sms must be positive")
         if self.warps_per_sm <= 0:
             raise ValueError("warps_per_sm must be positive")
-        if self.issue_width != 1:
-            raise ValueError("only single-issue SMs are modelled (Table V)")
         for name in ("l1_line", "l2_line"):
             line = getattr(self, name)
             if line & (line - 1):
                 raise ValueError(f"{name} must be a power of two")
-        if self.scheduler not in ("oldest", "lrr"):
-            raise ValueError("scheduler must be 'oldest' or 'lrr'")
 
     def sm_occupancy(self, warps_per_block: int) -> int:
         """Concurrent thread blocks on one SM for a kernel with

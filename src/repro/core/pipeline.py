@@ -29,7 +29,7 @@ from repro.core.regions import RegionTable, identify_regions
 from repro.exec.cache import cached_profile
 from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
 from repro.profiler.functional import KernelProfile, LaunchProfile
-from repro.sim.gpu import GPUSimulator, LaunchResult
+from repro.sim.gpu import GPUSimulator, LaunchResult, resolve_gpu
 from repro.sim.worker import get_simulator, init_worker
 from repro.trace import KernelTrace
 from repro.trace.launch import LaunchTrace
@@ -149,13 +149,15 @@ def run_tbpoint(
     kernel:
         The kernel trace (all launches).
     gpu / sampling:
-        Machine and sampling configurations.
+        Machine and sampling configurations.  ``gpu`` defaults to
+        ``simulator``'s machine (Table V without one).
     profile:
         Reuse of the one-time functional profile (hardware independent —
         valid across GPU configurations, per Section V-C).
     simulator:
         Reuse an existing simulator instance (its memory hierarchy is
-        reset at each launch anyway).
+        reset at each launch anyway).  One built for another machine
+        than ``gpu`` raises ``ValueError``.
     use_inter / use_intra:
         Enable/disable the two orthogonal sampling levels.
     feature_mask / extra_features:
@@ -170,7 +172,7 @@ def run_tbpoint(
         collected in plan order — so any ``jobs`` value yields
         bit-identical estimates.
     """
-    gpu = gpu or GPUConfig()
+    gpu = resolve_gpu(gpu, simulator)
     sampling = sampling or SamplingConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
     if profile is None:

@@ -30,8 +30,11 @@ from typing import Iterable, Iterator
 #: Bump whenever rules change behaviour; reported in ``--json`` output.
 LINT_VERSION = 2
 
+#: Only comma-separated rule ids are read, so a reason written after
+#: them (``disable=DET001 uptime metric``) cannot leak into a rule.
 _PRAGMA_RE = re.compile(
-    r"#\s*lint:\s*(?P<kind>disable-file|disable)\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
+    r"#\s*lint:\s*(?P<kind>disable-file|disable)\s*="
+    r"\s*(?P<rules>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*)"
 )
 
 

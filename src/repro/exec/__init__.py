@@ -38,7 +38,6 @@ from repro.exec.engine import (
     DEFAULT_EXECUTION,
     MIN_PARALLEL_ITEMS,
     ExecutionConfig,
-    chunked,
     default_jobs,
     parallel_map,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",
-    "chunked",
     "ProfileCache",
     "cached_profile",
     "default_cache_dir",

@@ -41,7 +41,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.exec.faults import FaultPlan
 
@@ -75,7 +75,8 @@ class ExecutionConfig:
         Consult/populate the persistent on-disk profile cache.
     cache_dir:
         Override the cache directory (default: ``$TBPOINT_CACHE_DIR`` or
-        ``~/.cache/tbpoint``).
+        ``~/.cache/tbpoint``).  Sweep journals move with it, to
+        ``<cache_dir>/journals``.
     task_timeout:
         Seconds one task attempt may run in a worker before it is
         declared hung; the pool is respawned and the task retried.
@@ -94,8 +95,6 @@ class ExecutionConfig:
     journal:
         Record each completed sweep task in the persistent checkpoint
         journal so a killed sweep can be resumed.
-    journal_dir:
-        Override the journal directory (default: ``<cache root>/journals``).
     resume:
         Load the sweep's journal and skip tasks it already records
         instead of starting the journal afresh.
@@ -109,7 +108,6 @@ class ExecutionConfig:
     backoff: float = 0.05
     fault_plan: FaultPlan | None = None
     journal: bool = False
-    journal_dir: str | None = None
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -521,22 +519,6 @@ def _pool_run(
     return results
 
 
-def chunked(items: Iterable[T], size: int) -> list[list[T]]:
-    """Split ``items`` into consecutive chunks of at most ``size``."""
-    if size < 1:
-        raise ValueError("chunk size must be positive")
-    out: list[list[T]] = []
-    chunk: list[T] = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) == size:
-            out.append(chunk)
-            chunk = []
-    if chunk:
-        out.append(chunk)
-    return out
-
-
 __all__ = [
     "ExecutionConfig",
     "DEFAULT_EXECUTION",
@@ -544,5 +526,4 @@ __all__ = [
     "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",
-    "chunked",
 ]

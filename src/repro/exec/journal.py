@@ -195,11 +195,10 @@ def open_sweep_journal(
     """
     if not (exec_config.journal or exec_config.resume):
         return None, {}
-    root = exec_config.journal_dir
-    if root is None and exec_config.cache_dir:
-        # Keep journals next to an overridden profile cache so one
-        # --cache-dir relocates all persistent state together.
-        root = Path(exec_config.cache_dir) / "journals"
+    # Keep journals next to an overridden profile cache so one
+    # --cache-dir relocates all persistent state together.
+    cache_dir = exec_config.cache_dir
+    root = Path(cache_dir) / "journals" if cache_dir else None
     journal = SweepJournal.for_sweep(sweep, params, root)
     if exec_config.resume:
         return journal, journal.load()

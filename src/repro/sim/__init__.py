@@ -9,14 +9,14 @@ latencies the paper's model calls ``M``.
 
 One simulator path runs: the compact engine over the batched ``fast``
 memory front end (``MemoryHierarchy``).  Its window loop runs every
-full and TBPoint launch; launches with a ``FixedUnitRecorder`` or under
-the ``lrr`` scheduler observe every instruction in global order and run
-on the per-instruction loop of the ``reference`` engine instead.  That
-loop and the per-transaction ``ReferenceMemoryHierarchy`` are the
-equivalence oracles — every engine x front-end pair produces
-bit-identical timing, cache/DRAM state and statistics (property-tested
-in ``tests/test_sim_memory_fastpath.py`` and the engine tests).  Select
-an oracle via ``GPUSimulator(..., engine=..., mem_front_end=...)``.
+full and TBPoint launch; launches with a ``FixedUnitRecorder`` observe
+every instruction in global order and run on the per-instruction loop
+of the ``reference`` engine instead.  That loop and the per-transaction
+``ReferenceMemoryHierarchy`` are the equivalence oracles — every
+engine x front-end pair produces bit-identical timing, cache/DRAM state
+and statistics (property-tested in ``tests/test_sim_memory_fastpath.py``
+and the engine tests).  Select an oracle via
+``GPUSimulator(..., engine=..., mem_front_end=...)``.
 
 The simulator exposes the hooks TBPoint's intra-launch sampling needs:
 a dispatch-time skip decision and sampling-unit tracking where a unit is

@@ -94,12 +94,11 @@ class LRUCache:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all lines (and by default zero the counters)."""
+    def reset(self) -> None:
+        """Invalidate all lines and zero the counters."""
         self._lines.clear()
-        if not keep_stats:
-            self.hits = 0
-            self.misses = 0
+        self.hits = 0
+        self.misses = 0
 
 
 __all__ = ["LRUCache"]

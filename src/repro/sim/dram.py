@@ -176,8 +176,9 @@ class DRAMModel:
     def mean_queue_delay(self) -> float:
         return self.total_queue_cycles / self.requests if self.requests else 0.0
 
-    def reset(self, keep_stats: bool = False) -> None:
-        """Close all rows and clear bank timing (between launches).
+    def reset(self) -> None:
+        """Close all rows, clear bank timing and zero the counters
+        (between launches).
 
         Mutates the bank lists in place rather than rebinding them:
         the fast memory front end keeps direct references to these
@@ -185,10 +186,9 @@ class DRAMModel:
         self.open_row[:] = [-1] * self.num_banks
         self.free_at[:] = [0] * self.num_banks
         self._jitter_state = 1
-        if not keep_stats:
-            self.requests = 0
-            self.row_hits = 0
-            self.total_queue_cycles = 0
+        self.requests = 0
+        self.row_hits = 0
+        self.total_queue_cycles = 0
 
 
 __all__ = ["DRAMModel"]

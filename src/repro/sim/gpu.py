@@ -17,10 +17,9 @@ are bit-identical by construction:
   the block's memory-operand matrices.  It
   is the equivalence oracle, and it also runs every launch that
   observes global order at each instruction: launches with a
-  :class:`FixedUnitRecorder` and launches under the ``lrr`` scheduler.
+  :class:`FixedUnitRecorder`.
 * the **window loop** (``engine="compact"``, the default) runs every
-  other launch — full runs and TBPoint's sampled runs under the
-  ``oldest`` scheduler:
+  other launch — full runs and TBPoint's sampled runs:
 
   - **trace interning**: each unique block skeleton (keyed by the
     identity of its shared ``op``/``bb`` arrays) is converted to list
@@ -73,7 +72,7 @@ from heapq import heappop, heappush, heapreplace
 import numpy as np
 
 from repro.config import GPUConfig
-from repro.sim.memory import MEMORY_FRONT_ENDS, make_memory
+from repro.sim.memory import make_memory
 from repro.sim.sampler_hooks import DispatchSampler
 from repro.trace import STALL_CYCLES, LaunchTrace
 from repro.trace.blocktrace import BlockTrace
@@ -106,11 +105,12 @@ class SimCounters:
     #: instruction, the batching exposure of the launch).
     mem_insts: int = 0
     mem_txns: int = 0
-    #: Memory-front-end fast-path engagement, snapshotted from the
-    #: hierarchy's own counters across this run: multi-transaction
-    #: batched ``load`` calls, same-line transactions resolved without
-    #: cache operations, and per-level hits inside batched calls.  All
-    #: zero under the reference front end (no fast path exists there).
+    #: Memory-front-end fast-path engagement, read from the hierarchy's
+    #: own counters (zeroed by the reset at the start of every run):
+    #: multi-transaction batched ``load`` calls, same-line transactions
+    #: resolved without cache operations, and per-level hits inside
+    #: batched calls.  All zero under the reference front end (no fast
+    #: path exists there).
     mem_batches: int = 0
     mem_dedup_txns: int = 0
     mem_batch_l1_hits: int = 0
@@ -304,10 +304,6 @@ class FixedUnitRecorder:
     def cpis(self) -> np.ndarray:
         return np.array([u.cpi for u in self.units])
 
-    @property
-    def inst_counts(self) -> np.ndarray:
-        return np.array([u.insts for u in self.units], dtype=np.int64)
-
     def bbv_matrix(self, normalize: bool = True) -> np.ndarray:
         """(num_units, num_bbs) matrix of basic-block vectors; rows are
         normalized by the unit's instruction count (Eq. 1's BBV)."""
@@ -378,19 +374,17 @@ class GPUSimulator:
     """Trace-driven, event-driven multi-SM GPU timing simulator.
 
     ``engine`` selects the hot-loop implementation: ``"compact"`` (the
-    default: the window loop, with launches that carry a recorder or
-    run under the ``lrr`` scheduler delegated to the per-instruction
-    loop) or ``"reference"`` (the per-instruction loop for every
-    launch).  ``mem_front_end`` independently selects the memory
-    hierarchy implementation: ``"fast"`` (the default batched front
-    end) or ``"reference"`` (the pre-fast-path oracle).  All engine x
-    front-end combinations produce bit-identical
-    :class:`LaunchResult`\\ s; the per-instruction loop sets
-    ``counters`` to ``None``.
+    default: the window loop, with launches that carry a recorder
+    delegated to the per-instruction loop) or ``"reference"`` (the
+    per-instruction loop for every launch).  ``mem_front_end``
+    independently selects the memory hierarchy implementation:
+    ``"fast"`` (the default batched front end) or ``"reference"`` (the
+    pre-fast-path oracle).  All engine x front-end combinations produce
+    bit-identical :class:`LaunchResult`\\ s; the per-instruction loop
+    sets ``counters`` to ``None``.
     """
 
     ENGINES = ("compact", "reference")
-    MEM_FRONT_ENDS = tuple(MEMORY_FRONT_ENDS)
 
     def __init__(
         self,
@@ -418,9 +412,13 @@ class GPUSimulator:
         launch: LaunchTrace,
         sampler: DispatchSampler | None = None,
         recorder: FixedUnitRecorder | None = None,
-        reset_memory: bool = True,
     ) -> LaunchResult:
         """Simulate one kernel launch.
+
+        Caches, DRAM bank state and the memory counters are reset
+        first, so every launch's timing is independent of simulation
+        order (required for representative-launch sampling to be
+        meaningful).
 
         Parameters
         ----------
@@ -433,21 +431,13 @@ class GPUSimulator:
         recorder:
             Optional fixed-size-unit recorder (baseline measurement).
             A recorded launch runs on the per-instruction loop.
-        reset_memory:
-            Invalidate caches and DRAM bank state first, making every
-            launch's timing independent of simulation order (required
-            for representative-launch sampling to be meaningful).
         """
-        if (
-            self.engine == "reference"
-            or recorder is not None
-            or self.config.scheduler == "lrr"
-        ):
-            # A recorder observes the global order of every instruction
-            # and lrr renumbers a warp's priority at every issue, so the
-            # per-instruction loop is the natural engine for both.
-            return self._run_launch_reference(launch, sampler, recorder, reset_memory)
-        return self._run_launch_compact(launch, sampler, reset_memory)
+        self.mem.reset()
+        if self.engine == "reference" or recorder is not None:
+            # A recorder observes the global order of every instruction,
+            # so the per-instruction loop is the natural engine for it.
+            return self._run_launch_reference(launch, sampler, recorder)
+        return self._run_launch_compact(launch, sampler)
 
     # ------------------------------------------------------------------
     # Compact engine: interned traces + the per-SM window loop.
@@ -457,11 +447,8 @@ class GPUSimulator:
         self,
         launch: LaunchTrace,
         sampler: DispatchSampler | None,
-        reset_memory: bool,
     ) -> LaunchResult:
         cfg = self.config
-        if reset_memory:
-            self.mem.reset()
         num_sms = cfg.num_sms
         occ = cfg.sm_occupancy(launch.warps_per_block)
         num_blocks = launch.num_blocks
@@ -631,14 +618,6 @@ class GPUSimulator:
         n_seg_insts = 0
         n_mem = 0
         n_txn = 0
-
-        # Fast-path engagement snapshot: the hierarchy's counters are
-        # cumulative over the simulator's lifetime (reset() zeroes them
-        # only when reset_memory is set), so deltas are taken per run.
-        mb0 = mem.batches
-        md0 = mem.dedup_txns
-        m1h0 = mem.batch_l1_hits
-        m2h0 = mem.batch_l2_hits
 
         # One global event per SM *window*, not per instruction.  Warps
         # on one SM interact with the rest of the machine only through
@@ -905,10 +884,10 @@ class GPUSimulator:
             interning_misses=intern_misses,
             mem_insts=n_mem,
             mem_txns=n_txn,
-            mem_batches=mem.batches - mb0,
-            mem_dedup_txns=mem.dedup_txns - md0,
-            mem_batch_l1_hits=mem.batch_l1_hits - m1h0,
-            mem_batch_l2_hits=mem.batch_l2_hits - m2h0,
+            mem_batches=mem.batches,
+            mem_dedup_txns=mem.dedup_txns,
+            mem_batch_l1_hits=mem.batch_l1_hits,
+            mem_batch_l2_hits=mem.batch_l2_hits,
             block_regenerations=launch.regenerations - regen0,
         )
         return LaunchResult(
@@ -925,7 +904,7 @@ class GPUSimulator:
 
     # ------------------------------------------------------------------
     # Per-instruction loop: the equivalence oracle for the window loop,
-    # and the engine of recorded and lrr launches.
+    # and the engine of recorded launches.
     # ------------------------------------------------------------------
 
     def _run_launch_reference(
@@ -933,11 +912,8 @@ class GPUSimulator:
         launch: LaunchTrace,
         sampler: DispatchSampler | None,
         recorder: FixedUnitRecorder | None,
-        reset_memory: bool,
     ) -> LaunchResult:
         cfg = self.config
-        if reset_memory:
-            self.mem.reset()
         num_sms = cfg.num_sms
         occ = cfg.sm_occupancy(launch.warps_per_block)
         num_blocks = launch.num_blocks
@@ -1054,7 +1030,6 @@ class GPUSimulator:
         # Hot-loop local bindings.
         mem_load = self.mem.load
         pop, push = heappop, heappush
-        lrr = cfg.scheduler == "lrr"
         rec = recorder
         rec_on = rec is not None
         if rec_on:
@@ -1094,12 +1069,6 @@ class GPUSimulator:
             pc += 1
             if pc < w.n:
                 w.pc = pc
-                if lrr:
-                    # Loose round-robin: re-queue with a fresh sequence
-                    # number so ready warps are served least-recently-
-                    # issued first.
-                    seq = seq_counter
-                    seq_counter += 1
                 push(wh, (done, seq, w))
             else:
                 tb = w.tb
@@ -1129,10 +1098,31 @@ class GPUSimulator:
         )
 
 
+def resolve_gpu(
+    gpu: GPUConfig | None, simulator: GPUSimulator | None
+) -> GPUConfig:
+    """The machine a run driven by ``gpu`` and/or ``simulator`` simulates.
+
+    ``gpu`` defaults to the simulator's machine (or Table V without
+    one); a simulator built for another machine than ``gpu`` is an
+    error, since epochs would be sized for one machine and timed on
+    the other."""
+    if simulator is None:
+        return gpu or GPUConfig()
+    if gpu is None:
+        return simulator.config
+    if gpu != simulator.config:
+        raise ValueError(
+            f"simulator models {simulator.config!r}, not gpu={gpu!r}"
+        )
+    return gpu
+
+
 __all__ = [
     "GPUSimulator",
     "LaunchResult",
     "FixedUnitRecorder",
     "UnitRecord",
     "SimCounters",
+    "resolve_gpu",
 ]

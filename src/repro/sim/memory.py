@@ -54,9 +54,10 @@ class MemoryHierarchy:
     ``batches`` / ``dedup_txns`` / ``batch_l1_hits`` / ``batch_l2_hits``
     count fast-path engagement (multi-transaction instructions, same-line
     transactions resolved without cache operations, and per-level hits
-    inside the batched path); the compact engine snapshots them into
-    :class:`~repro.sim.gpu.SimCounters` so benchmarks can verify the
-    fast paths actually ran.
+    inside the batched path); :meth:`reset` zeroes them at the start of
+    every launch and the compact engine copies them into
+    :class:`~repro.sim.gpu.SimCounters` at its end, so benchmarks can
+    verify the fast paths actually ran.
     """
 
     FRONT_END = "fast"
@@ -264,19 +265,19 @@ class MemoryHierarchy:
         self.batch_l2_hits += l2_hits
         return worst
 
-    def reset(self, keep_stats: bool = False) -> None:
-        """Invalidate all caches and DRAM bank state (between launches,
-        so every launch's timing is independent of simulation order —
-        a prerequisite for simulating only representative launches)."""
+    def reset(self) -> None:
+        """Invalidate all caches and DRAM bank state and zero every
+        counter (between launches, so every launch's timing is
+        independent of simulation order — a prerequisite for simulating
+        only representative launches)."""
         for l1 in self.l1s:
-            l1.reset(keep_stats)
-        self.l2.reset(keep_stats)
-        self.dram.reset(keep_stats)
-        if not keep_stats:
-            self.batches = 0
-            self.dedup_txns = 0
-            self.batch_l1_hits = 0
-            self.batch_l2_hits = 0
+            l1.reset()
+        self.l2.reset()
+        self.dram.reset()
+        self.batches = 0
+        self.dedup_txns = 0
+        self.batch_l1_hits = 0
+        self.batch_l2_hits = 0
 
     def stats(self) -> dict:
         """Aggregate hierarchy statistics."""
@@ -296,9 +297,9 @@ class ReferenceMemoryHierarchy:
 
     One nested ``access`` method call per level per transaction —
     exactly the implementation the fast path replaced.  Carries the
-    same zero-valued fast-path counters so engine code can snapshot
-    either front end unconditionally (they stay 0 here, which is
-    truthful: no fast path ever engages).
+    same fast-path counters so the window loop reads either front
+    end's counters the same way (they stay 0 here, which is truthful:
+    no fast path ever engages).
     """
 
     FRONT_END = "reference"

@@ -13,9 +13,8 @@ arguments and return value, on both engines and compares the logs.
 A sampler keeps the launch on the window loop: the hooks fire only at
 block retirement, the cycle-0 fill and launch end, and the engine
 recomputes the exact issued count at those moments from the other SMs'
-recorded run-ahead.  A recorder (or the ``lrr`` scheduler) sends the
-launch to the per-instruction loop, where every hook sees the count
-directly.
+recorded run-ahead.  A recorder sends the launch to the
+per-instruction loop, where every hook sees the count directly.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ class LaunchTrace:
     thread-block-ID order by the greedy global scheduler (Section II-A).
 
     Thread-block traces are synthesized on demand by ``factory(tb_id)``
-    and memoized in an LRU window of ``block_memo`` entries (default
-    :data:`_BLOCK_CACHE_SIZE`).  The factory must be deterministic:
+    and memoized in an LRU window of ``block_memo`` entries
+    (:data:`_BLOCK_CACHE_SIZE` until :meth:`resize_block_memo` changes
+    it).  The factory must be deterministic:
     calling it twice with the same ID yields identical traces, which is
     what lets the functional profiler and the timing simulator agree
     without storing the trace — and what makes the memo window a pure
@@ -48,22 +49,17 @@ class LaunchTrace:
         warps_per_block: int,
         factory: Callable[[int], BlockTrace],
         num_bbs: int = 1,
-        block_memo: int | None = None,
     ):
         if num_blocks <= 0:
             raise ValueError("launch with no thread blocks")
         if warps_per_block <= 0:
             raise ValueError("warps_per_block must be positive")
-        if block_memo is not None and block_memo <= 0:
-            raise ValueError("block_memo must be positive (or None)")
         self.kernel_name = kernel_name
         self.launch_id = launch_id
         self.num_blocks = num_blocks
         self.warps_per_block = warps_per_block
         self.num_bbs = num_bbs
-        self.block_memo = (
-            int(block_memo) if block_memo is not None else _BLOCK_CACHE_SIZE
-        )
+        self.block_memo = _BLOCK_CACHE_SIZE
         self._factory = factory
         self._cache: OrderedDict[int, BlockTrace] = OrderedDict()
         #: Factory calls for blocks generated before but since evicted.

@@ -14,7 +14,6 @@ class TestGPUConfig:
         assert cfg.l1_line == 128
         assert cfg.dram_channels == 6
         assert cfg.dram_banks == 16
-        assert cfg.issue_width == 1
 
     def test_sm_occupancy_limited_by_warps(self):
         cfg = GPUConfig(warps_per_sm=48, max_blocks_per_sm=8)
@@ -45,10 +44,6 @@ class TestGPUConfig:
     def test_rejects_nonpositive_sms(self):
         with pytest.raises(ValueError):
             GPUConfig(num_sms=0)
-
-    def test_rejects_multi_issue(self):
-        with pytest.raises(ValueError):
-            GPUConfig(issue_width=2)
 
     def test_with_replaces_fields(self):
         cfg = GPUConfig().with_(num_sms=7, warps_per_sm=24)

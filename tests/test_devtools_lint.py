@@ -263,6 +263,17 @@ def test_pragma_parsing_trailing_and_standalone():
     assert pf.is_suppressed(99, "PROC003")  # file-wide, any line
 
 
+def test_pragma_reason_after_rules_is_not_a_rule():
+    pf = ParsedFile(
+        Path("x.py"), "x.py",
+        "t = time.monotonic()  # lint: disable=DET001 uptime metric\n"
+        "# lint: disable=DET002, DET003 both for the watchdog\n"
+        "u = 2\n",
+    )
+    assert pf.line_disables == {1: {"DET001"}, 3: {"DET002", "DET003"}}
+    assert pf.is_suppressed(1, "DET001")
+
+
 # ----------------------------------------------------------------------
 # Baseline
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TestOpenSweepJournal:
         assert done == {}
 
     def test_fresh_run_resets(self, tmp_path):
-        cfg = ExecutionConfig(journal=True, journal_dir=str(tmp_path))
+        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path))
         journal, done = open_sweep_journal("fig9", ("p",), cfg)
         assert done == {}
         journal.record("stream", 1)
@@ -140,7 +140,7 @@ class TestOpenSweepJournal:
         assert journal2.load() == {}
 
     def test_resume_returns_completed(self, tmp_path):
-        cfg = ExecutionConfig(journal=True, journal_dir=str(tmp_path))
+        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path))
         journal, _ = open_sweep_journal("fig9", ("p",), cfg)
         journal.record("stream", 1)
         _, done = open_sweep_journal(
@@ -149,7 +149,7 @@ class TestOpenSweepJournal:
         assert done == {"stream": 1}
 
     def test_resume_alone_enables_journal(self, tmp_path):
-        cfg = ExecutionConfig(resume=True, journal_dir=str(tmp_path))
+        cfg = ExecutionConfig(resume=True, cache_dir=str(tmp_path))
         journal, done = open_sweep_journal("fig9", ("p",), cfg)
         assert journal is not None
         assert done == {}
@@ -158,15 +158,6 @@ class TestOpenSweepJournal:
         cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path / "cache"))
         journal, _ = open_sweep_journal("fig9", ("p",), cfg)
         assert journal.path.parent == tmp_path / "cache" / "journals"
-
-    def test_journal_dir_beats_cache_dir(self, tmp_path):
-        cfg = ExecutionConfig(
-            journal=True,
-            cache_dir=str(tmp_path / "cache"),
-            journal_dir=str(tmp_path / "journals"),
-        )
-        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
-        assert journal.path.parent == tmp_path / "journals"
 
     def test_default_journal_dir_under_cache_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))

@@ -5,7 +5,9 @@ import pytest
 from repro.baselines import run_full
 from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
+from repro.exec import ExecutionConfig
 from repro.profiler import profile_kernel
+from repro.sim import GPUSimulator
 
 from tests.conftest import make_two_phase_kernel, make_uniform_kernel
 
@@ -111,6 +113,39 @@ class TestRunTBPoint:
             homogeneous, gpu, feature_mask=(True, True, False, False)
         )
         assert tbp.plan.features.shape[1] == 2
+
+
+class TestMachineFromSimulator:
+    """A run's machine is ``gpu`` or, when only ``simulator`` is given,
+    the simulator's; the two may never disagree."""
+
+    def test_tbpoint_takes_gpu_from_simulator(self, gpu, homogeneous):
+        by_gpu = run_tbpoint(homogeneous, gpu)
+        by_sim = run_tbpoint(homogeneous, simulator=GPUSimulator(gpu))
+        assert by_sim.overall_ipc == by_gpu.overall_ipc
+        assert by_sim.sample_size == by_gpu.sample_size
+
+    def test_full_takes_gpu_from_simulator_at_any_jobs(self, gpu, homogeneous):
+        expected = run_full(homogeneous, gpu).overall_ipc
+        for jobs in (1, 2):
+            full = run_full(
+                homogeneous, simulator=GPUSimulator(gpu),
+                exec_config=ExecutionConfig(jobs=jobs, use_cache=False),
+            )
+            assert full.overall_ipc == expected
+
+    def test_mismatched_simulator_rejected(self, gpu, homogeneous):
+        other = GPUSimulator(gpu.with_(num_sms=2))
+        with pytest.raises(ValueError, match="simulator models"):
+            run_tbpoint(homogeneous, gpu, simulator=other)
+        with pytest.raises(ValueError, match="simulator models"):
+            run_full(homogeneous, gpu, simulator=other)
+
+    def test_matching_simulator_accepted(self, gpu, homogeneous):
+        sim = GPUSimulator(gpu.with_())
+        assert run_full(homogeneous, gpu, sim).overall_ipc == (
+            run_full(homogeneous, gpu).overall_ipc
+        )
 
 
 class TestNoSamplingCorner:

@@ -1,4 +1,4 @@
-"""Tests for the warp-scheduler policy knob and the scaling driver."""
+"""Tests for the scaling driver and per-launch accuracy."""
 
 import pytest
 
@@ -7,44 +7,8 @@ from repro.analysis.scaling import run_scaling
 from repro.baselines import run_full
 from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
-from repro.sim import GPUSimulator
 
 from tests.conftest import make_uniform_kernel
-
-
-class TestSchedulerPolicy:
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            GPUConfig(scheduler="fifo")
-
-    def test_policies_issue_same_instructions(self):
-        kernel = make_uniform_kernel(num_launches=1, blocks_per_launch=64)
-        launch = kernel.launches[0]
-        oldest = GPUSimulator(
-            GPUConfig(num_sms=2, warps_per_sm=8, scheduler="oldest")
-        ).run_launch(launch)
-        lrr = GPUSimulator(
-            GPUConfig(num_sms=2, warps_per_sm=8, scheduler="lrr")
-        ).run_launch(launch)
-        assert oldest.issued_warp_insts == lrr.issued_warp_insts
-        # Different interleavings, same ballpark throughput.
-        assert lrr.wall_cycles == pytest.approx(oldest.wall_cycles, rel=0.2)
-
-    def test_lrr_deterministic(self):
-        kernel = make_uniform_kernel(num_launches=1, blocks_per_launch=32)
-        launch = kernel.launches[0]
-        gpu = GPUConfig(num_sms=2, warps_per_sm=8, scheduler="lrr")
-        a = GPUSimulator(gpu).run_launch(launch)
-        b = GPUSimulator(gpu).run_launch(launch)
-        assert a.wall_cycles == b.wall_cycles
-
-    def test_tbpoint_works_under_lrr(self):
-        kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=96)
-        gpu = GPUConfig(num_sms=4, warps_per_sm=16, scheduler="lrr")
-        full = run_full(kernel, gpu)
-        tbp = run_tbpoint(kernel, gpu)
-        err = abs(tbp.overall_ipc - full.overall_ipc) / full.overall_ipc
-        assert err < 0.1
 
 
 class TestScalingDriver:

@@ -66,14 +66,6 @@ class TestLRUCache:
         assert c.hits == 0 and c.misses == 0
         assert not c.access(0)
 
-    def test_reset_keep_stats(self, line):
-        c = Cache(8 * line, line)
-        c.access(0)
-        c.access(0)
-        c.reset(keep_stats=True)
-        assert c.hits == 1 and c.misses == 1
-        assert not c.access(0)  # line gone
-
     def test_hit_rate(self, line):
         c = Cache(8 * line, line)
         assert c.hit_rate == 0.0

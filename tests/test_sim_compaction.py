@@ -7,9 +7,9 @@ exact equality of every observable ``LaunchResult`` field and sampler
 callback stream.  Sampler callback streams are logged call by call
 (arguments and return values) under TBPoint's ``RegionSampler`` on
 registry representatives and under random launches and region layouts.
-Recorded and ``lrr`` launches run on the per-instruction loop under
-either engine; recorded runs are compared against plain window-loop
-runs of the same launch instead.
+Recorded launches run on the per-instruction loop under either engine;
+recorded runs are compared against plain window-loop runs of the same
+launch instead.
 """
 
 from __future__ import annotations
@@ -479,16 +479,14 @@ class TestSimCounters:
         ).run_launch(kernel.launches[0])
         assert result.counters is None
 
-    def test_recorded_and_lrr_launches_take_per_instruction_loop(self):
-        # The compact engine delegates both to the per-instruction loop,
-        # which attaches no counters.
+    def test_recorded_launches_take_per_instruction_loop(self):
+        # The compact engine delegates a recorded launch to the
+        # per-instruction loop, which attaches no counters.
         launch = make_uniform_kernel(num_launches=1, blocks_per_launch=8).launches[0]
         recorded = GPUSimulator(GPUConfig(num_sms=2)).run_launch(
             launch, recorder=FixedUnitRecorder(50, launch.num_bbs)
         )
         assert recorded.counters is None
-        lrr = GPUSimulator(GPUConfig(num_sms=2, scheduler="lrr")).run_launch(launch)
-        assert lrr.counters is None
 
     def test_segment_batching_engages_when_unsaturated(self):
         # One block of one warp per SM: a lone resident warp is the

@@ -78,7 +78,7 @@ class TestRecorderEdgeCases:
         sim.run_launch(kernel.launches[0])
         stats_before = sim.mem.stats()
         sim.run_launch(kernel.launches[1])
-        # reset_memory=True zeroed the counters at the second launch.
+        # run_launch's memory reset zeroed the counters at the second launch.
         assert sim.mem.stats()["dram_requests"] <= stats_before["dram_requests"] * 1.2
 
 

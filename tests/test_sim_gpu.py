@@ -7,6 +7,8 @@ from repro.config import GPUConfig
 from repro.profiler import profile_launch
 from repro.sim import FixedUnitRecorder, GPUSimulator
 from repro.sim.sampler_hooks import NullSampler
+from repro.trace import BlockTrace, LaunchTrace, WarpTrace
+from repro.trace.instruction import OP_ALU, OP_MEM_GLOBAL
 
 from tests.conftest import make_manual_launch, make_uniform_kernel
 
@@ -38,14 +40,54 @@ class TestBasicExecution:
         assert a.issued_warp_insts == b.issued_warp_insts
 
     def test_launch_timing_independent_of_order(self, small_gpu):
-        """reset_memory makes launch timing order-independent — the
-        prerequisite for simulating only representative launches."""
+        """The per-launch memory reset makes launch timing
+        order-independent — the prerequisite for simulating only
+        representative launches."""
         kernel = make_uniform_kernel(num_launches=2)
         sim = GPUSimulator(small_gpu)
         first = sim.run_launch(kernel.launches[1])
         sim.run_launch(kernel.launches[0])
         again = sim.run_launch(kernel.launches[1])
         assert first.wall_cycles == again.wall_cycles
+
+    def test_memory_counters_are_per_run(self, small_gpu):
+        """The memory reset at each run zeroes the fast-path counters,
+        so a rerun reports the same counts and they are the hierarchy's
+        own counters, not a lifetime total."""
+        n = 32
+        op = np.full(n, OP_ALU, dtype=np.uint8)
+        op[::4] = OP_MEM_GLOBAL
+        mem_req = np.where(op == OP_MEM_GLOBAL, 4, 0).astype(np.uint8)
+        # Every other memory op packs its 4 transactions into one line
+        # (3 dedups); the rest touch 4 lines.  Addresses repeat across
+        # blocks, so later accesses hit in L1 or L2.
+        spread = np.where(np.arange(n) % 8 == 0, 32, 128).astype(np.int64)
+
+        def factory(tb_id):
+            addr = (np.arange(n, dtype=np.int64) % 12) * 512 + (tb_id % 3) * 256
+            warp = WarpTrace(
+                op, np.full(n, 32, dtype=np.uint8), mem_req, addr, spread,
+                np.zeros(n, dtype=np.uint16),
+            )
+            return BlockTrace.from_warps(tb_id, [warp, warp])
+
+        launch = LaunchTrace("counters", 0, 12, 2, factory, 1)
+        sim = GPUSimulator(small_gpu)
+        seen = []
+        for _ in range(2):
+            c = sim.run_launch(launch).counters
+            mem = sim.mem
+            got = (
+                c.mem_batches, c.mem_dedup_txns,
+                c.mem_batch_l1_hits, c.mem_batch_l2_hits,
+            )
+            assert got == (
+                mem.batches, mem.dedup_txns,
+                mem.batch_l1_hits, mem.batch_l2_hits,
+            )
+            seen.append(got)
+        assert seen[0] == seen[1]
+        assert all(v > 0 for v in seen[0])
 
     def test_per_sm_stats_consistent(self, small_gpu):
         kernel = make_uniform_kernel(num_launches=1)

@@ -294,11 +294,9 @@ def _fingerprint(result):
 @pytest.mark.parametrize(
     "kernel", ["spmv", "lbm", "stream", "cfd", "kmeans", "bfs", "sssp", "mst"]
 )
-@pytest.mark.parametrize("scheduler", ["oldest", "lrr"])
-def test_engine_front_end_grid_bit_identical(kernel, scheduler):
-    """System-level closure: every engine x front-end combination (and
-    both schedulers, which route through different engine loops) yields
-    the same LaunchResults on real kernels: the Table VI irregular
+def test_engine_front_end_grid_bit_identical(kernel):
+    """System-level closure: every engine x front-end combination
+    yields the same LaunchResults on real kernels: the Table VI irregular
     spmv, bfs, sssp and mst and the regular lbm, stream, cfd and
     kmeans.  The grid is read from the registries, so a newly
     registered engine or front end joins it by construction."""
@@ -306,7 +304,7 @@ def test_engine_front_end_grid_bit_identical(kernel, scheduler):
 
     launches = get_workload(kernel, scale=0.0625).launches[:2]
     prints = set()
-    cfg = GPUConfig(scheduler=scheduler)
+    cfg = GPUConfig()
     for engine in GPUSimulator.ENGINES:
         for front_end in MEMORY_FRONT_ENDS:
             sim = GPUSimulator(cfg, engine=engine, mem_front_end=front_end)

@@ -230,25 +230,22 @@ def _picklable_factory(tb_id):
 
 class TestBlockMemo:
     def _launch(self, n=10, memo=None):
-        return LaunchTrace(
+        launch = LaunchTrace(
             "k", 0, n, 1,
             lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1,
-            block_memo=memo,
         )
+        if memo is not None:
+            launch.resize_block_memo(memo)
+        return launch
 
     def test_default_window(self):
         assert self._launch().block_memo == 256
 
-    def test_constructor_window(self):
-        assert self._launch(memo=4).block_memo == 4
-
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
-            self._launch(memo=0)
-        with pytest.raises(ValueError):
-            self._launch(memo=-1)
-        with pytest.raises(ValueError):
             self._launch().resize_block_memo(0)
+        with pytest.raises(ValueError):
+            self._launch().resize_block_memo(-1)
 
     def test_first_pass_never_counts_regenerations(self):
         launch = self._launch(n=10, memo=3)
@@ -308,7 +305,8 @@ class TestBlockMemo:
     def test_pickle_resets_bookkeeping_keeps_window(self):
         import pickle
 
-        launch = LaunchTrace("k", 0, 6, 1, _picklable_factory, 1, block_memo=2)
+        launch = LaunchTrace("k", 0, 6, 1, _picklable_factory, 1)
+        launch.resize_block_memo(2)
         for _ in range(2):
             for b in launch.iter_blocks():
                 pass
