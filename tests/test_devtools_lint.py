@@ -274,6 +274,44 @@ def test_pragma_reason_after_rules_is_not_a_rule():
     assert pf.is_suppressed(1, "DET001")
 
 
+@pytest.mark.parametrize(
+    "comment, rules",
+    [
+        ("# lint: disable=DET001", {"DET001"}),
+        ("# lint: disable=DET001 uptime metric", {"DET001"}),
+        ("# lint: disable=DET001: uptime metric", {"DET001"}),
+        ("# lint: disable=DET001,ASYNC001 -- two timers", {"DET001", "ASYNC001"}),
+        ("# lint: disable = DET001 , DET002", {"DET001", "DET002"}),
+    ],
+    ids=["bare", "space-reason", "colon-reason", "list-dash-reason", "spaced-list"],
+)
+def test_pragma_rule_ids_end_where_the_reason_starts(comment, rules):
+    pf = ParsedFile(Path("x.py"), "x.py", f"x = 1  {comment}\n")
+    assert pf.line_disables == {1: rules}
+
+
+def test_file_pragma_reason_is_not_a_rule():
+    pf = ParsedFile(
+        Path("x.py"), "x.py",
+        "# lint: disable-file=PROC003 forks on purpose\nx = 1\n",
+    )
+    assert pf.file_disables == {"PROC003"}
+
+
+def test_tree_pragmas_name_registered_rules():
+    """Every pragma in the package names a rule some checker reports,
+    so none of them silently suppresses nothing."""
+    known = set(all_rules())
+    named = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        pf = ParsedFile(path, str(path), path.read_text())
+        named |= pf.file_disables
+        for rules in pf.line_disables.values():
+            named |= rules
+    assert named
+    assert named <= known, sorted(named - known)
+
+
 # ----------------------------------------------------------------------
 # Baseline
 # ----------------------------------------------------------------------

@@ -159,6 +159,18 @@ class TestOpenSweepJournal:
         journal, _ = open_sweep_journal("fig9", ("p",), cfg)
         assert journal.path.parent == tmp_path / "cache" / "journals"
 
+    def test_cache_dir_beats_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path / "env"))
+        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path / "cache"))
+        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
+        assert journal.path.parent == tmp_path / "cache" / "journals"
+
+    def test_no_cache_dir_journals_under_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
+        cfg = ExecutionConfig(journal=True)
+        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
+        assert journal.path.parent == tmp_path / "journals"
+
     def test_default_journal_dir_under_cache_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
         assert default_journal_dir() == tmp_path / "journals"

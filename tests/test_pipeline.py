@@ -134,8 +134,12 @@ class TestMachineFromSimulator:
             )
             assert full.overall_ipc == expected
 
-    def test_mismatched_simulator_rejected(self, gpu, homogeneous):
-        other = GPUSimulator(gpu.with_(num_sms=2))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_sms", 2), ("warps_per_sm", 8), ("l1_kib", 32), ("dram_channels", 4)],
+    )
+    def test_mismatched_simulator_rejected(self, gpu, homogeneous, field, value):
+        other = GPUSimulator(gpu.with_(**{field: value}))
         with pytest.raises(ValueError, match="simulator models"):
             run_tbpoint(homogeneous, gpu, simulator=other)
         with pytest.raises(ValueError, match="simulator models"):

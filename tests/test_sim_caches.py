@@ -66,6 +66,18 @@ class TestLRUCache:
         assert c.hits == 0 and c.misses == 0
         assert not c.access(0)
 
+    def test_reset_frees_full_capacity(self, line):
+        """After a reset the whole capacity is free again: refilling it
+        with distinct lines evicts none of them."""
+        c = Cache(8 * line, line)
+        for i in range(20):
+            c.access(i * line)
+        c.reset()
+        assert c.lru_lines() == []
+        assert not any(c.access(i * line) for i in range(8))
+        assert all(c.access(i * line) for i in range(8))
+        assert c.hits == 8 and c.misses == 8
+
     def test_hit_rate(self, line):
         c = Cache(8 * line, line)
         assert c.hit_rate == 0.0

@@ -101,6 +101,26 @@ class TestDRAM:
         # row closed: pays the miss penalty again
         assert d.access(0, 0) == 150
 
+    def test_reset_zeroes_every_counter(self, geometry):
+        d = make_dram(geometry)
+        for i in range(8):
+            d.access(0, now=0)  # row hits that queue on one bank
+        assert d.row_hits > 0 and d.total_queue_cycles > 0
+        d.reset()
+        assert (d.requests, d.row_hits, d.total_queue_cycles) == (0, 0, 0)
+        assert d.row_hit_rate == 0.0 and d.mean_queue_delay == 0.0
+
+    def test_reset_restarts_jitter_sequence(self, geometry):
+        """A reset model replays a fresh model's jitter, so a launch's
+        timing does not depend on the launches simulated before it."""
+        def lats(d):
+            return [d.access(i * 128, now=1_000 * i) for i in range(20)]
+
+        used = make_dram(geometry, dram_jitter=9)
+        lats(used)
+        used.reset()
+        assert lats(used) == lats(make_dram(geometry, dram_jitter=9))
+
     def test_jitter_bounded_and_deterministic(self, geometry):
         d = make_dram(geometry, dram_jitter=9)
         lats = [d.access(0, now=10_000 * (i + 1)) - 10_000 * (i + 1) for i in range(50)]

@@ -68,6 +68,23 @@ class TestMemoryHierarchy:
         done = mem.load(0, addr=0, spread=0, num_req=1, now=0)
         assert done > cfg.l2_latency  # cold again
 
+    def test_reset_zeroes_every_counter(self, tiny_hierarchy):
+        """Reset zeroes the fast-path counters and every level's own
+        statistics, on both front ends."""
+        mem, _ = tiny_hierarchy
+        for now in (0, 1_000):
+            mem.load(0, addr=0, spread=32, num_req=8, now=now)
+            mem.load(1, addr=4096, spread=128, num_req=4, now=now)
+        assert mem.l1s[0].hits > 0 and mem.dram.requests > 0
+        mem.reset()
+        counters = (
+            mem.batches, mem.dedup_txns, mem.batch_l1_hits, mem.batch_l2_hits,
+        )
+        assert counters == (0, 0, 0, 0)
+        for cache in (*mem.l1s, mem.l2):
+            assert cache.accesses == 0 and cache.occupancy == 0
+        assert mem.dram.requests == 0 and mem.dram.row_hits == 0
+
     def test_stats_keys(self, tiny_hierarchy):
         mem, _ = tiny_hierarchy
         mem.load(0, addr=0, spread=0, num_req=1, now=0)

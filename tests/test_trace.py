@@ -241,6 +241,9 @@ class TestBlockMemo:
     def test_default_window(self):
         assert self._launch().block_memo == 256
 
+    def test_resize_window(self):
+        assert self._launch(memo=4).block_memo == 4
+
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             self._launch().resize_block_memo(0)
