@@ -13,7 +13,7 @@ Key derivation (:func:`kernel_cache_key`):
 * traces with *provenance* (anything built by ``get_workload``) hash the
   cheap ``(name, scale, seed, generator version)`` tuple — no trace walk;
 * arbitrary traces fall back to a full content fingerprint
-  (:func:`kernel_fingerprint`) streaming every block's columns through
+  (:func:`kernel_fingerprint`) streaming every block's arrays through
   BLAKE2b, which is still cheaper than profiling plus guarantees
   correctness for hand-built traces.
 
@@ -61,11 +61,19 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "tbpoint"
 
 
+def _hash_array(h, arr: np.ndarray) -> None:
+    """Feed one array into ``h``: dtype and shape, then its bytes, so
+    equal bytes laid out differently hash differently."""
+    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+
+
 def kernel_fingerprint(kernel: KernelTrace) -> str:
     """Full content hash of a kernel trace (all launches, all blocks).
 
-    Streams every warp's dense columns (the per-warp ``WarpTrace``
-    views) through BLAKE2b in dispatch order.
+    Streams every block's own arrays (``op``, ``bb``, ``pos``,
+    ``mem_req``, ``addr``, ``spread``, ``active``) through BLAKE2b in
+    dispatch order.
     This walks the whole trace — use it only when the trace has no
     provenance; it exists so hand-built traces still get correct
     content-addressed caching.
@@ -78,10 +86,9 @@ def kernel_fingerprint(kernel: KernelTrace) -> str:
             f"{launch.warps_per_block}:{launch.num_bbs}".encode()
         )
         for block in launch.iter_blocks():
-            for warp in block.warps:
-                for col in (warp.op, warp.active, warp.mem_req,
-                            warp.addr, warp.spread, warp.bb):
-                    h.update(np.ascontiguousarray(col).tobytes())
+            for col in (block.op, block.bb, block.pos, block.mem_req,
+                        block.addr, block.spread, block.active):
+                _hash_array(h, col)
     return h.hexdigest()
 
 

@@ -17,10 +17,10 @@ Warm simulators always run the system path (compact engine, ``fast``
 memory front end); the oracles are built directly by the tests that
 use them, so the *identity under which a warm simulator may be
 reused* is its :class:`~repro.config.GPUConfig` alone — a frozen
-(hashable, eq-by-value) dataclass.  Every warm registry in the tree —
-this per-process slot, and the keyed registry the ``repro serve``
-daemon keeps across requests — keys simulators by it and can never
-reuse across a config change.
+(hashable, eq-by-value) dataclass.  This registry keys simulators by it
+and can never reuse across a config change.  The ``repro serve`` daemon
+does not use it: it holds one default-config simulator of its own
+(:meth:`~repro.serve.jobs.JobRunner.get_engine`).
 
 Correctness does not depend on reuse: ``run_launch`` resets the memory
 hierarchy per launch and the interning cache is an id-pinned pure
@@ -28,10 +28,12 @@ cache, so a warm simulator is bit-identical to a fresh one (the
 parallel-vs-serial property tests cover this path).  The module global
 is per-process state — never pickled, never shared.
 
-The registry holds :data:`MAX_WARM_SIMULATORS` entries, FIFO-evicted:
-the serve daemon's long-lived worker processes serve arbitrary request
-mixes, and a single slot would thrash between configs.  Sweep fan-out
-workers see one config and one resident simulator.
+The registry holds :data:`MAX_WARM_SIMULATORS` entries, FIFO-evicted,
+so a process that meets a few configs in turn — the parent, when
+``parallel_map`` runs tasks of successive sweep points in-process (its
+serial path, or the last attempt of a degraded task) — does not rebuild
+at every switch.  Sweep fan-out workers see one config and one resident
+simulator.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ terminology the paper uses (Section II-A):
   sequence of *thread blocks*, dispatched greedily by thread-block ID;
 * :class:`~repro.trace.blocktrace.BlockTrace` — one thread block: its
   *warps*, which run the same code, held as one structure of arrays (a
-  shared instruction skeleton plus per-warp memory operands at the
-  memory instructions only);
-* :class:`~repro.trace.warptrace.WarpTrace` — one warp: dense numpy
-  columns of *warp instructions* (each executing up to 32 *thread
-  instructions*), a view a block builds on demand.
+  shared instruction skeleton of *warp instructions*, each executing up
+  to 32 *thread instructions*, plus per-warp memory operands at the
+  memory instructions only).  The block is the only trace record.
 
 Traces are generated lazily and deterministically: a
 :class:`LaunchTrace` holds a factory that synthesizes any thread block's
@@ -39,7 +37,6 @@ from repro.trace.instruction import (
     is_dram_op,
     is_mem_op,
 )
-from repro.trace.warptrace import WarpTrace
 from repro.trace.blocktrace import BlockTrace
 from repro.trace.launch import LaunchTrace
 from repro.trace.kernel import KernelTrace
@@ -58,7 +55,6 @@ __all__ = [
     "WARP_WIDTH",
     "is_mem_op",
     "is_dram_op",
-    "WarpTrace",
     "BlockTrace",
     "LaunchTrace",
     "KernelTrace",

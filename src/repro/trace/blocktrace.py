@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.instruction import is_dram_op
-from repro.trace.warptrace import WarpTrace
+from repro.trace.instruction import WARP_WIDTH, is_dram_op, validate_ops
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,11 +51,20 @@ class BlockTrace:
     * ``active`` — a ``(W, n)`` matrix, or a single shared ``(n,)`` row
       when no warp of the block diverges.
 
-    ``stats`` (:class:`BlockStats`) is computed once, at construction.
+    Column types: ``op`` (``uint8``, see :mod:`repro.trace.instruction`),
+    ``bb`` (``uint16`` static basic-block IDs, the raw material of
+    basic-block vectors), ``pos`` (``int64``), ``mem_req`` (``uint8``
+    transactions after coalescing: 1 when fully coalesced, up to 32 when
+    fully divergent), ``addr`` (``int64`` base byte address of the first
+    transaction), ``spread`` (``int64`` byte distance between an
+    instruction's transactions: transaction ``j`` touches
+    ``addr + j * spread``) and ``active`` (``uint8`` active threads,
+    1..32).
 
-    Per-warp dense columns are views built on demand (:attr:`warps`);
-    outside the memory positions their ``mem_req``, ``addr`` and
-    ``spread`` read back as 0.
+    The constructor checks only that the columns agree in shape, so
+    synthesis pays nothing more per block; :meth:`validate` checks the
+    values of untrusted (hand-built) blocks.  ``stats``
+    (:class:`BlockStats`) is computed once, at construction.
     """
 
     __slots__ = (
@@ -79,7 +87,8 @@ class BlockTrace:
         shape = (mem_req.shape[0], len(pos))
         if mem_req.ndim != 2 or shape[0] < 1:
             raise ValueError("a thread block needs at least one warp")
-        if len(bb) != n or addr.shape != shape or spread.shape != shape:
+        if (len(bb) != n or mem_req.shape != shape or addr.shape != shape
+                or spread.shape != shape):
             raise ValueError("block columns disagree in shape")
         if active.shape not in ((n,), (shape[0], n)):
             raise ValueError("active column disagrees in shape")
@@ -101,65 +110,25 @@ class BlockTrace:
             mem_requests=int(mem_req.sum(dtype=np.int64)),
         )
 
-    @classmethod
-    def from_warps(cls, tb_id: int, warps: list[WarpTrace]) -> "BlockTrace":
-        """Pack per-warp traces (hand-built or loaded from an archive)
-        into one block.
-
-        Raises ``ValueError`` when the warps do not share their ``op``
-        and ``bb`` columns, or when a warp carries transactions outside
-        the global/local memory instructions: neither fits the layout.
-        """
-        if not warps:
-            raise ValueError("a thread block needs at least one warp")
-        op = warps[0].op
-        bb = warps[0].bb
-        for w in warps[1:]:
-            if not (w.op is op or np.array_equal(w.op, op)) or not (
-                w.bb is bb or np.array_equal(w.bb, bb)
-            ):
-                raise ValueError("the warps of a block must share op and bb")
-        pos = np.flatnonzero(is_dram_op(op))
-        mem_req = np.stack([w.mem_req for w in warps])
-        if np.count_nonzero(mem_req) != np.count_nonzero(mem_req[:, pos]):
-            raise ValueError("transactions outside memory instructions")
-        active = warps[0].active
-        if not all(
-            w.active is active or np.array_equal(w.active, active)
-            for w in warps[1:]
-        ):
-            active = np.stack([w.active for w in warps])
-        return cls(
-            tb_id, op, bb, pos, mem_req[:, pos],
-            np.stack([w.addr[pos] for w in warps]),
-            np.stack([w.spread[pos] for w in warps]),
-            active,
-        )
-
     def __len__(self) -> int:
         """Number of warps."""
         return self.mem_req.shape[0]
 
-    @property
-    def warps(self) -> list[WarpTrace]:
-        """Dense, read-only per-warp views of every warp, built on each
-        access; ``mem_req``/``addr``/``spread`` read 0 outside the
-        memory positions."""
-        shape = (len(self), len(self.op))
-        dense = []
-        for col in (self.mem_req, self.addr, self.spread):
-            full = np.zeros(shape, dtype=col.dtype)
-            full[:, self.pos] = col
-            full.setflags(write=False)
-            dense.append(full)
-        active = np.broadcast_to(self.active, shape)
-        return [
-            WarpTrace.from_columns(
-                self.op, active[w], dense[0][w], dense[1][w], dense[2][w],
-                self.bb, validate=False,
-            )
-            for w in range(shape[0])
-        ]
+    def validate(self) -> None:
+        """Check the value invariants the constructor skips; raise
+        ``ValueError`` on violation."""
+        validate_ops(self.op)
+        if len(self.op) == 0:
+            raise ValueError("empty thread block trace")
+        if self.active.min() < 1 or self.active.max() > WARP_WIDTH:
+            raise ValueError("active thread count out of [1, 32]")
+        if not np.array_equal(self.pos, np.flatnonzero(is_dram_op(self.op))):
+            raise ValueError("memory positions disagree with the op column")
+        if self.mem_req.size:
+            if self.mem_req.min() < 1:
+                raise ValueError("memory instruction with zero transactions")
+            if self.mem_req.max() > WARP_WIDTH:
+                raise ValueError("more than 32 transactions in one instruction")
 
     def bb_counts(self, num_bbs: int) -> np.ndarray:
         """Executed warp-instruction counts per basic block, summed over

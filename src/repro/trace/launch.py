@@ -29,7 +29,9 @@ class LaunchTrace:
     calling it twice with the same ID yields identical traces, which is
     what lets the functional profiler and the timing simulator agree
     without storing the trace — and what makes the memo window a pure
-    performance knob that can never change results.
+    performance knob that can never change results.  Every block must
+    have exactly ``warps_per_block`` warps, since occupancy is computed
+    from that width; each factory call checks it.
 
     ``regenerations`` counts factory calls for blocks that had already
     been synthesized once and were evicted from the window — the
@@ -78,6 +80,11 @@ class LaunchTrace:
         block = self._factory(tb_id)
         if block.tb_id != tb_id:
             raise ValueError("factory returned a block with the wrong ID")
+        if len(block) != self.warps_per_block:
+            raise ValueError(
+                f"factory returned a {len(block)}-warp block for a launch "
+                f"of {self.warps_per_block}-warp blocks"
+            )
         seen = self._seen
         if seen is None:
             seen = self._seen = bytearray(self.num_blocks)

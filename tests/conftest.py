@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import GPUConfig, SamplingConfig
-from repro.trace import BlockTrace, KernelTrace, LaunchTrace, WarpTrace
+from repro.trace import BlockTrace, KernelTrace, LaunchTrace, is_dram_op
 from repro.workloads.base import LaunchSpec, Segment, build_kernel
 
 
@@ -85,6 +85,27 @@ def two_phase_kernel() -> KernelTrace:
     return make_two_phase_kernel()
 
 
+def tile_block(tb_id, num_warps, op, active, mem_req, addr, spread,
+               validate=True):
+    """A validated block of ``num_warps`` identical warps from one
+    warp's dense columns, all in basic block 0; ``mem_req``/``addr``/
+    ``spread`` are kept at the memory instructions only."""
+    op = np.asarray(op, dtype=np.uint8)
+    pos = np.flatnonzero(is_dram_op(op))
+    bb = np.zeros(len(op), dtype=np.uint16)
+
+    def tile(col, dtype):
+        return np.tile(np.asarray(col, dtype=dtype)[pos], (num_warps, 1))
+
+    block = BlockTrace(
+        tb_id, op, bb, pos, tile(mem_req, np.uint8), tile(addr, np.int64),
+        tile(spread, np.int64), np.asarray(active, dtype=np.uint8),
+    )
+    if validate:
+        block.validate()
+    return block
+
+
 def make_manual_launch(
     per_block_insts: list[int],
     mem_every: int = 4,
@@ -103,18 +124,10 @@ def make_manual_launch(
             op[::mem_every] = OP_MEM_GLOBAL
             mem_req[::mem_every] = 1
         addr = np.arange(n, dtype=np.int64) * 128 + tb_id * 65536
-        warps = [
-            WarpTrace(
-                op,
-                np.full(n, 32, dtype=np.uint8),
-                mem_req,
-                addr,
-                np.full(n, 128, dtype=np.int64),
-                np.zeros(n, dtype=np.uint16),
-            )
-            for _ in range(warps_per_block)
-        ]
-        return BlockTrace.from_warps(tb_id, warps)
+        return tile_block(
+            tb_id, warps_per_block, op, np.full(n, 32), mem_req, addr,
+            np.full(n, 128),
+        )
 
     return LaunchTrace(
         kernel_name=name,

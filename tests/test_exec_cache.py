@@ -7,6 +7,7 @@ degrades to "recompute the profile", never to a wrong answer or a crash.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import zipfile
@@ -17,6 +18,7 @@ import pytest
 from repro.exec.cache import (
     CACHE_FORMAT_VERSION,
     ProfileCache,
+    _hash_array,
     cached_profile,
     default_cache_dir,
     kernel_cache_key,
@@ -24,9 +26,10 @@ from repro.exec.cache import (
 )
 from repro.exec.engine import ExecutionConfig
 from repro.profiler import profile_kernel
+from repro.trace import OP_ALU, OP_MEM_GLOBAL, BlockTrace, KernelTrace, LaunchTrace
 from repro.workloads import get_workload
 
-from tests.conftest import make_uniform_kernel
+from tests.conftest import make_manual_launch, make_uniform_kernel, tile_block
 
 
 @pytest.fixture
@@ -59,6 +62,58 @@ class TestKeys:
         a = make_uniform_kernel(seed=3)
         b = make_uniform_kernel(seed=4)
         assert kernel_fingerprint(a) != kernel_fingerprint(b)
+
+    @staticmethod
+    def _hand_built(bump_addr=False):
+        """Three hand-built 2-warp blocks; ``bump_addr`` moves one
+        address of block 1."""
+        base = make_manual_launch([12, 20, 16], warps_per_block=2)
+
+        def factory(tb_id):
+            block = base.block(tb_id)
+            if bump_addr and tb_id == 1:
+                addr = block.addr.copy()
+                addr[1, 2] += 128
+                block = BlockTrace(
+                    tb_id, block.op, block.bb, block.pos, block.mem_req,
+                    addr, block.spread, block.active,
+                )
+            return block
+
+        launch = LaunchTrace("hand", 0, 3, 2, factory, 1)
+        return KernelTrace("hand", "test", "regular", [launch])
+
+    @staticmethod
+    def _ones_block(num_warps, num_mem):
+        """One block whose memory operands are all 1s and 0s, shaped
+        ``(num_warps, num_mem)``."""
+        op = np.full(6, OP_ALU, dtype=np.uint8)
+        op[:num_mem] = OP_MEM_GLOBAL
+        block = tile_block(0, num_warps, op, np.full(6, 32), np.ones(6),
+                           np.zeros(6), np.zeros(6))
+        launch = LaunchTrace("ones", 0, 1, num_warps, lambda tb_id: block, 1)
+        return KernelTrace("ones", "test", "regular", [launch])
+
+    def test_hand_built_fingerprint_stable_across_builds(self):
+        assert (kernel_fingerprint(self._hand_built())
+                == kernel_fingerprint(self._hand_built()))
+
+    def test_fingerprint_sensitive_to_one_address(self):
+        assert (kernel_fingerprint(self._hand_built())
+                != kernel_fingerprint(self._hand_built(bump_addr=True)))
+
+    def test_fingerprint_sensitive_to_array_shape(self):
+        a, b = self._ones_block(2, 3), self._ones_block(3, 2)
+        assert a.launches[0].block(0).mem_req.shape == (2, 3)
+        assert b.launches[0].block(0).mem_req.shape == (3, 2)
+        assert kernel_fingerprint(a) != kernel_fingerprint(b)
+        # Shape is hashed with the bytes, not only implied by them.
+        digests = []
+        for shape in ((2, 3), (3, 2)):
+            h = hashlib.blake2b(digest_size=20)
+            _hash_array(h, np.ones(shape, dtype=np.uint8))
+            digests.append(h.hexdigest())
+        assert digests[0] != digests[1]
 
     def test_provenance_key_cheap_and_stable(self):
         a = get_workload("stream", scale=0.0625)

@@ -125,7 +125,7 @@ class TestWorkloadTracesAreParallelizable:
         assert clone.num_launches == kernel.num_launches
         a = clone.launches[0].block(0)
         b = kernel.launches[0].block(0)
-        assert a.warps[0].op.tolist() == b.warps[0].op.tolist()
+        assert a.op.tolist() == b.op.tolist()
 
     def test_uniform_kernel_picklable(self):
         kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=16)

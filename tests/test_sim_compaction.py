@@ -26,12 +26,12 @@ from repro.core import RegionSampler, build_epochs, identify_regions, plan_inter
 from repro.profiler import profile_kernel, profile_launch
 from repro.sim import FixedUnitRecorder, GPUSimulator, SimCounters
 from repro.sim.sampler_hooks import NullSampler
-from repro.trace import BlockTrace, LaunchTrace, WarpTrace
+from repro.trace import BlockTrace, LaunchTrace
 from repro.trace.instruction import OP_ALU, OP_MEM_GLOBAL
 from repro.workloads import ALL_KERNELS, get_workload
 from repro.workloads.base import LaunchSpec, Segment, build_kernel
 
-from tests.conftest import make_manual_launch, make_uniform_kernel
+from tests.conftest import make_manual_launch, make_uniform_kernel, tile_block
 
 
 def result_fingerprint(result):
@@ -402,19 +402,10 @@ class TestDegenerateTraces:
             # none (degenerate: they stall 0 cycles statically).
             mem_req[::6] = 1
             addr = np.arange(n, dtype=np.int64) * 128 + tb_id * 4096
-            warps = [
-                WarpTrace.from_columns(
-                    op,
-                    np.full(n, 32, dtype=np.uint8),
-                    mem_req,
-                    addr,
-                    np.full(n, 128, dtype=np.int64),
-                    np.zeros(n, dtype=np.uint16),
-                    validate=False,
-                )
-                for _ in range(2)
-            ]
-            return BlockTrace.from_warps(tb_id, warps)
+            return tile_block(
+                tb_id, 2, op, np.full(n, 32), mem_req, addr,
+                np.full(n, 128), validate=False,
+            )
 
         return LaunchTrace(
             kernel_name="degenerate",

@@ -7,10 +7,10 @@ from repro.config import GPUConfig
 from repro.profiler import profile_launch
 from repro.sim import FixedUnitRecorder, GPUSimulator
 from repro.sim.sampler_hooks import NullSampler
-from repro.trace import BlockTrace, LaunchTrace, WarpTrace
+from repro.trace import LaunchTrace
 from repro.trace.instruction import OP_ALU, OP_MEM_GLOBAL
 
-from tests.conftest import make_manual_launch, make_uniform_kernel
+from tests.conftest import make_manual_launch, make_uniform_kernel, tile_block
 
 
 class TestBasicExecution:
@@ -67,11 +67,9 @@ class TestBasicExecution:
 
         def factory(tb_id):
             addr = (np.arange(n, dtype=np.int64) % 12) * 512 + (tb_id % 3) * 256
-            warp = WarpTrace(
-                op, np.full(n, 32, dtype=np.uint8), mem_req, addr, spread,
-                np.zeros(n, dtype=np.uint16),
+            return tile_block(
+                tb_id, 2, op, np.full(n, 32), mem_req, addr, spread
             )
-            return BlockTrace.from_warps(tb_id, [warp, warp])
 
         launch = LaunchTrace("counters", 0, 12, 2, factory, 1)
         sim = GPUSimulator(small_gpu, mem_front_end=front_end)

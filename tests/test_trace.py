@@ -13,25 +13,33 @@ from repro.trace import (
     BlockTrace,
     KernelTrace,
     LaunchTrace,
-    WarpTrace,
     is_dram_op,
     is_mem_op,
 )
 
+from tests.conftest import tile_block
 
-def make_warp(n=8, mem_every=4):
+
+def make_block(tb_id=0, num_warps=1, n=8, mem_every=4):
+    """``num_warps`` identical warps of ``n`` instructions: a global
+    memory instruction with 2 transactions every ``mem_every``, 16
+    active threads throughout."""
     op = np.full(n, OP_ALU, dtype=np.uint8)
     mem_req = np.zeros(n, dtype=np.uint8)
     op[::mem_every] = OP_MEM_GLOBAL
     mem_req[::mem_every] = 2
-    return WarpTrace(
-        op,
-        np.full(n, 16, dtype=np.uint8),
-        mem_req,
-        np.arange(n, dtype=np.int64) * 128,
-        np.full(n, 128, dtype=np.int64),
-        np.zeros(n, dtype=np.uint16),
+    return tile_block(
+        tb_id, num_warps, op, np.full(n, 16), mem_req,
+        np.arange(n) * 128, np.full(n, 128),
     )
+
+
+def rebuild(block, **columns):
+    """``block`` with some of its arrays replaced (no value checks)."""
+    cols = {name: getattr(block, name) for name in
+            ("op", "bb", "pos", "mem_req", "addr", "spread", "active")}
+    cols.update(columns)
+    return BlockTrace(block.tb_id, **cols)
 
 
 class TestInstructionPredicates:
@@ -53,67 +61,15 @@ class TestInstructionPredicates:
         assert STALL_CYCLES[OP_MEM_GLOBAL] == 0
 
 
-class TestWarpTrace:
-    def test_counts(self):
-        w = make_warp(n=8, mem_every=4)
-        assert w.warp_insts == 8
-        assert w.thread_insts == 8 * 16
-        assert w.mem_requests == 2 * 2  # two mem insts, two transactions
-
-    def test_bb_counts(self):
-        w = make_warp()
-        counts = w.bb_counts(num_bbs=3)
-        assert counts[0] == len(w)
-        assert counts[1:].sum() == 0
-
-    def test_rejects_length_mismatch(self):
-        w = make_warp()
-        with pytest.raises(ValueError):
-            WarpTrace(w.op, w.active[:-1], w.mem_req, w.addr, w.spread, w.bb)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            WarpTrace(
-                np.empty(0, np.uint8),
-                np.empty(0, np.uint8),
-                np.empty(0, np.uint8),
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0, np.uint16),
-            )
-
-    def test_rejects_zero_active(self):
-        w = make_warp()
-        active = w.active.copy()
-        active[0] = 0
-        with pytest.raises(ValueError):
-            WarpTrace(w.op, active, w.mem_req, w.addr, w.spread, w.bb)
-
-    def test_rejects_overwide_active(self):
-        w = make_warp()
-        active = w.active.copy()
-        active[0] = WARP_WIDTH + 1
-        with pytest.raises(ValueError):
-            WarpTrace(w.op, active, w.mem_req, w.addr, w.spread, w.bb)
-
-    def test_rejects_dram_op_without_transactions(self):
-        w = make_warp()
-        mem_req = w.mem_req.copy()
-        mem_req[0] = 0  # position 0 is a mem op
-        with pytest.raises(ValueError):
-            WarpTrace(w.op, w.active, mem_req, w.addr, w.spread, w.bb)
-
-    def test_rejects_alu_with_transactions(self):
-        w = make_warp()
-        mem_req = w.mem_req.copy()
-        mem_req[1] = 3  # position 1 is ALU
-        with pytest.raises(ValueError):
-            WarpTrace(w.op, w.active, mem_req, w.addr, w.spread, w.bb)
-
-
 class TestBlockTrace:
+    def test_counts(self):
+        stats = make_block(n=8, mem_every=4).stats
+        assert stats.warp_insts == 8
+        assert stats.thread_insts == 8 * 16
+        assert stats.mem_requests == 2 * 2  # two mem insts, two transactions
+
     def test_stats_aggregate_warps(self):
-        block = BlockTrace.from_warps(3, [make_warp(), make_warp()])
+        block = make_block(3, num_warps=2)
         stats = block.stats
         assert stats.tb_id == 3
         assert stats.warp_insts == 16
@@ -121,79 +77,125 @@ class TestBlockTrace:
         assert stats.stall_probability == stats.mem_requests / stats.warp_insts
 
     def test_stats_cached(self):
-        block = BlockTrace.from_warps(0, [make_warp()])
+        block = make_block()
         assert block.stats is block.stats
 
-    def test_requires_warps(self):
-        with pytest.raises(ValueError):
-            BlockTrace.from_warps(0, [])
-
     def test_bb_counts(self):
-        block = BlockTrace.from_warps(0, [make_warp(), make_warp()])
-        assert block.bb_counts(2)[0] == 16
+        counts = make_block(num_warps=2).bb_counts(3)
+        assert counts[0] == 16
+        assert counts[1:].sum() == 0
 
     def test_compact_layout(self):
-        block = BlockTrace.from_warps(0, [make_warp(12), make_warp(12)])
+        block = make_block(num_warps=2, n=12)
         assert len(block) == 2
         np.testing.assert_array_equal(block.pos, [0, 4, 8])
         assert block.mem_req.shape == block.addr.shape == (2, 3)
         assert block.spread.shape == (2, 3)
-        # Identical active columns collapse to one shared row.
+        # Identical warps share one active row.
         assert block.active.shape == (12,)
 
     def test_divergent_warps_keep_active_matrix(self):
-        a, b = make_warp(), make_warp()
-        active = b.active.copy()
-        active[3] = 5
-        b = WarpTrace(b.op, active, b.mem_req, b.addr, b.spread, b.bb)
-        block = BlockTrace.from_warps(0, [a, b])
-        assert block.active.shape == (2, 8)
-        assert block.stats.thread_insts == a.thread_insts + b.thread_insts
-        np.testing.assert_array_equal(block.warps[1].active, active)
+        block = make_block(num_warps=2)
+        active = np.full((2, 8), 16, dtype=np.uint8)
+        active[1, 3] = 5
+        block = rebuild(block, active=active)
+        block.validate()
+        assert block.stats.thread_insts == 2 * 8 * 16 - 11
 
-    def test_views_round_trip_memory_operands(self):
-        a, b = make_warp(), make_warp()
-        b = WarpTrace(b.op, b.active, b.mem_req * 3, b.addr + 4096,
-                      b.spread, b.bb)
-        block = BlockTrace.from_warps(0, [a, b])
-        for orig, view in zip((a, b), block.warps):
-            mem = is_dram_op(orig.op)
-            for name in ("op", "active", "mem_req", "bb"):
-                np.testing.assert_array_equal(
-                    getattr(view, name), getattr(orig, name)
-                )
-            for name in ("addr", "spread"):
-                col = getattr(view, name)
-                np.testing.assert_array_equal(col[mem], getattr(orig, name)[mem])
-                # Ignored outside memory instructions: not stored, read as 0.
-                assert not col[~mem].any()
-            view.validate()
 
-    def test_rejects_warps_with_different_skeletons(self):
+class TestBlockValidation:
+    """Shape errors are caught by the constructor; value errors by
+    :meth:`BlockTrace.validate`, which synthesis never pays for."""
+
+    def test_valid_block_passes(self):
+        make_block(num_warps=3, n=12).validate()
+
+    def test_requires_warps(self):
+        block = make_block()
         with pytest.raises(ValueError):
-            BlockTrace.from_warps(0, [make_warp(8), make_warp(12)])
-        a, b = make_warp(), make_warp()
-        bb = b.bb.copy()
-        bb[2] = 1
-        b = WarpTrace(b.op, b.active, b.mem_req, b.addr, b.spread, bb)
+            rebuild(block, mem_req=block.mem_req[:0], addr=block.addr[:0],
+                    spread=block.spread[:0])
+
+    def test_rejects_length_mismatch(self):
+        block = make_block()
         with pytest.raises(ValueError):
-            BlockTrace.from_warps(0, [a, b])
+            rebuild(block, bb=block.bb[:-1])
+        with pytest.raises(ValueError):
+            rebuild(block, active=block.active[:-1])
+        with pytest.raises(ValueError):
+            rebuild(block, addr=block.addr[:, :-1])
+
+    def test_rejects_mem_req_wider_than_memory_positions(self):
+        op = np.array([OP_MEM_GLOBAL, OP_ALU, OP_ALU], dtype=np.uint8)
+        with pytest.raises(ValueError):
+            BlockTrace(
+                0, op, np.zeros(3, np.uint16), np.array([0]),
+                np.ones((2, 3), np.uint8), np.zeros((2, 1), np.int64),
+                np.zeros((2, 1), np.int64), np.full(3, 32, np.uint8),
+            )
+
+    def test_rejects_bad_op(self):
+        block = make_block()
+        op = block.op.copy()
+        op[1] = 99
+        with pytest.raises(ValueError, match="unknown operation"):
+            rebuild(block, op=op).validate()
+
+    def test_rejects_empty(self):
+        empty = BlockTrace(
+            0, np.empty(0, np.uint8), np.empty(0, np.uint16),
+            np.empty(0, np.int64), np.empty((1, 0), np.uint8),
+            np.empty((1, 0), np.int64), np.empty((1, 0), np.int64),
+            np.empty(0, np.uint8),
+        )
+        with pytest.raises(ValueError, match="empty"):
+            empty.validate()
+
+    @pytest.mark.parametrize("value", [0, WARP_WIDTH + 1])
+    def test_rejects_active_out_of_range(self, value):
+        block = make_block(num_warps=2)
+        active = np.full((2, 8), 16, dtype=np.uint8)
+        active[1, 0] = value
+        with pytest.raises(ValueError, match="active"):
+            rebuild(block, active=active).validate()
+
+    def test_rejects_dram_op_without_transactions(self):
+        block = make_block()
+        mem_req = block.mem_req.copy()
+        mem_req[0, 0] = 0
+        with pytest.raises(ValueError, match="zero transactions"):
+            rebuild(block, mem_req=mem_req).validate()
+
+    def test_rejects_over_32_transactions(self):
+        block = make_block()
+        mem_req = block.mem_req.copy()
+        mem_req[0, 1] = WARP_WIDTH + 1
+        with pytest.raises(ValueError, match="more than 32"):
+            rebuild(block, mem_req=mem_req).validate()
 
     def test_rejects_transactions_outside_memory_ops(self):
-        w = make_warp()
-        mem_req = w.mem_req.copy()
-        mem_req[1] = 3  # position 1 is ALU
-        bad = WarpTrace.from_columns(
-            w.op, w.active, mem_req, w.addr, w.spread, w.bb, validate=False
-        )
-        with pytest.raises(ValueError):
-            BlockTrace.from_warps(0, [bad])
+        # Position 1 is an ALU instruction: listing it as a memory
+        # position gives it transactions.
+        block = make_block(n=8, mem_every=4)
+        pos = np.array([0, 1, 4])
+        ones = np.ones((1, 3), dtype=np.uint8)
+        zeros = np.zeros((1, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="memory positions"):
+            rebuild(block, pos=pos, mem_req=ones, addr=zeros,
+                    spread=zeros).validate()
+
+    def test_rejects_memory_op_missing_from_positions(self):
+        block = make_block(n=8, mem_every=4)
+        with pytest.raises(ValueError, match="memory positions"):
+            rebuild(block, pos=block.pos[:1], mem_req=block.mem_req[:, :1],
+                    addr=block.addr[:, :1],
+                    spread=block.spread[:, :1]).validate()
 
 
 class TestLaunchTrace:
     def _launch(self, n=10):
         return LaunchTrace(
-            "k", 0, n, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
+            "k", 0, n, 1, lambda tb_id: make_block(tb_id), 1
         )
 
     def test_block_range_checked(self):
@@ -214,10 +216,17 @@ class TestLaunchTrace:
 
     def test_factory_id_mismatch_detected(self):
         bad = LaunchTrace(
-            "k", 0, 3, 1, lambda tb_id: BlockTrace.from_warps(0, [make_warp()]), 1
+            "k", 0, 3, 1, lambda tb_id: make_block(0), 1
         )
         with pytest.raises(ValueError):
             bad.block(1)
+
+    def test_factory_width_mismatch_detected(self):
+        """Occupancy is computed from the declared width, so a wider
+        block would overfill an SM."""
+        bad = LaunchTrace("k", 0, 3, 2, lambda tb_id: make_block(tb_id, 8), 1)
+        with pytest.raises(ValueError, match="8-warp block"):
+            bad.block(0)
 
     def test_rejects_empty_launch(self):
         with pytest.raises(ValueError):
@@ -225,14 +234,14 @@ class TestLaunchTrace:
 
 
 def _picklable_factory(tb_id):
-    return BlockTrace.from_warps(tb_id, [make_warp()])
+    return make_block(tb_id)
 
 
 class TestBlockMemo:
     def _launch(self, n=10, memo=None):
         launch = LaunchTrace(
             "k", 0, n, 1,
-            lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1,
+            lambda tb_id: make_block(tb_id), 1,
         )
         if memo is not None:
             launch.resize_block_memo(memo)
@@ -302,8 +311,8 @@ class TestBlockMemo:
         for _ in range(2):
             for a, b in zip(wide.iter_blocks(), narrow.iter_blocks()):
                 assert a.tb_id == b.tb_id
-                np.testing.assert_array_equal(a.warps[0].op, b.warps[0].op)
-                np.testing.assert_array_equal(a.warps[0].addr, b.warps[0].addr)
+                np.testing.assert_array_equal(a.op, b.op)
+                np.testing.assert_array_equal(a.addr, b.addr)
 
     def test_pickle_resets_bookkeeping_keeps_window(self):
         import pickle
@@ -326,7 +335,7 @@ class TestKernelTrace:
     def test_counts(self):
         launches = [
             LaunchTrace(
-                "k", i, 5, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
+                "k", i, 5, 1, lambda tb_id: make_block(tb_id), 1
             )
             for i in range(3)
         ]
@@ -336,14 +345,14 @@ class TestKernelTrace:
 
     def test_rejects_bad_kind(self):
         launch = LaunchTrace(
-            "k", 0, 1, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
+            "k", 0, 1, 1, lambda tb_id: make_block(tb_id), 1
         )
         with pytest.raises(ValueError):
             KernelTrace("k", "s", "weird", [launch])
 
     def test_rejects_noncontiguous_launch_ids(self):
         launch = LaunchTrace(
-            "k", 1, 1, 1, lambda tb_id: BlockTrace.from_warps(tb_id, [make_warp()]), 1
+            "k", 1, 1, 1, lambda tb_id: make_block(tb_id), 1
         )
         with pytest.raises(ValueError):
             KernelTrace("k", "s", "regular", [launch])

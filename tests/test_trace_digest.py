@@ -2,11 +2,12 @@
 
 One BLAKE2b digest per Table VI kernel at a small scale, over every
 thread block of every launch: the block's ID, its summary stats and each
-warp's dense columns, read through the public per-warp
-:class:`~repro.trace.warptrace.WarpTrace` view (``block.warps``).  It
-pins what every reader of a trace sees, independent of how blocks are
-stored, so a change to the storage layout must leave it untouched and a
-change to the generator shows up here with the kernel named.
+warp's dense columns (one entry per instruction, memory operands 0
+outside the memory instructions), rebuilt here from the block's compact
+arrays.  It pins what every reader of a trace sees, independent of how
+blocks are stored, so a change to the storage layout must leave it
+untouched and a change to the generator shows up here with the kernel
+named.
 
 If synthesis changes on purpose (with a ``GENERATOR_VERSION`` bump),
 print the new values with::
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro import get_workload
@@ -44,6 +46,28 @@ GOLDEN = {
 }
 
 
+#: Dense column dtypes, in digest order.
+_DENSE = (("op", np.uint8), ("active", np.uint8), ("mem_req", np.uint8),
+          ("addr", np.int64), ("spread", np.int64), ("bb", np.uint16))
+
+
+def dense_columns(block) -> list[dict[str, np.ndarray]]:
+    """Each warp's dense columns: ``mem_req``/``addr``/``spread``
+    scattered to the memory positions, 0 elsewhere."""
+    shape = (len(block), len(block.op))
+    full = {"op": np.broadcast_to(block.op, shape),
+            "bb": np.broadcast_to(block.bb, shape),
+            "active": np.broadcast_to(block.active, shape)}
+    for name in ("mem_req", "addr", "spread"):
+        full[name] = np.zeros(shape, dtype=getattr(block, name).dtype)
+        full[name][:, block.pos] = getattr(block, name)
+    return [
+        {name: np.ascontiguousarray(full[name][w], dtype=dtype)
+         for name, dtype in _DENSE}
+        for w in range(shape[0])
+    ]
+
+
 def trace_digest(name: str, scale: float = DIGEST_SCALE,
                  seed: int = DIGEST_SEED) -> str:
     """BLAKE2b over every block of kernel ``name``, in dispatch order."""
@@ -57,14 +81,14 @@ def trace_digest(name: str, scale: float = DIGEST_SCALE,
         )
         for block in launch.iter_blocks():
             s = block.stats
-            warps = block.warps
+            warps = dense_columns(block)
             h.update(
                 f"B{block.tb_id}:{s.tb_id}:{s.warp_insts}:{s.thread_insts}:"
                 f"{s.mem_requests}:{len(warps)}".encode()
             )
             for warp in warps:
-                for col in (warp.op, warp.active, warp.mem_req,
-                            warp.addr, warp.spread, warp.bb):
+                for name, _ in _DENSE:
+                    col = warp[name]
                     h.update(col.dtype.str.encode())
                     h.update(col.tobytes())
     return h.hexdigest()

@@ -57,9 +57,9 @@ class TestRegistry:
         info = benchmark_info(name)
         assert kernel.num_launches == info.launches
         assert kernel.kind == info.kind
-        block = kernel.launches[0].block(0)
-        for warp in block.warps:
-            warp.validate()
+        for launch in kernel.launches:
+            for block in launch.iter_blocks():
+                block.validate()
 
     @pytest.mark.parametrize("name", ALL_KERNELS)
     def test_full_scale_block_counts_match_table_vi(self, name):
@@ -75,30 +75,28 @@ class TestDeterminism:
         a = get_workload("bfs", scale=TINY, seed=5)
         b = get_workload("bfs", scale=TINY, seed=5)
         ba, bb = a.launches[0].block(3), b.launches[0].block(3)
-        for wa, wb in zip(ba.warps, bb.warps):
-            np.testing.assert_array_equal(wa.addr, wb.addr)
-            np.testing.assert_array_equal(wa.op, wb.op)
+        np.testing.assert_array_equal(ba.addr, bb.addr)
+        np.testing.assert_array_equal(ba.op, bb.op)
 
     def test_different_seed_different_trace(self):
         a = get_workload("bfs", scale=TINY, seed=5)
         b = get_workload("bfs", scale=TINY, seed=6)
-        wa = a.launches[0].block(3).warps[0]
-        wb = b.launches[0].block(3).warps[0]
-        assert not np.array_equal(wa.addr, wb.addr)
+        ba, bb = a.launches[0].block(3), b.launches[0].block(3)
+        assert not np.array_equal(ba.addr, bb.addr)
 
     def test_regeneration_identical(self):
         kernel = get_workload("spmv", scale=TINY)
         launch = kernel.launches[0]
-        first = [(w.addr.copy(), w.mem_req.copy())
-                 for w in launch.block(7).warps]
+        block = launch.block(7)
+        first = (block.addr.copy(), block.mem_req.copy())
+        del block
         # Evict every live copy, so the block is synthesized again.
         for sibling in kernel.launches:
             sibling._cache.clear()
         second = launch.block(7)
         assert launch.regenerations == 1
-        for (addr, mem_req), wb in zip(first, second.warps):
-            np.testing.assert_array_equal(addr, wb.addr)
-            np.testing.assert_array_equal(mem_req, wb.mem_req)
+        np.testing.assert_array_equal(first[0], second.addr)
+        np.testing.assert_array_equal(first[1], second.mem_req)
 
 
 class TestDataKey:
@@ -161,8 +159,6 @@ class TestLiveBlockSharing:
         for column in ("op", "bb", "mem_req", "addr", "spread", "active"):
             with pytest.raises(ValueError):
                 getattr(block, column)[0] = 1
-            with pytest.raises(ValueError):
-                getattr(block.warps[0], column)[0] = 1
 
     def test_live_blocks_hold_no_reference(self):
         kernel = get_workload("stream", scale=TINY)
@@ -245,9 +241,8 @@ class TestHelpers:
             warps_per_block=wpb,
         )
         kernel = build_kernel("h", "test", "regular", [spec], seed)
-        block = kernel.launches[0].block(count - 1)
-        for warp in block.warps:
-            warp.validate()
-        stats = block.stats
-        assert stats.warp_insts == sum(w.warp_insts for w in block.warps)
-        assert stats.mem_requests == sum(w.mem_requests for w in block.warps)
+        for block in kernel.launches[0].iter_blocks():
+            block.validate()
+            stats = block.stats
+            assert stats.warp_insts == wpb * len(block.op)
+            assert stats.mem_requests == int(block.mem_req.sum())
