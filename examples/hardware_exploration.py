@@ -15,7 +15,6 @@ from repro import GPUConfig, get_workload, profile_kernel, run_tbpoint
 from repro.analysis.report import render_table
 from repro.baselines import run_full
 from repro.core.estimates import sampling_error
-from repro.sim import GPUSimulator
 
 
 def main() -> None:
@@ -28,11 +27,12 @@ def main() -> None:
     rows = []
     for warps, sms in configs:
         gpu = GPUConfig().with_(warps_per_sm=warps, num_sms=sms)
-        simulator = GPUSimulator(gpu)
-        full = run_full(kernel, gpu, simulator)
+        # Both runs simulate the machine `gpu` names on the process's one
+        # warm simulator, which is rebuilt only when the machine changes.
+        full = run_full(kernel, gpu)
         # run_tbpoint re-derives epochs for this machine's occupancy but
         # reuses the profile unchanged.
-        tbp = run_tbpoint(kernel, gpu, profile=profile, simulator=simulator)
+        tbp = run_tbpoint(kernel, gpu, profile=profile)
         occupancy = gpu.system_occupancy(kernel.launches[0].warps_per_block)
         rows.append(
             (

@@ -26,7 +26,6 @@ from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
 from repro.exec.journal import open_sweep_journal
 from repro.model.montecarlo import IPCVariation, ipc_variation
 from repro.profiler.functional import KernelProfile
-from repro.sim.gpu import GPUSimulator
 from repro.workloads import ALL_KERNELS, benchmark_info, get_workload
 
 #: Minimum sampling-unit size (warp instructions): keeps units from
@@ -134,20 +133,11 @@ def run_kernel_comparison(
     kernel = get_workload(name, scale=experiment.scale, seed=experiment.seed)
     if profile is None:
         profile = cached_profile(kernel, exec_config)
-    simulator = GPUSimulator(gpu)
 
     unit_insts = _unit_size(profile.total_warp_insts, experiment.target_units)
-    full = run_full(
-        kernel, gpu, simulator, unit_insts=unit_insts, exec_config=exec_config
-    )
-
+    full = run_full(kernel, gpu, unit_insts=unit_insts, exec_config=exec_config)
     tbp = run_tbpoint(
-        kernel,
-        gpu,
-        sampling,
-        profile=profile,
-        simulator=simulator,
-        exec_config=exec_config,
+        kernel, gpu, sampling, profile=profile, exec_config=exec_config
     )
     rng = np.random.default_rng(experiment.seed)
     simpoint = estimate_simpoint(full, max_k=experiment.simpoint_max_k, rng=rng)
@@ -173,16 +163,6 @@ def _comparison_task(task) -> KernelComparison:
     )
 
 
-def _inner_config(exec_config: ExecutionConfig, fanout: bool) -> ExecutionConfig:
-    """The execution config handed to per-task workers.  Fan-out tasks
-    run fully serial inside (pools never nest); either way the fault
-    plan and journaling stay with the sweep-level map that owns the
-    task indices."""
-    if fanout:
-        return exec_config.serial()
-    return exec_config.with_(fault_plan=None, journal=False, resume=False)
-
-
 def run_fig9_fig10(
     kernels: tuple[str, ...] = ALL_KERNELS,
     experiment: ExperimentConfig | None = None,
@@ -192,10 +172,11 @@ def run_fig9_fig10(
 ) -> ComparisonSummary:
     """The headline evaluation: all kernels x all techniques.
 
-    With ``exec_config.jobs > 1`` the per-kernel comparisons fan out
-    across worker processes (each worker runs its kernel serially, so
-    pools never nest); results are merged in kernel order, identical to
-    the serial sweep.
+    With ``exec_config.jobs > 1`` and at least two kernels to compute,
+    the per-kernel comparisons fan out across worker processes (each
+    worker runs its kernel serially, so pools never nest); a single
+    kernel fans out its launches instead.  Results are merged in kernel
+    order, identical to the serial sweep.
 
     With ``exec_config.journal`` each completed kernel is checkpointed
     to the sweep journal the moment it finishes, and
@@ -206,19 +187,18 @@ def run_fig9_fig10(
     gpu = gpu or GPUConfig()
     sampling = sampling or SamplingConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
-    jobs = exec_config.effective_jobs
-    inner = _inner_config(exec_config, fanout=jobs > 1 and len(kernels) > 1)
     journal, done = open_sweep_journal(
         "fig9_fig10", (tuple(kernels), experiment, gpu, sampling), exec_config
     )
     todo = [name for name in kernels if name not in done]
+    inner = exec_config.for_tasks(len(todo))
     tasks = [(name, experiment, gpu, sampling, inner) for name in todo]
     exec_meta: dict = {}
     on_result = None
     if journal is not None:
         on_result = lambda i, result: journal.record(todo[i], result)  # noqa: E731
     fresh = parallel_map(
-        _comparison_task, tasks, jobs,
+        _comparison_task, tasks, exec_config.effective_jobs,
         meta=exec_meta, config=exec_config, on_result=on_result,
     )
     by_name = {**done, **dict(zip(todo, fresh))}
@@ -248,10 +228,11 @@ def run_breakdown(
     """TBPoint runs for Fig. 11's skipped-instruction breakdown, one
     result per kernel in input order."""
     exec_config = exec_config or DEFAULT_EXECUTION
-    jobs = exec_config.effective_jobs
-    inner = _inner_config(exec_config, fanout=jobs > 1 and len(kernels) > 1)
+    inner = exec_config.for_tasks(len(kernels))
     tasks = [(name, experiment, gpu, sampling, inner) for name in kernels]
-    return parallel_map(_breakdown_task, tasks, jobs, config=exec_config)
+    return parallel_map(
+        _breakdown_task, tasks, exec_config.effective_jobs, config=exec_config
+    )
 
 
 # ----------------------------------------------------------------------
@@ -292,15 +273,9 @@ def _sensitivity_task(task) -> list[SensitivityPoint]:
     points: list[SensitivityPoint] = []
     for warps, sms in configs:
         gpu = GPUConfig().with_(warps_per_sm=warps, num_sms=sms)
-        simulator = GPUSimulator(gpu)
-        full = run_full(kernel, gpu, simulator, exec_config=exec_config)
+        full = run_full(kernel, gpu, exec_config=exec_config)
         tbp = run_tbpoint(
-            kernel,
-            gpu,
-            sampling,
-            profile=profile,
-            simulator=simulator,
-            exec_config=exec_config,
+            kernel, gpu, sampling, profile=profile, exec_config=exec_config
         )
         points.append(
             SensitivityPoint(
@@ -335,19 +310,19 @@ def run_sensitivity(
     experiment = experiment or ExperimentConfig()
     sampling = sampling or SamplingConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
-    jobs = exec_config.effective_jobs
-    inner = _inner_config(exec_config, fanout=jobs > 1 and len(kernels) > 1)
     journal, done = open_sweep_journal(
         "sensitivity", (tuple(kernels), tuple(configs), experiment, sampling),
         exec_config,
     )
     todo = [name for name in kernels if name not in done]
+    inner = exec_config.for_tasks(len(todo))
     tasks = [(name, configs, experiment, sampling, inner) for name in todo]
     on_result = None
     if journal is not None:
         on_result = lambda i, points: journal.record(todo[i], points)  # noqa: E731
     fresh = parallel_map(
-        _sensitivity_task, tasks, jobs, config=exec_config, on_result=on_result
+        _sensitivity_task, tasks, exec_config.effective_jobs,
+        config=exec_config, on_result=on_result,
     )
     by_name = {**done, **dict(zip(todo, fresh))}
     return [point for name in kernels for point in by_name[name]]
@@ -430,9 +405,8 @@ def measure_simulator_throughput(
     timing a full run of a calibration kernel."""
     kernel = get_workload(kernel_name, scale=scale, seed=seed)
     gpu = gpu or GPUConfig()
-    simulator = GPUSimulator(gpu)
     start = time.perf_counter()
-    full = run_full(kernel, gpu, simulator)
+    full = run_full(kernel, gpu)
     elapsed = time.perf_counter() - start
     return full.total_warp_insts / elapsed
 

@@ -18,7 +18,6 @@ from repro.core.pipeline import run_tbpoint
 from repro.exec.cache import cached_profile
 from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
 from repro.exec.journal import open_sweep_journal
-from repro.sim import GPUSimulator
 from repro.workloads import get_workload
 
 
@@ -41,15 +40,9 @@ def _scale_task(task) -> ScalePoint:
     kernel_name, scale, seed, gpu, sampling, exec_config = task
     kernel = get_workload(kernel_name, scale=scale, seed=seed)
     profile = cached_profile(kernel, exec_config)
-    simulator = GPUSimulator(gpu)
-    full = run_full(kernel, gpu, simulator, exec_config=exec_config)
+    full = run_full(kernel, gpu, exec_config=exec_config)
     tbp = run_tbpoint(
-        kernel,
-        gpu,
-        sampling,
-        profile=profile,
-        simulator=simulator,
-        exec_config=exec_config,
+        kernel, gpu, sampling, profile=profile, exec_config=exec_config
     )
     return ScalePoint(
         kernel=kernel_name,
@@ -75,25 +68,22 @@ def run_scaling(
 
     Each scale gets its own full-simulation reference, so the cost grows
     linearly with the largest scale; keep the list modest for big
-    kernels.  With ``exec_config.jobs > 1`` the scales fan out across
-    worker processes (each one serial inside); points come back in
-    input-scale order regardless.  With ``exec_config.journal`` each
-    completed scale point is checkpointed, and ``exec_config.resume``
-    skips journaled scales (CLI ``--resume``).
+    kernels.  With ``exec_config.jobs > 1`` and at least two scales to
+    compute, the scales fan out across worker processes (each one
+    serial inside); points come back in input-scale order regardless.
+    With ``exec_config.journal`` each completed scale point is
+    checkpointed, and ``exec_config.resume`` skips journaled scales
+    (CLI ``--resume``).
     """
     gpu = gpu or GPUConfig()
     sampling = sampling or SamplingConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
-    jobs = exec_config.effective_jobs
-    if jobs > 1 and len(scales) > 1:
-        inner = exec_config.serial()
-    else:
-        inner = exec_config.with_(fault_plan=None, journal=False, resume=False)
     journal, done = open_sweep_journal(
         "scaling", (kernel_name, tuple(scales), seed, gpu, sampling),
         exec_config,
     )
     todo = [scale for scale in scales if repr(scale) not in done]
+    inner = exec_config.for_tasks(len(todo))
     tasks = [
         (kernel_name, scale, seed, gpu, sampling, inner) for scale in todo
     ]
@@ -101,7 +91,8 @@ def run_scaling(
     if journal is not None:
         on_result = lambda i, point: journal.record(repr(todo[i]), point)  # noqa: E731
     fresh = parallel_map(
-        _scale_task, tasks, jobs, config=exec_config, on_result=on_result
+        _scale_task, tasks, exec_config.effective_jobs,
+        config=exec_config, on_result=on_result,
     )
     by_scale = {**done, **{repr(s): p for s, p in zip(todo, fresh)}}
     return [by_scale[repr(scale)] for scale in scales]

@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 
 from repro.config import GPUConfig
 from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
-from repro.sim.gpu import (
-    FixedUnitRecorder,
-    GPUSimulator,
-    LaunchResult,
-    UnitRecord,
-    resolve_gpu,
-)
+from repro.sim.gpu import FixedUnitRecorder, LaunchResult, UnitRecord
 from repro.sim.worker import get_simulator, init_worker
 from repro.trace import KernelTrace
-from repro.trace.launch import LaunchTrace
 
 
 @dataclass
@@ -65,17 +58,13 @@ class FullRunResult:
         return total
 
 
-def _simulate_full_launch(
-    launch: LaunchTrace,
-    gpu: GPUConfig,
-    unit_insts: int | None,
-    record_bbv: bool,
-    simulator: GPUSimulator | None = None,
-) -> tuple[LaunchResult, list[UnitRecord]]:
-    """Simulate one launch in full; shared by the serial loop and the
-    process-pool workers (launch timings are order-independent because
-    the memory hierarchy is reset per launch)."""
-    simulator = simulator or GPUSimulator(gpu)
+def _simulate_full_launch(task) -> tuple[LaunchResult, list[UnitRecord]]:
+    """Simulate one launch in full on the process's warm simulator
+    (:mod:`repro.sim.worker`): the task :func:`run_full` maps, in a pool
+    worker or in this process alike (launch timings are
+    order-independent because the memory hierarchy is reset per
+    launch)."""
+    launch, gpu, unit_insts, record_bbv = task
     recorder = None
     if unit_insts is not None:
         recorder = FixedUnitRecorder(
@@ -83,23 +72,14 @@ def _simulate_full_launch(
             num_bbs=launch.num_bbs,
             record_bbv=record_bbv,
         )
-    result = simulator.run_launch(launch, recorder=recorder)
+    result = get_simulator(gpu).run_launch(launch, recorder=recorder)
     return result, recorder.units if recorder is not None else []
-
-
-def _full_launch_task(task) -> tuple[LaunchResult, list[UnitRecord]]:
-    """Picklable process-pool entry point (warm per-worker simulator,
-    see :mod:`repro.sim.worker`)."""
-    launch, gpu, unit_insts, record_bbv = task
-    return _simulate_full_launch(
-        launch, gpu, unit_insts, record_bbv, simulator=get_simulator(gpu)
-    )
 
 
 def run_full(
     kernel: KernelTrace,
     gpu: GPUConfig | None = None,
-    simulator: GPUSimulator | None = None,
+    *,
     unit_insts: int | None = None,
     record_bbv: bool = True,
     exec_config: ExecutionConfig | None = None,
@@ -108,6 +88,10 @@ def run_full(
 
     Parameters
     ----------
+    gpu:
+        The simulated machine (default Table V).  The simulator is the
+        process's warm one for ``gpu`` (:mod:`repro.sim.worker`), never
+        an argument: timing depends on the machine alone.
     unit_insts:
         If given, slice the run into sampling units of this many
         machine-wide warp instructions (units never span launches, since
@@ -117,38 +101,21 @@ def run_full(
         Collect per-unit basic-block vectors (needed by Ideal-SimPoint,
         not by Random).
     exec_config:
-        Batch execution: with ``jobs > 1``, launches are simulated in
-        worker processes and merged in launch order — bit-identical to
-        the serial run (the supplied ``simulator`` is then unused).
-
-    ``gpu`` defaults to ``simulator``'s machine; a ``simulator`` built
-    for another machine than ``gpu`` raises ``ValueError``.
+        Batch execution: the launches go through ``parallel_map``, so
+        with ``jobs > 1`` they are simulated in worker processes and
+        merged in launch order — bit-identical to the serial run, which
+        keeps the same retry budget and ``exec_meta`` record.
     """
-    gpu = resolve_gpu(gpu, simulator)
+    gpu = gpu or GPUConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
 
-    jobs = exec_config.effective_jobs
+    tasks = [(l, gpu, unit_insts, record_bbv) for l in kernel.launches]
     exec_meta: dict = {}
-    if jobs > 1 and kernel.num_launches > 1:
-        tasks = [(l, gpu, unit_insts, record_bbv) for l in kernel.launches]
-        # min_items=2: a whole-launch simulation dwarfs pool spawn
-        # cost (same reasoning as the representative-launch fan-out).
-        outcomes = parallel_map(
-            _full_launch_task, tasks, jobs, meta=exec_meta, config=exec_config,
-            min_items=2, initializer=init_worker, initargs=(gpu,),
-        )
-    else:
-        exec_meta.update(
-            path="serial", workers=1, items=kernel.num_launches,
-            reason=f"jobs={jobs}, {kernel.num_launches} launch(es)",
-        )
-        simulator = simulator or GPUSimulator(gpu)
-        outcomes = [
-            _simulate_full_launch(
-                launch, gpu, unit_insts, record_bbv, simulator=simulator
-            )
-            for launch in kernel.launches
-        ]
+    outcomes = parallel_map(
+        _simulate_full_launch, tasks, exec_config.effective_jobs,
+        meta=exec_meta, config=exec_config,
+        initializer=init_worker, initargs=(gpu,),
+    )
     launch_results: list[LaunchResult] = []
     units: list[UnitRecord] = []
     for result, launch_units in outcomes:

@@ -29,7 +29,7 @@ from repro.core.regions import RegionTable, identify_regions
 from repro.exec.cache import cached_profile
 from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
 from repro.profiler.functional import KernelProfile, LaunchProfile
-from repro.sim.gpu import GPUSimulator, LaunchResult, resolve_gpu
+from repro.sim.gpu import LaunchResult
 from repro.sim.worker import get_simulator, init_worker
 from repro.trace import KernelTrace
 from repro.trace.launch import LaunchTrace
@@ -83,24 +83,21 @@ class TBPointResult:
 
 
 def simulate_representative(
-    launch: LaunchTrace,
-    launch_profile: LaunchProfile,
-    gpu: GPUConfig,
-    sampling: SamplingConfig,
-    use_intra: bool,
-    simulator: GPUSimulator | None = None,
+    task: tuple[LaunchTrace, LaunchProfile, GPUConfig, SamplingConfig, bool],
 ) -> tuple[RegionTable | None, RegionSampler | None, LaunchResult]:
     """Simulate one representative launch (steps 3 of Figs. 2-3): build
     the epoch table, identify homogeneous regions, run the timing
     simulation with region sampling.
 
-    This is the unit of work the batch execution engine ships to worker
-    processes; the serial path calls the very same function (with a
-    shared, reset simulator), which is why parallel and serial runs are
-    bit-identical: launch timing depends only on the arguments here,
-    never on simulation order (the memory hierarchy is reset per launch).
+    ``task`` is ``(launch, launch_profile, gpu, sampling, use_intra)``.
+    This is the unit of work :func:`run_tbpoint` maps with
+    ``parallel_map``, in a pool worker or in this process alike; it runs
+    on the process's warm simulator (:mod:`repro.sim.worker`).  Launch
+    timing depends only on the task, never on simulation order (the
+    memory hierarchy is reset per launch), which is why parallel and
+    serial runs are bit-identical.
     """
-    simulator = simulator or GPUSimulator(gpu)
+    launch, launch_profile, gpu, sampling, use_intra = task
     table: RegionTable | None = None
     sampler: RegionSampler | None = None
     if use_intra:
@@ -114,28 +111,16 @@ def simulate_representative(
             occupancy=occupancy,
             cluster_of_region={r.region_id: r.cluster for r in table.regions},
         )
-    result = simulator.run_launch(launch, sampler=sampler)
+    result = get_simulator(gpu).run_launch(launch, sampler=sampler)
     return table, sampler, result
-
-
-def _rep_launch_task(task: tuple) -> tuple:
-    """Picklable worker: simulate one representative launch in the
-    worker's warm simulator (process-pool entry point; the simulator is
-    built once per worker by :func:`repro.sim.worker.init_worker` and
-    keeps its interned trace tables across this kernel's launches)."""
-    launch, launch_profile, gpu, sampling, use_intra = task
-    return simulate_representative(
-        launch, launch_profile, gpu, sampling, use_intra,
-        simulator=get_simulator(gpu),
-    )
 
 
 def run_tbpoint(
     kernel: KernelTrace,
     gpu: GPUConfig | None = None,
     sampling: SamplingConfig | None = None,
+    *,
     profile: KernelProfile | None = None,
-    simulator: GPUSimulator | None = None,
     use_inter: bool = True,
     use_intra: bool = True,
     feature_mask: tuple[bool, bool, bool, bool] | None = None,
@@ -149,15 +134,13 @@ def run_tbpoint(
     kernel:
         The kernel trace (all launches).
     gpu / sampling:
-        Machine and sampling configurations.  ``gpu`` defaults to
-        ``simulator``'s machine (Table V without one).
+        Machine and sampling configurations (defaults: Table V and the
+        paper's thresholds).  The simulator for ``gpu`` is the
+        process's warm one (:mod:`repro.sim.worker`), never an argument:
+        timing depends on the machine alone.
     profile:
         Reuse of the one-time functional profile (hardware independent —
         valid across GPU configurations, per Section V-C).
-    simulator:
-        Reuse an existing simulator instance (its memory hierarchy is
-        reset at each launch anyway).  One built for another machine
-        than ``gpu`` raises ``ValueError``.
     use_inter / use_intra:
         Enable/disable the two orthogonal sampling levels.
     feature_mask / extra_features:
@@ -167,12 +150,14 @@ def run_tbpoint(
         Batch execution: worker count for fanning representative-launch
         simulations across processes, and whether to consult the
         persistent profile cache when ``profile`` is not supplied.
-        ``None`` keeps the library default (serial, no cache).  The
-        merge is deterministic — results are keyed by launch ID and
-        collected in plan order — so any ``jobs`` value yields
-        bit-identical estimates.
+        ``None`` keeps the library default (serial, no cache).  Serial
+        or pooled, the launches go through ``parallel_map`` with the
+        same retry budget and ``exec_meta`` record.  The merge is
+        deterministic — results are keyed by launch ID and collected in
+        plan order — so any ``jobs`` value yields bit-identical
+        estimates.
     """
-    gpu = resolve_gpu(gpu, simulator)
+    gpu = gpu or GPUConfig()
     sampling = sampling or SamplingConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
     if profile is None:
@@ -189,37 +174,16 @@ def run_tbpoint(
     rep_results: dict[int, LaunchResult] = {}
     samplers: dict[int, RegionSampler] = {}
     sim_launches = plan.simulated_launches
-    jobs = exec_config.effective_jobs
+    tasks = [
+        (kernel.launches[lid], profile.launches[lid], gpu, sampling, use_intra)
+        for lid in sim_launches
+    ]
     exec_meta: dict = {}
-    if jobs > 1 and len(sim_launches) > 1:
-        tasks = [
-            (kernel.launches[lid], profile.launches[lid], gpu, sampling, use_intra)
-            for lid in sim_launches
-        ]
-        # min_items=2: one launch simulation dwarfs the pool spawn
-        # cost, so even two launches are worth fanning out (the
-        # generic MIN_PARALLEL_ITEMS floor is sized for short tasks).
-        outcomes = parallel_map(
-            _rep_launch_task, tasks, jobs, meta=exec_meta, config=exec_config,
-            min_items=2, initializer=init_worker, initargs=(gpu,),
-        )
-    else:
-        exec_meta.update(
-            path="serial", workers=1, items=len(sim_launches),
-            reason=f"jobs={jobs}, {len(sim_launches)} launch(es)",
-        )
-        simulator = simulator or GPUSimulator(gpu)
-        outcomes = [
-            simulate_representative(
-                kernel.launches[lid],
-                profile.launches[lid],
-                gpu,
-                sampling,
-                use_intra,
-                simulator=simulator,
-            )
-            for lid in sim_launches
-        ]
+    outcomes = parallel_map(
+        simulate_representative, tasks, exec_config.effective_jobs,
+        meta=exec_meta, config=exec_config,
+        initializer=init_worker, initargs=(gpu,),
+    )
     for launch_id, (table, sampler, result) in zip(sim_launches, outcomes):
         if table is not None:
             region_tables[launch_id] = table

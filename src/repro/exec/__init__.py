@@ -36,7 +36,6 @@ from repro.exec.cache import (
 from repro.exec.engine import (
     BACKOFF_CAP,
     DEFAULT_EXECUTION,
-    MIN_PARALLEL_ITEMS,
     ExecutionConfig,
     default_jobs,
     parallel_map,
@@ -62,7 +61,6 @@ from repro.exec.journal import (
 __all__ = [
     "ExecutionConfig",
     "DEFAULT_EXECUTION",
-    "MIN_PARALLEL_ITEMS",
     "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",

@@ -48,11 +48,6 @@ from repro.exec.faults import FaultPlan
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Below this many items a process pool cannot amortize its spawn cost
-#: (interpreter start + module imports per worker dwarf a short task),
-#: so :func:`parallel_map` degrades to the serial path.
-MIN_PARALLEL_ITEMS = 4
-
 #: Exponential backoff never waits longer than this between attempts.
 BACKOFF_CAP = 2.0
 
@@ -137,16 +132,16 @@ class ExecutionConfig:
         0.67x "speedup" an earlier BENCH_exec.json recorded)."""
         return self.jobs if self.jobs > 0 else default_jobs()
 
-    def serial(self) -> "ExecutionConfig":
-        """A copy that runs in-process (used inside worker processes so
-        nested fan-out never spawns pools of pools).  Fault injection
-        and journaling stay at the level that owns the task indices —
-        the outer map — so both are stripped here."""
-        import dataclasses
-
-        return dataclasses.replace(
-            self, jobs=1, fault_plan=None, journal=False, resume=False
-        )
+    def for_tasks(self, tasks: int) -> "ExecutionConfig":
+        """The config each of ``tasks`` items mapped by
+        :func:`parallel_map` under this config runs with.  When the map
+        fans out (:func:`_fans_out`), every task runs serially inside so
+        pools never nest; otherwise the one worker count goes to the
+        tasks' own launch fan-out.  Fault injection and journaling stay
+        at the level that owns the task indices — the outer map — so
+        both are stripped either way."""
+        jobs = 1 if _fans_out(self.effective_jobs, tasks) else self.jobs
+        return self.with_(jobs=jobs, fault_plan=None, journal=False, resume=False)
 
     def with_(self, **changes) -> "ExecutionConfig":
         import dataclasses
@@ -158,6 +153,14 @@ class ExecutionConfig:
 #: Keeps the library functions pure-by-default; opting into persistence
 #: and parallelism is explicit (the CLI does, with cache on and all CPUs).
 DEFAULT_EXECUTION = ExecutionConfig(jobs=1, use_cache=False)
+
+
+def _fans_out(jobs: int, items: int) -> bool:
+    """The one fan-out rule: a map of ``items`` tasks uses a process
+    pool when more than one worker is asked for and there are at least
+    two tasks.  Every caller maps whole launches or whole kernels, each
+    of which dwarfs a worker's spawn cost."""
+    return jobs > 1 and items >= 2
 
 
 def _is_picklable(obj) -> bool:
@@ -259,7 +262,6 @@ def parallel_map(
     meta: dict | None = None,
     config: ExecutionConfig | None = None,
     on_result: Callable[[int, R], None] | None = None,
-    min_items: int = MIN_PARALLEL_ITEMS,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
 ) -> list[R]:
@@ -269,13 +271,11 @@ def parallel_map(
     which is what makes parallel merges deterministic.  Degrades to a
     plain serial map whenever parallelism cannot help — ``jobs`` ≤ 1
     (an explicit jobs request is otherwise honoured exactly, even past
-    the apparent CPU count: see ``ExecutionConfig.effective_jobs``),
-    fewer than ``min_items`` items (default
-    :data:`MIN_PARALLEL_ITEMS`; callers whose tasks dwarf the pool
-    spawn cost, like whole-launch simulations, pass a lower floor) —
-    or cannot work (``fn``/first item not picklable; pool spawn
-    failure).  Serial and parallel paths are bit-identical, so the
-    degrade is invisible in results.
+    the apparent CPU count: see ``ExecutionConfig.effective_jobs``) or
+    fewer than two items (:func:`_fans_out`) — or cannot work
+    (``fn``/first item not picklable; pool spawn failure).  Serial and
+    parallel paths are bit-identical, so the degrade is invisible in
+    results.
 
     ``initializer``/``initargs`` run once in every worker process at
     spawn (including respawns after a broken pool), letting tasks reuse
@@ -312,11 +312,8 @@ def parallel_map(
     if meta is None:
         meta = {}
     _init_meta(meta, len(items))
-    if jobs <= 1:
-        meta["reason"] = f"jobs={jobs} <= 1"
-        return _serial_run(fn, items, config, meta, on_result)
-    if len(items) < min_items:
-        meta["reason"] = f"{len(items)} items < min_items={min_items}"
+    if not _fans_out(jobs, len(items)):
+        meta["reason"] = f"jobs={jobs}, {len(items)} item(s)"
         return _serial_run(fn, items, config, meta, on_result)
     if not (_is_picklable(fn) and _is_picklable(items[0])):
         # Probe the function and the first item only; a stray
@@ -522,7 +519,6 @@ def _pool_run(
 __all__ = [
     "ExecutionConfig",
     "DEFAULT_EXECUTION",
-    "MIN_PARALLEL_ITEMS",
     "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",

@@ -29,7 +29,7 @@ from repro.exec.cache import ProfileCache, kernel_cache_key
 from repro.exec.engine import ExecutionConfig
 from repro.profiler.functional import KernelProfile, profile_kernel
 from repro.serve.payloads import RequestError, result_payload, tbpoint_payload
-from repro.sim.gpu import GPUSimulator
+from repro.sim.worker import get_simulator, init_worker, is_warm
 from repro.trace import KernelTrace
 from repro.workloads import get_workload
 
@@ -64,8 +64,11 @@ class JobRunner:
 
     Stores (each a pure cache, see DESIGN.md §13):
 
-    * one engine, the system simulator on the default
-      :class:`~repro.config.GPUConfig`, built on first use;
+    * one engine, the process's warm simulator
+      (:mod:`repro.sim.worker`) for the default
+      :class:`~repro.config.GPUConfig`, built on first use — the
+      runner starts from an empty registry, so a forked worker never
+      runs on a simulator inherited from the daemon;
     * resident kernel traces per (kernel, scale, seed) with each
       launch's block-memo window enlarged to its full block count, so
       warm traces never re-synthesize a block;
@@ -74,7 +77,7 @@ class JobRunner:
     """
 
     def __init__(self, cache_dir: str | None = None):
-        self._engine: GPUSimulator | None = None
+        init_worker()
         self._kernels: dict[tuple, KernelTrace] = {}
         self._profiles: dict[str, KernelProfile] = {}
         self._profile_cache = ProfileCache(cache_dir)
@@ -94,14 +97,6 @@ class JobRunner:
             launch.resize_block_memo(launch.num_blocks)
         self._kernels[key] = kernel
         return kernel, False
-
-    def get_engine(self) -> tuple[GPUSimulator, bool]:
-        """The system simulator (compact engine, ``fast`` front end,
-        default config) and whether it was already built."""
-        if self._engine is not None:
-            return self._engine, True
-        self._engine = GPUSimulator(GPUConfig())
-        return self._engine, False
 
     def get_profile(self, kernel: KernelTrace) -> tuple[KernelProfile, str]:
         key = kernel_cache_key(kernel)
@@ -128,9 +123,9 @@ class JobRunner:
         if heartbeat is not None:
             heartbeat()
         kernel, kernel_warm = self.get_kernel(norm)
-        sim, engine_warm = self.get_engine()
+        gpu = GPUConfig()
         meta = JobMeta(
-            kind=norm["kind"], engine_warm=engine_warm, kernel_warm=kernel_warm
+            kind=norm["kind"], engine_warm=is_warm(gpu), kernel_warm=kernel_warm
         )
         if heartbeat is not None:
             heartbeat()
@@ -143,7 +138,7 @@ class JobRunner:
                 )
             launch = kernel.launches[norm["launch"]]
             regen0 = launch.regenerations
-            result = sim.run_launch(launch)
+            result = get_simulator(gpu).run_launch(launch)
             meta.block_regenerations = launch.regenerations - regen0
             return result_payload(result), meta
         profile, source = self.get_profile(kernel)
@@ -153,13 +148,14 @@ class JobRunner:
         regen0 = sum(l.regenerations for l in kernel.launches)
         from repro.core.pipeline import run_tbpoint
 
+        # retries=0: the supervisor retries a failed job (DESIGN.md
+        # §14); retrying inside the job too would multiply the budget.
         tbp = run_tbpoint(
             kernel,
-            sim.config,
+            gpu,
             SamplingConfig(),
             profile=profile,
-            simulator=sim,
-            exec_config=ExecutionConfig(jobs=1, use_cache=False),
+            exec_config=ExecutionConfig(jobs=1, use_cache=False, retries=0),
         )
         meta.block_regenerations = (
             sum(l.regenerations for l in kernel.launches) - regen0

@@ -36,7 +36,8 @@ import math
 from repro.config import GPUConfig, SamplingConfig
 from repro.exec.engine import ExecutionConfig
 from repro.exec.journal import sweep_key
-from repro.sim.gpu import GPUSimulator, LaunchResult
+from repro.sim.gpu import LaunchResult
+from repro.sim.worker import get_simulator, init_worker
 from repro.workloads import ALL_KERNELS, get_workload
 
 #: Version of the served-payload schema; salts request content keys and
@@ -207,14 +208,14 @@ def direct_payload(norm: dict) -> dict:
     """
     kernel = get_workload(norm["kernel"], scale=norm["scale"], seed=norm["seed"])
     gpu = GPUConfig()
-    simulator = GPUSimulator(gpu)
+    init_worker(gpu)  # a fresh simulator, not this process's warm one
     if norm["kind"] == "simulate":
         _require(
             norm["launch"] < len(kernel.launches),
             f"launch {norm['launch']} out of range: {norm['kernel']} has "
             f"{len(kernel.launches)} launches at scale {norm['scale']:g}",
         )
-        result = simulator.run_launch(kernel.launches[norm["launch"]])
+        result = get_simulator(gpu).run_launch(kernel.launches[norm["launch"]])
         return result_payload(result)
     from repro.core.pipeline import run_tbpoint
 
@@ -222,7 +223,6 @@ def direct_payload(norm: dict) -> dict:
         kernel,
         gpu,
         SamplingConfig(),
-        simulator=simulator,
         exec_config=ExecutionConfig(jobs=1, use_cache=False),
     )
     return tbpoint_payload(tbp)

@@ -4,9 +4,9 @@ The daemon and its supervised worker processes
 (:mod:`repro.serve.supervisor`) own the hot state every one-shot
 invocation throws away.  Each worker keeps its own:
 
-* **a warm engine** — the system simulator on the default
-  ``GPUConfig``, so simulator-lifetime trace-interning tables survive
-  across requests;
+* **a warm engine** — the process's one simulator
+  (:mod:`repro.sim.worker`) on the default ``GPUConfig``, so
+  simulator-lifetime trace-interning tables survive across requests;
 * **resident traces** — :class:`KernelTrace` objects per
   (kernel, scale, seed), their launches' block-memo windows enlarged
   (by default to the launch's full block count) so >256-block launches

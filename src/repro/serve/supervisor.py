@@ -6,8 +6,8 @@ the daemon down, and simulations use more than one core.  The module
 lifts the sweep supervisor's discipline (``exec/engine.py``:
 per-attempt supervision, retries, pool respawn) into the serving
 layer; each worker holds its own warm
-:class:`~repro.serve.jobs.JobRunner` (per-worker simulators, resident
-traces, profile mirror — the PR 7 ``sim/worker`` reuse identity), fed
+:class:`~repro.serve.jobs.JobRunner` (the worker's one simulator from
+``sim/worker``, resident traces, profile mirror), fed
 over a duplex pipe with per-request heartbeats.
 
 Supervision contract (DESIGN.md §14, chaos-tested in

@@ -1098,31 +1098,10 @@ class GPUSimulator:
         )
 
 
-def resolve_gpu(
-    gpu: GPUConfig | None, simulator: GPUSimulator | None
-) -> GPUConfig:
-    """The machine a run driven by ``gpu`` and/or ``simulator`` simulates.
-
-    ``gpu`` defaults to the simulator's machine (or Table V without
-    one); a simulator built for another machine than ``gpu`` is an
-    error, since epochs would be sized for one machine and timed on
-    the other."""
-    if simulator is None:
-        return gpu or GPUConfig()
-    if gpu is None:
-        return simulator.config
-    if gpu != simulator.config:
-        raise ValueError(
-            f"simulator models {simulator.config!r}, not gpu={gpu!r}"
-        )
-    return gpu
-
-
 __all__ = [
     "GPUSimulator",
     "LaunchResult",
     "FixedUnitRecorder",
     "UnitRecord",
     "SimCounters",
-    "resolve_gpu",
 ]

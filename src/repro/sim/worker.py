@@ -1,39 +1,33 @@
-"""Warm per-worker simulator state for launch-level parallel simulation.
+"""The process's one warm simulator: where every run gets its simulator.
 
-When :func:`~repro.exec.engine.parallel_map` fans representative-launch
-(or full-run) simulations across worker processes, each task needs a
-:class:`~repro.sim.gpu.GPUSimulator`.  Building one per task would
-throw away the simulator-lifetime trace interning cache (DESIGN.md §7)
-that makes re-simulating the near-identical relaunches of one kernel
-cheap — exactly the case launch fan-out handles.  Instead the pool is
-spawned with :func:`init_worker` as its initializer, which builds one
-simulator per worker process; tasks then fetch it with
-:func:`get_simulator`, which reuses the warm instance whenever the
-requested config matches and transparently rebuilds it otherwise (e.g.
-a respawned pool serving a different sweep point, or the in-parent
-serial fallback of a degraded task).
+``run_tbpoint``, ``run_full``, the sweeps and the ``repro serve``
+workers never build a :class:`~repro.sim.gpu.GPUSimulator` themselves;
+their launch tasks call :func:`get_simulator` with the machine they
+simulate.  The process keeps at most one simulator, for the last
+:class:`~repro.config.GPUConfig` asked, so the simulator-lifetime trace
+interning cache (DESIGN.md §7) carries over from one launch, one run and
+one request to the next as long as the machine stays the same — in
+pool workers and in a serial run alike.  Asking for another machine
+replaces it.
+
+Pools are spawned with :func:`init_worker` as their initializer, which
+builds the worker's simulator once at spawn (and again at a respawn
+after a broken pool).  A forked child inherits its parent's registry, so
+:func:`init_worker` first empties it: a worker never runs on a
+simulator built before the fork.
 
 Warm simulators always run the system path (compact engine, ``fast``
 memory front end); the oracles are built directly by the tests that
 use them, so the *identity under which a warm simulator may be
 reused* is its :class:`~repro.config.GPUConfig` alone — a frozen
-(hashable, eq-by-value) dataclass.  This registry keys simulators by it
-and can never reuse across a config change.  The ``repro serve`` daemon
-does not use it: it holds one default-config simulator of its own
-(:meth:`~repro.serve.jobs.JobRunner.get_engine`).
+(hashable, eq-by-value) dataclass.
 
 Correctness does not depend on reuse: ``run_launch`` resets the memory
 hierarchy per launch and the interning cache is an id-pinned pure
 cache, so a warm simulator is bit-identical to a fresh one (the
-parallel-vs-serial property tests cover this path).  The module global
-is per-process state — never pickled, never shared.
-
-The registry holds :data:`MAX_WARM_SIMULATORS` entries, FIFO-evicted,
-so a process that meets a few configs in turn — the parent, when
-``parallel_map`` runs tasks of successive sweep points in-process (its
-serial path, or the last attempt of a degraded task) — does not rebuild
-at every switch.  Sweep fan-out workers see one config and one resident
-simulator.
+parallel-vs-serial property tests cover this path).  The registry is
+per-process state — never pickled, never shared — and is mutated in
+place, never rebound.
 """
 
 from __future__ import annotations
@@ -41,52 +35,39 @@ from __future__ import annotations
 from repro.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
 
-#: Warm simulators kept per process before the oldest is evicted.
-#: Small on purpose: each holds engine state plus interning tables, and
-#: one process rarely serves more than a few distinct configs.
-MAX_WARM_SIMULATORS = 4
-
-#: The process-local warm registry, keyed by config
-#: (insertion-ordered dict → FIFO eviction).
+#: The process-local registry: at most one entry, the simulator for
+#: the last config asked.
 _SIMS: dict[GPUConfig, GPUSimulator] = {}
 
 
-def init_worker(gpu: GPUConfig) -> None:
-    """Process-pool initializer: build this worker's simulator once.
+def init_worker(gpu: GPUConfig | None = None) -> None:
+    """Start this process from an empty registry and, given ``gpu``,
+    build that machine's simulator now.
 
-    Runs at worker spawn (including pool respawns after a broken
-    pool).  Only *primes* state — results never depend on it.
+    The process-pool initializer (run at worker spawn, including pool
+    respawns), and the way a serve worker or a cold oracle drops a
+    simulator it inherited.  Only *primes* state — results never
+    depend on it.
     """
     _SIMS.clear()
-    get_simulator(gpu)
+    if gpu is not None:
+        get_simulator(gpu)
 
 
 def get_simulator(gpu: GPUConfig) -> GPUSimulator:
-    """The process-local simulator for this config.
-
-    Returns the resident instance for the config when one exists
-    (built by :func:`init_worker` or a previous task) and builds —
-    and registers — a replacement otherwise, evicting the oldest
-    resident past :data:`MAX_WARM_SIMULATORS`.
-    """
+    """The process's simulator for this config: the resident one when
+    it models ``gpu``, otherwise a new one that replaces it."""
     sim = _SIMS.get(gpu)
     if sim is None:
-        sim = GPUSimulator(gpu)
-        while len(_SIMS) >= MAX_WARM_SIMULATORS:
-            _SIMS.pop(next(iter(_SIMS)))
-        _SIMS[gpu] = sim
+        _SIMS.clear()
+        sim = _SIMS[gpu] = GPUSimulator(gpu)
     return sim
 
 
-def warm_simulator_count() -> int:
-    """How many simulators this process keeps resident (tests and
-    worker stats)."""
-    return len(_SIMS)
+def is_warm(gpu: GPUConfig) -> bool:
+    """Whether :func:`get_simulator` would return an existing simulator
+    for ``gpu`` (the serve worker's ``engine_warm`` observation)."""
+    return gpu in _SIMS
 
 
-__all__ = [
-    "MAX_WARM_SIMULATORS",
-    "init_worker",
-    "get_simulator",
-    "warm_simulator_count",
-]
+__all__ = ["init_worker", "get_simulator", "is_warm"]

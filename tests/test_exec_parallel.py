@@ -166,24 +166,18 @@ class TestDegradeToSerial:
         assert ExecutionConfig(jobs=0).effective_jobs == 2
         assert ExecutionConfig(jobs=1).effective_jobs == 1
 
-    def test_small_item_count_stays_serial(self, monkeypatch):
-        import repro.exec.engine as engine
-
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    def test_single_item_stays_serial(self):
         meta: dict = {}
-        items = list(range(engine.MIN_PARALLEL_ITEMS - 1))
-        assert parallel_map(_square, items, jobs=4, meta=meta) == [
-            i * i for i in items
-        ]
+        assert parallel_map(_square, [3], jobs=4, meta=meta) == [9]
         assert meta["path"] == "serial"
-        assert "min_items" in meta["reason"]
+        assert meta["reason"] == "jobs=4, 1 item(s)"
 
-    def test_min_items_floor_is_caller_tunable(self):
-        # Launch-level fan-out passes min_items=2 because one launch
-        # simulation dwarfs the pool spawn cost; the floor must be
-        # honoured below MIN_PARALLEL_ITEMS.
+    def test_two_items_take_the_pool(self):
+        # One fan-out rule for every caller: a pool whenever jobs > 1
+        # and there are at least two items (each caller maps whole
+        # launches or kernels, which dwarf a worker's spawn cost).
         meta: dict = {}
-        out = parallel_map(_square, [2, 3], jobs=2, meta=meta, min_items=2)
+        out = parallel_map(_square, [2, 3], jobs=2, meta=meta)
         assert out == [4, 9]
         if meta["path"] == "serial":  # pool may be unavailable in sandboxes
             assert meta["reason"] == "process pool unavailable"
@@ -285,29 +279,28 @@ class TestWarmWorkerSimulator:
         assert other.config.num_sms == 3
         assert worker.get_simulator(GPU.with_(num_sms=3)) is other
 
-    def test_registry_keeps_multiple_configs_resident(self):
-        """Long-lived serve workers alternate between request mixes;
-        the registry must not thrash on alternation."""
+    def test_registry_holds_at_most_one_simulator(self):
         import repro.sim.worker as worker
 
         other_gpu = GPU.with_(num_sms=3)
         worker.init_worker(GPU)
         first = worker.get_simulator(GPU)
-        other = worker.get_simulator(other_gpu)
-        # Alternating requests keep hitting their own resident sim.
-        assert worker.get_simulator(GPU) is first
-        assert worker.get_simulator(other_gpu) is other
-        assert worker.warm_simulator_count() == 2
+        assert list(worker._SIMS) == [GPU]
+        worker.get_simulator(other_gpu)
+        assert list(worker._SIMS) == [other_gpu]
+        # Switching back rebuilds: the first machine was dropped.
+        assert worker.get_simulator(GPU) is not first
+        assert list(worker._SIMS) == [GPU]
 
-    def test_registry_evicts_oldest_past_the_bound(self):
+    def test_init_worker_without_config_empties_registry(self):
+        # A serve worker starts from nothing, whatever its parent held.
         import repro.sim.worker as worker
 
-        worker.init_worker(GPU)
-        oldest = worker.get_simulator(GPU)
-        for num_sms in range(3, 3 + worker.MAX_WARM_SIMULATORS):
-            worker.get_simulator(GPU.with_(num_sms=num_sms))
-        assert worker.warm_simulator_count() == worker.MAX_WARM_SIMULATORS
-        assert worker.get_simulator(GPU) is not oldest  # evicted, rebuilt
+        worker.get_simulator(GPU)
+        assert worker.is_warm(GPU)
+        worker.init_worker()
+        assert not worker.is_warm(GPU)
+        assert not worker._SIMS
 
     def test_warm_simulator_results_bit_identical_to_fresh(self):
         import repro.sim.worker as worker
@@ -323,6 +316,160 @@ class TestWarmWorkerSimulator:
             assert (a.issued_warp_insts, a.wall_cycles) == (
                 b.issued_warp_insts, b.wall_cycles
             )
+
+
+class TestOneSerialPath:
+    """Serial runs go through ``parallel_map`` like pooled ones and run
+    on the process's one warm simulator (``repro.sim.worker``)."""
+
+    @staticmethod
+    def _misses(results) -> int:
+        return sum(r.counters.interning_misses for r in results)
+
+    def test_second_serial_run_full_reuses_interned_traces(self):
+        import repro.sim.worker as worker
+
+        kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=12)
+        worker.init_worker()
+        first = run_full(kernel, GPU)
+        second = run_full(kernel, GPU)
+        assert self._misses(first.launch_results) > 0
+        assert self._misses(second.launch_results) == 0
+        assert [r.wall_cycles for r in first.launch_results] == [
+            r.wall_cycles for r in second.launch_results
+        ]
+
+    def test_second_serial_run_tbpoint_reuses_interned_traces(self):
+        import repro.sim.worker as worker
+
+        kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=12)
+        worker.init_worker()
+        first = run_tbpoint(kernel, GPU, use_inter=False)
+        second = run_tbpoint(kernel, GPU, use_inter=False)
+        assert self._misses(first.rep_results.values()) > 0
+        assert self._misses(second.rep_results.values()) == 0
+        assert _fingerprint(first) == _fingerprint(second)
+
+    @pytest.mark.parametrize("runner", ["run_full", "run_tbpoint"])
+    def test_serial_exec_meta_has_the_pool_keys(self, runner):
+        kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=12)
+
+        def meta(jobs: int) -> dict:
+            cfg = ExecutionConfig(jobs=jobs, use_cache=False)
+            if runner == "run_full":
+                return run_full(kernel, GPU, exec_config=cfg).exec_meta
+            return run_tbpoint(
+                kernel, GPU, use_inter=False, exec_config=cfg
+            ).exec_meta
+
+        serial, pooled = meta(1), meta(2)
+        assert serial["path"] == "serial"
+        assert set(serial) == set(pooled)
+        assert serial["attempts"] == serial["items"] == 2
+
+    def test_serial_run_shares_the_retry_budget(self):
+        from repro.exec import InjectedFault, raise_plan
+
+        kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=12)
+        clean = run_full(kernel, GPU)
+        cfg = ExecutionConfig(
+            jobs=1, use_cache=False, backoff=0.0, retries=1,
+            fault_plan=raise_plan((1, 0)),
+        )
+        flaky = run_full(kernel, GPU, exec_config=cfg)
+        assert flaky.exec_meta["retries"] == 1
+        assert [r.wall_cycles for r in flaky.launch_results] == [
+            r.wall_cycles for r in clean.launch_results
+        ]
+        # Past the budget the fault propagates, as it does from a pool.
+        fatal = cfg.with_(fault_plan=raise_plan((1, 0), (1, 1)))
+        with pytest.raises(InjectedFault):
+            run_full(kernel, GPU, exec_config=fatal)
+
+
+class TestSweepFanOut:
+    """One fan-out rule for sweeps and their tasks: the sweep-level map
+    and ``ExecutionConfig.for_tasks`` agree on when a pool is used, so
+    a sweep of few tasks parallelizes at exactly one level."""
+
+    @pytest.mark.parametrize(
+        "jobs, tasks, inner_jobs",
+        [(2, 2, 1), (4, 3, 1), (2, 1, 2), (1, 5, 1)],
+    )
+    def test_for_tasks_follows_the_map(self, jobs, tasks, inner_jobs):
+        assert ExecutionConfig(jobs=jobs).for_tasks(tasks).jobs == inner_jobs
+
+    def test_for_tasks_keeps_sweep_state_at_the_sweep(self):
+        from repro.exec import raise_plan
+
+        outer = ExecutionConfig(
+            jobs=2, journal=True, resume=True, fault_plan=raise_plan((0, 0)),
+            retries=5,
+        )
+        for tasks in (1, 2):
+            inner = outer.for_tasks(tasks)
+            assert (inner.journal, inner.resume, inner.fault_plan) == (
+                False, False, None
+            )
+            assert inner.retries == 5
+
+    @pytest.mark.slow
+    def test_two_kernel_sweep_fans_out(self):
+        from repro.analysis.experiments import run_fig9_fig10
+        from repro.config import ExperimentConfig
+
+        experiment = ExperimentConfig(scale=0.02)
+        kernels = ("stream", "hotspot")
+        serial = run_fig9_fig10(
+            kernels, experiment,
+            exec_config=ExecutionConfig(jobs=1, use_cache=False),
+        )
+        swept = run_fig9_fig10(
+            kernels, experiment,
+            exec_config=ExecutionConfig(jobs=2, use_cache=False),
+        )
+        meta = swept.exec_meta
+        if meta["path"] == "parallel":
+            assert meta["workers"] == 2
+            # Pools never nest: each kernel ran its launches serially.
+            for c in swept.comparisons:
+                assert c.tbpoint.exec_meta["workers"] == 1
+        else:  # pool may be unavailable in sandboxes — but never a cap
+            assert meta["reason"] == "process pool unavailable"
+        assert [
+            (c.full_ipc, c.tbpoint.overall_ipc, c.tbpoint.sample_size)
+            for c in swept.comparisons
+        ] == [
+            (c.full_ipc, c.tbpoint.overall_ipc, c.tbpoint.sample_size)
+            for c in serial.comparisons
+        ]
+
+    @pytest.mark.slow
+    def test_resume_with_one_kernel_left_fans_out_its_launches(self, tmp_path):
+        from repro.analysis.experiments import run_fig9_fig10
+        from repro.config import ExperimentConfig
+        from repro.exec import InjectedFault, raise_plan
+
+        experiment = ExperimentConfig(scale=0.02)
+        kernels = ("stream", "hotspot", "mst")
+        cfg = ExecutionConfig(
+            jobs=1, use_cache=False, cache_dir=str(tmp_path), journal=True,
+            retries=0, fault_plan=raise_plan((2, 0)),
+        )
+        with pytest.raises(InjectedFault):
+            run_fig9_fig10(kernels, experiment, exec_config=cfg)
+        resumed = run_fig9_fig10(
+            kernels, experiment,
+            exec_config=cfg.with_(jobs=2, fault_plan=None, resume=True),
+        )
+        assert resumed.exec_meta["items"] == 1
+        assert resumed.exec_meta["path"] == "serial"
+        # The one kernel left gets the workers for its own launches.
+        mst = resumed.comparisons[2]
+        assert mst.kernel == "mst"
+        TestLaunchFanOutEngages._assert_parallel(
+            mst.tbpoint.exec_meta, workers=2
+        )
 
 
 class TestParallelMap:

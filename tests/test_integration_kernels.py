@@ -13,7 +13,6 @@ from repro.baselines import run_full
 from repro.config import GPUConfig
 from repro.core.pipeline import run_tbpoint
 from repro.profiler import profile_kernel
-from repro.sim import GPUSimulator
 from repro.workloads import ALL_KERNELS, get_workload
 
 pytestmark = pytest.mark.slow
@@ -27,9 +26,8 @@ def kernel_run(request):
     name = request.param
     kernel = get_workload(name, scale=SCALE, seed=99)
     profile = profile_kernel(kernel)
-    simulator = GPUSimulator(GPU)
-    full = run_full(kernel, GPU, simulator)
-    tbp = run_tbpoint(kernel, GPU, profile=profile, simulator=simulator)
+    full = run_full(kernel, GPU)
+    tbp = run_tbpoint(kernel, GPU, profile=profile)
     return name, kernel, profile, full, tbp
 
 

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.baselines import run_full
-from repro.config import GPUConfig
+from repro.config import GPUConfig, SamplingConfig
 from repro.core.pipeline import run_tbpoint
-from repro.exec import ExecutionConfig
 from repro.profiler import profile_kernel
 from repro.sim import GPUSimulator
 
@@ -115,41 +114,28 @@ class TestRunTBPoint:
         assert tbp.plan.features.shape[1] == 2
 
 
-class TestMachineFromSimulator:
-    """A run's machine is ``gpu`` or, when only ``simulator`` is given,
-    the simulator's; the two may never disagree."""
-
-    def test_tbpoint_takes_gpu_from_simulator(self, gpu, homogeneous):
-        by_gpu = run_tbpoint(homogeneous, gpu)
-        by_sim = run_tbpoint(homogeneous, simulator=GPUSimulator(gpu))
-        assert by_sim.overall_ipc == by_gpu.overall_ipc
-        assert by_sim.sample_size == by_gpu.sample_size
-
-    def test_full_takes_gpu_from_simulator_at_any_jobs(self, gpu, homogeneous):
-        expected = run_full(homogeneous, gpu).overall_ipc
-        for jobs in (1, 2):
-            full = run_full(
-                homogeneous, simulator=GPUSimulator(gpu),
-                exec_config=ExecutionConfig(jobs=jobs, use_cache=False),
-            )
-            assert full.overall_ipc == expected
+class TestMachineIsTheOnlyInput:
+    """A run's simulator is the process's warm one for ``gpu``; no
+    caller passes one.  Everything after ``gpu`` (``run_full``) or
+    ``sampling`` (``run_tbpoint``) is keyword-only, so a stale
+    positional simulator fails loudly instead of landing in the next
+    parameter."""
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("num_sms", 2), ("warps_per_sm", 8), ("l1_kib", 32), ("dram_channels", 4)],
+        "call",
+        ["full-positional", "full-keyword", "tbpoint-positional", "tbpoint-keyword"],
     )
-    def test_mismatched_simulator_rejected(self, gpu, homogeneous, field, value):
-        other = GPUSimulator(gpu.with_(**{field: value}))
-        with pytest.raises(ValueError, match="simulator models"):
-            run_tbpoint(homogeneous, gpu, simulator=other)
-        with pytest.raises(ValueError, match="simulator models"):
-            run_full(homogeneous, gpu, simulator=other)
-
-    def test_matching_simulator_accepted(self, gpu, homogeneous):
-        sim = GPUSimulator(gpu.with_())
-        assert run_full(homogeneous, gpu, sim).overall_ipc == (
-            run_full(homogeneous, gpu).overall_ipc
-        )
+    def test_simulator_argument_raises_type_error(self, gpu, homogeneous, call):
+        sim = GPUSimulator(gpu)
+        with pytest.raises(TypeError):
+            if call == "full-positional":
+                run_full(homogeneous, gpu, sim)
+            elif call == "full-keyword":
+                run_full(homogeneous, gpu, simulator=sim)
+            elif call == "tbpoint-positional":
+                run_tbpoint(homogeneous, gpu, SamplingConfig(), sim)
+            else:
+                run_tbpoint(homogeneous, gpu, simulator=sim)
 
 
 class TestNoSamplingCorner:

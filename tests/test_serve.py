@@ -346,6 +346,36 @@ class TestWarmState:
         assert queue["depth"] == 0 and queue["samples"] == 3
         assert 0 <= queue["p50_ms"] <= queue["p90_ms"] <= queue["max_ms"]
 
+    def test_forked_worker_starts_without_the_parents_simulator(self, serve_dir):
+        # The registry the daemon's process holds must not reach a
+        # forked worker: its first request still acquires cold.
+        import repro.sim.worker as worker
+
+        worker.get_simulator(GPUConfig())
+        with start_server(serve_dir, workers=1) as handle:
+            with ServeClient(handle.socket_path) as client:
+                client.simulate(KERNEL, scale=SCALE)
+                stats = client.stats()
+        c = stats["counters"]
+        assert c["engine_cold_acquisitions"] == 1
+        assert c["engine_warm_acquisitions"] == 0
+
+    def test_runner_holds_one_simulator_for_both_kinds(self, tmp_path):
+        import repro.sim.worker as worker
+        from repro.serve import JobRunner
+
+        worker._SIMS.clear()
+        runner = JobRunner(cache_dir=str(tmp_path))
+        _, first = runner.run(normalize_request("simulate", sim_params()))
+        assert list(worker._SIMS) == [GPUConfig()]
+        sim = worker._SIMS[GPUConfig()]
+        _, second = runner.run(normalize_request("tbpoint", sim_params()))
+        assert (first.engine_warm, second.engine_warm) == (False, True)
+        # The tbpoint request ran on the same simulator as the simulate
+        # request, and the process holds nothing else.
+        assert list(worker._SIMS) == [GPUConfig()]
+        assert worker._SIMS[GPUConfig()] is sim
+
     def test_profile_cache_tiers(self, serve_dir):
         with start_server(serve_dir, workers=1) as handle:
             with ServeClient(handle.socket_path) as client:
