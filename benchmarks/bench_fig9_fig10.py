@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import run_kernel_comparison
+from repro.analysis.experiments import ComparisonSummary, run_kernel_comparison
 from repro.analysis.report import render_table
-from repro.core.estimates import geometric_mean
 
 from conftest import bench_kernels, emit
 
@@ -70,17 +69,9 @@ def test_fig9_fig10_headline(benchmark, comparisons, experiment):
         title="Fig. 10 — total sample size",
     ))
 
-    cs = list(comparisons.values())
-    errs = {
-        "random": geometric_mean(c.random_error for c in cs),
-        "ideal-simpoint": geometric_mean(c.simpoint_error for c in cs),
-        "tbpoint": geometric_mean(c.tbpoint_error for c in cs),
-    }
-    sizes = {
-        "random": geometric_mean(c.random_sample_size for c in cs),
-        "ideal-simpoint": geometric_mean(c.simpoint_sample_size for c in cs),
-        "tbpoint": geometric_mean(c.tbpoint_sample_size for c in cs),
-    }
+    summary = ComparisonSummary(comparisons=list(comparisons.values()))
+    errs = summary.geomean_errors()
+    sizes = summary.geomean_sample_sizes()
     emit(render_table(
         ["technique", "geomean error", "paper error",
          "geomean sample", "paper sample"],

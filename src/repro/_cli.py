@@ -26,12 +26,13 @@ Batch execution applies to every experiment command: ``--jobs N`` fans
 work out across N worker processes (0 = all CPUs, the default; results
 are bit-identical to ``--jobs 1``), and the one-time functional profiles
 are cached on disk across invocations unless ``--no-cache`` is given.
-Execution is fault tolerant (DESIGN.md §9): failed or crashed tasks
-retry up to ``--retries`` times, ``--task-timeout`` reclaims hung
-workers, the sweep commands (``headline``/``sensitivity``/``scaling``)
-checkpoint each completed kernel to a journal, and ``--resume`` picks a
-killed sweep back up without recomputing journaled work — all without
-changing results.
+Execution is fault tolerant (DESIGN.md §9): batch commands and the
+``serve`` daemon share one supervised worker pool, a failed or crashed
+task retries on the next free worker up to ``--retries`` times,
+``--task-timeout`` kills and replaces a hung worker, the sweep commands
+(``headline``/``sensitivity``/``scaling``) checkpoint each completed
+kernel to a journal, and ``--resume`` picks a killed sweep back up
+without recomputing journaled work — all without changing results.
 
 Usage errors — a malformed or out-of-range option, an unknown kernel, a
 launch index past the kernel's last launch — exit 2 through the parser
@@ -57,7 +58,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.report import render_table
 from repro.config import ExperimentConfig
-from repro.core.estimates import geometric_mean
 from repro.exec import (
     ExecutionConfig,
     ProfileCache,
@@ -158,25 +158,17 @@ def cmd_headline(args: argparse.Namespace) -> None:
     summary = run_fig9_fig10(
         _kernels(args), experiment, exec_config=_exec_config(args, journal=True)
     )
-    comparisons, rows = [], []
     for c in summary.comparisons:
         _, row = _comparison_row(c.kernel, experiment, comparison=c)
-        comparisons.append(c)
-        rows.append(row)
         print(render_table(_COMPARISON_HEADERS, [row]))
     print()
+    errors = summary.geomean_errors()
+    sizes = summary.geomean_sample_sizes()
     print(render_table(
         ["technique", "geomean error", "geomean sample"],
         [
-            ("random",
-             f"{geometric_mean(c.random_error for c in comparisons):.2%}",
-             f"{geometric_mean(c.random_sample_size for c in comparisons):.2%}"),
-            ("ideal-simpoint",
-             f"{geometric_mean(c.simpoint_error for c in comparisons):.2%}",
-             f"{geometric_mean(c.simpoint_sample_size for c in comparisons):.2%}"),
-            ("tbpoint",
-             f"{geometric_mean(c.tbpoint_error for c in comparisons):.2%}",
-             f"{geometric_mean(c.tbpoint_sample_size for c in comparisons):.2%}"),
+            (t, f"{errors[t]:.2%}", f"{sizes[t]:.2%}")
+            for t in ("random", "ideal-simpoint", "tbpoint")
         ],
         title="Figs. 9-10 headline geometric means",
     ))
@@ -524,9 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--task-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
-        help="per-task timeout for batch execution: a worker attempt "
-             "running longer is declared hung, the pool is respawned "
-             "and the task retried (default: no timeout)",
+        help="per-task timeout for batch execution: a task running "
+             "longer once a worker has taken it is declared hung, that "
+             "worker is killed and replaced and the task retried "
+             "(default: no timeout)",
     )
     parser.add_argument(
         "--retries", type=_nonnegative_int, default=2, metavar="N",

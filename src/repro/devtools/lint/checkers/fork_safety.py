@@ -1,7 +1,8 @@
 """Fork-safety checker: what may and may not cross a fork boundary.
 
-The serving stack forks long-lived worker processes (DESIGN.md §14).
-Two conventions keep that safe, enforced here:
+The repo's one worker pool (``exec/pool.py``, DESIGN.md §9 and §14)
+forks long-lived worker processes for both ``parallel_map`` and the
+serving stack.  Two conventions keep that safe, enforced here:
 
 FORK001
     A thread-bound or loop-bound object reaching a child process
@@ -23,8 +24,9 @@ FORK002
     shares the module namespace *pre-fork*; a worker entry that also
     runs in the parent (degraded/serial fallback) silently clobbers
     parent state.  In-place mutation of per-process containers (the
-    ``sim/worker.py`` ``_SIMS`` registry) is deliberately not flagged —
-    rebinding is the footgun.  Cross-module ``target=`` references are
+    ``sim/worker.py`` ``_SIMS`` registry, the pool's heartbeat channel,
+    serve's ``_RUNNER``) is deliberately not flagged — rebinding is the
+    footgun.  Cross-module ``target=`` references are
     a known false-negative edge (DESIGN.md §15).
 """
 
@@ -63,7 +65,8 @@ _THREAD_BOUND_CTORS = {
 
 #: Callee names that spawn children whose argument tuples we inspect
 #: (``parallel_map`` forwards ``initializer``/``initargs`` straight to
-#: ``ProcessPoolExecutor``, so its call sites are spawn sites too).
+#: the worker pool's processes, so its call sites are spawn sites too;
+#: the other names are the standard library's process constructors).
 _SPAWN_CALLEES = {"Process", "Pool", "ProcessPoolExecutor", "parallel_map"}
 
 #: Keywords carrying values into the child.

@@ -6,8 +6,10 @@ Three orthogonal services behind one configuration object
 
 * :func:`parallel_map` — deterministic, fault-tolerant process-pool
   fan-out (results always in input order, bit-identical to the serial
-  path, with per-task timeouts, bounded retries, broken-pool respawn
-  and per-task serial fallback — DESIGN.md §9);
+  path, with per-task timeouts, bounded per-task retries and per-task
+  serial fallback — DESIGN.md §9) on the repo's one supervised worker
+  pool, :mod:`repro.exec.pool`, which the ``repro serve`` daemon runs
+  on too;
 * :class:`ProfileCache` — a content-addressed on-disk store of the
   one-time functional profiles, so ``profile_kernel`` runs once per
   kernel trace *ever* (the profile is hardware-independent, Sec. V-C);
@@ -34,7 +36,6 @@ from repro.exec.cache import (
     kernel_fingerprint,
 )
 from repro.exec.engine import (
-    BACKOFF_CAP,
     DEFAULT_EXECUTION,
     ExecutionConfig,
     default_jobs,
@@ -61,7 +62,6 @@ from repro.exec.journal import (
 __all__ = [
     "ExecutionConfig",
     "DEFAULT_EXECUTION",
-    "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",
     "ProfileCache",

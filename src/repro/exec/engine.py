@@ -19,42 +19,35 @@ estimates (property-tested in ``tests/test_exec_parallel.py``).
 
 Fault-tolerance contract (DESIGN.md §9, chaos-tested in
 ``tests/test_exec_faults.py``): the contract above additionally holds
-*under partial failure*.  Tasks are submitted individually and
-supervised; a failed attempt (task exception, per-task timeout, worker
-death breaking the pool) is retried with exponential backoff up to
-``retries`` times, a task that exhausts its pool budget degrades to one
-final in-parent serial attempt, and a broken pool is respawned with
-only unfinished tasks requeued.  Because tasks are pure functions of
-their inputs, re-running an attempt can only reproduce the result the
-clean run would have produced — retries are invisible in results and
-visible only in the execution record (``meta``).
+*under partial failure*.  The pool path runs on the repo's one
+supervised worker pool (:mod:`repro.exec.pool`): every task is
+submitted up front, a failed attempt (task exception, worker death,
+missed per-task deadline) is charged to that task alone and retried on
+the next free worker up to ``retries`` times, and a task that exhausts
+its pool budget degrades to one final in-parent attempt.  Because tasks
+are pure functions of their inputs, re-running an attempt can only
+reproduce the result the clean run would have produced — retries are
+invisible in results and visible only in the execution record
+(``meta``).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import random
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import as_completed
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Sequence, TypeVar
 
 from repro.exec.faults import FaultPlan
+from repro.exec.pool import (
+    JobLost,
+    SupervisorConfig,
+    WorkerSupervisor,
+    default_jobs,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Exponential backoff never waits longer than this between attempts.
-BACKOFF_CAP = 2.0
-
-
-def default_jobs() -> int:
-    """The default worker count: every available CPU."""
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -73,17 +66,13 @@ class ExecutionConfig:
         ``~/.cache/tbpoint``).  Sweep journals move with it, to
         ``<cache_dir>/journals``.
     task_timeout:
-        Seconds one task attempt may run in a worker before it is
-        declared hung; the pool is respawned and the task retried.
-        ``None`` (default) never times out.
+        Seconds one task attempt may run once a worker has taken it
+        before it is declared hung; that worker is killed and respawned
+        and the task retried.  ``None`` (default) never times out.
     retries:
         Extra pool attempts a failed task gets beyond its first (so a
         task runs at most ``1 + retries`` times in workers) before
         degrading to one final in-parent serial attempt.
-    backoff:
-        Base backoff delay in seconds; attempt *k*'s retry waits
-        ``backoff * 2**(k-1)`` (capped at :data:`BACKOFF_CAP`) plus up
-        to 25% deterministic jitter.  0 disables waiting.
     fault_plan:
         Deterministic fault-injection script (tests only); rides into
         workers and fires at scripted ``(task index, attempt)`` pairs.
@@ -100,7 +89,6 @@ class ExecutionConfig:
     cache_dir: str | None = None
     task_timeout: float | None = None
     retries: int = 2
-    backoff: float = 0.05
     fault_plan: FaultPlan | None = None
     journal: bool = False
     resume: bool = False
@@ -112,8 +100,6 @@ class ExecutionConfig:
             raise ValueError("retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
 
     @property
     def effective_jobs(self) -> int:
@@ -171,33 +157,14 @@ def _is_picklable(obj) -> bool:
         return False
 
 
-def _is_pickle_error(exc: BaseException) -> bool:
-    """Did this attempt fail to *serialize* rather than to compute?
-    Such failures are permanent for the pool path (retrying re-pickles
-    the same object) but trivially computable in-process."""
-    if isinstance(exc, pickle.PicklingError):
-        return True
-    return "pickle" in f"{type(exc).__name__}: {exc}".lower()
-
-
-def _invoke_task(fn, index: int, attempt: int, plan, item):
-    """What actually runs in a worker: fire any scripted faults for this
-    ``(task, attempt)`` coordinate, then the task body."""
+def _attempt(fn: Callable[[T], R], item: T, plan, index: int, attempt: int) -> R:
+    """One in-parent attempt: fire any scripted faults for this
+    ``(task, attempt)`` coordinate, then the task body.  Worker-crash
+    faults are parent-PID-guarded, so they cannot fire here — which
+    mirrors reality: the parent does not die of a worker's OOM."""
     if plan is not None:
         plan.fire(index, attempt)
     return fn(item)
-
-
-def _backoff_delay(base: float, consumed: int, index: int) -> float:
-    """Backoff before re-running a task whose ``consumed``-th attempt
-    just failed: exponential in the attempt number, capped, with up to
-    25% deterministic per-(task, attempt) jitter so a batch of failed
-    tasks does not retry in lockstep."""
-    if base <= 0:
-        return 0.0
-    delay = min(base * (2 ** max(0, consumed - 1)), BACKOFF_CAP)
-    jitter = random.Random(f"backoff:{index}:{consumed}").random()
-    return delay * (1.0 + 0.25 * jitter)
 
 
 def _init_meta(meta: dict, items: int) -> dict:
@@ -227,26 +194,21 @@ def _serial_run(
     on_result: Callable[[int, R], None] | None,
 ) -> list[R]:
     """The in-process path.  Still honours the retry budget and the
-    fault plan (whose worker-crash faults are parent-PID-guarded, so
-    they are skipped here by design) — the engine's behaviour under
-    faults must not depend on whether a pool was available."""
-    plan = config.fault_plan
+    fault plan — the engine's behaviour under faults must not depend on
+    whether a pool was available."""
     results: list[R] = []
     for index, item in enumerate(items):
         attempt = 0
         while True:
             meta["attempts"] += 1
             try:
-                if plan is not None:
-                    plan.fire(index, attempt)
-                value = fn(item)
+                value = _attempt(fn, item, config.fault_plan, index, attempt)
                 break
             except KeyboardInterrupt:
                 raise
             except Exception:
                 if attempt >= config.retries:
                     raise
-                time.sleep(_backoff_delay(config.backoff, attempt + 1, index))
                 attempt += 1
         results.append(value)
         if on_result is not None:
@@ -278,21 +240,22 @@ def parallel_map(
     results.
 
     ``initializer``/``initargs`` run once in every worker process at
-    spawn (including respawns after a broken pool), letting tasks reuse
-    expensive per-worker state — e.g. a warm simulator with interned
-    trace tables (``repro.sim.worker``).  The initializer must only
-    *prime* state that tasks would otherwise build themselves; results
-    must not depend on it (the serial path never runs it).
+    spawn (including respawns), letting tasks reuse expensive
+    per-worker state — e.g. a warm simulator with interned trace tables
+    (``repro.sim.worker``).  The initializer must only *prime* state
+    that tasks would otherwise build themselves; results must not
+    depend on it (the serial path never runs it).
 
-    The pool path supervises every task individually (``submit``-based):
-    task exceptions, per-task timeouts (``config.task_timeout``) and
-    worker deaths (``BrokenProcessPool``) are retried with exponential
-    backoff up to ``config.retries`` extra attempts, a broken pool is
-    respawned with only unfinished tasks requeued, and a task that
-    exhausts its pool budget (or cannot be pickled) runs one final
-    serial attempt in this process.  ``KeyboardInterrupt`` shuts the
-    pool down immediately (``cancel_futures``) instead of waiting for
-    in-flight tasks.
+    The pool path submits every task to a
+    :class:`~repro.exec.pool.WorkerSupervisor` and collects results in
+    completion order.  The pool retries a failed attempt (task
+    exception, worker death, a per-task deadline of
+    ``config.task_timeout`` counted from when a worker takes the task)
+    on the next free worker, up to ``config.retries`` extra attempts;
+    a task that exhausts that budget, cannot be pickled, or is stranded
+    by a degraded pool runs one final attempt in this process.  The
+    pool is stopped — every worker killed and reaped — before this
+    returns or raises, ``KeyboardInterrupt`` included.
 
     When ``meta`` is a dict it is filled in place with the execution
     record: ``path`` ("serial" or "parallel"), ``workers``, ``items``,
@@ -317,201 +280,54 @@ def parallel_map(
         return _serial_run(fn, items, config, meta, on_result)
     if not (_is_picklable(fn) and _is_picklable(items[0])):
         # Probe the function and the first item only; a stray
-        # unpicklable item later is caught per task at submit time and
+        # unpicklable item later fails its own job at dispatch and
         # falls back to serial for that task alone.
         meta["reason"] = "fn or first item not picklable"
         return _serial_run(fn, items, config, meta, on_result)
     workers = min(jobs, len(items))
+    pool_config = SupervisorConfig(
+        workers=workers,
+        retries=config.retries,
+        hang_timeout=config.task_timeout,
+        max_backlog=0,
+        fault_plan=config.fault_plan,
+    )
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        )
+        pool = WorkerSupervisor(fn, pool_config, initializer, initargs)
+        pool.start()
     except (OSError, RuntimeError):
         # Process pools may be unavailable (sandboxes, nested daemons);
         # the serial path is always correct, only slower.
         meta["reason"] = "process pool unavailable"
         return _serial_run(fn, items, config, meta, on_result)
     meta.update(path="parallel", workers=workers)
-    return _pool_run(
-        fn, items, pool, workers, config, meta, on_result,
-        initializer, initargs,
-    )
-
-
-class _PoolLost(Exception):
-    """Internal: the pool broke and could not be respawned; finish the
-    remaining tasks serially."""
-
-
-def _pool_run(
-    fn: Callable[[T], R],
-    items: list[T],
-    pool: ProcessPoolExecutor,
-    workers: int,
-    config: ExecutionConfig,
-    meta: dict,
-    on_result: Callable[[int, R], None] | None,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-) -> list[R]:
-    n = len(items)
-    plan = config.fault_plan
-    timeout = config.task_timeout
-    max_pool_attempts = 1 + config.retries
-
-    results: list = [None] * n
-    completed = [False] * n
-    attempts = [0] * n  # pool attempts consumed per task
-    timed_out: set[int] = set()
-    serial_fb: set[int] = set()
-
-    queue: deque[int] = deque(range(n))
-    retry_heap: list[tuple[float, int]] = []  # (ready time, task index)
-    inflight: dict[Future, int] = {}
-    deadlines: dict[Future, float] = {}
-
-    def finish(index: int, value) -> None:
-        results[index] = value
-        completed[index] = True
-        if on_result is not None:
-            on_result(index, value)
-
-    def submit(index: int) -> None:
-        attempt = attempts[index]
-        fut = pool.submit(_invoke_task, fn, index, attempt, plan, items[index])
-        attempts[index] += 1
-        meta["attempts"] += 1
-        inflight[fut] = index
-        if timeout is not None:
-            deadlines[fut] = time.monotonic() + timeout
-
-    def run_serial_fallback(index: int) -> None:
-        """The last resort for a task the pool cannot finish: one
-        in-parent attempt.  Worker-crash faults are PID-guarded and so
-        cannot fire here — which mirrors reality: the parent does not
-        die of a worker's OOM.  A genuine exception here propagates."""
-        serial_fb.add(index)
-        attempt = attempts[index]
-        attempts[index] += 1
-        meta["attempts"] += 1
-        if plan is not None:
-            plan.fire(index, attempt)
-        finish(index, fn(items[index]))
-
-    def after_failure(index: int) -> None:
-        """A pool attempt of ``index`` failed (already charged at
-        submit): requeue with backoff, or degrade to serial once the
-        pool budget is spent."""
-        if attempts[index] >= max_pool_attempts:
-            run_serial_fallback(index)
-        else:
-            delay = _backoff_delay(config.backoff, attempts[index], index)
-            heappush(retry_heap, (time.monotonic() + delay, index))
-
-    def respawn_pool() -> None:
-        """Replace a broken/poisoned pool.  Every in-flight future is
-        drained first: already-completed work is salvaged, everything
-        else goes back through the retry policy."""
-        nonlocal pool
-        meta["pool_respawns"] += 1
-        pool.shutdown(wait=False, cancel_futures=True)
-        for fut, index in list(inflight.items()):
-            if completed[index]:
-                continue
-            exc = None
-            if fut.done() and not fut.cancelled():
-                exc = fut.exception()
-                if exc is None:
-                    finish(index, fut.result())
-                    continue
-            if fut.cancelled():
-                # Never started: refund the attempt charged at submit.
-                attempts[index] -= 1
-                meta["attempts"] -= 1
-                queue.append(index)
-            else:
-                after_failure(index)
-        inflight.clear()
-        deadlines.clear()
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=initializer,
-                initargs=initargs,
-            )
-        except (OSError, RuntimeError):
-            raise _PoolLost from None
-
+    results: list = [None] * len(items)
+    serial_fallback: list[int] = []
     try:
-        while queue or retry_heap or inflight:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, index = heappop(retry_heap)
-                queue.append(index)
-            while queue:
-                submit(queue.popleft())
-
-            wait_for: float | None = None
-            if deadlines:
-                wait_for = max(0.0, min(deadlines.values()) - time.monotonic())
-            if retry_heap:
-                ready = max(0.0, retry_heap[0][0] - time.monotonic())
-                wait_for = ready if wait_for is None else min(wait_for, ready)
-            if not inflight:
-                if wait_for:
-                    time.sleep(wait_for)
-                continue
-
-            done, _ = wait(
-                list(inflight), timeout=wait_for, return_when=FIRST_COMPLETED
-            )
-            pool_broke = False
-            for fut in done:
-                index = inflight.pop(fut)
-                deadlines.pop(fut, None)
-                exc = fut.exception()
-                if exc is None:
-                    finish(index, fut.result())
-                elif isinstance(exc, BrokenProcessPool):
-                    pool_broke = True
-                    after_failure(index)
-                elif _is_pickle_error(exc):
-                    # Permanent for the pool; trivially computable here.
-                    run_serial_fallback(index)
-                else:
-                    after_failure(index)
-            if pool_broke:
-                respawn_pool()
-                continue
-
-            if timeout is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    fut
-                    for fut, dl in deadlines.items()
-                    if dl <= now and not fut.done()
-                ]
-                if expired:
-                    # The hung worker cannot be reclaimed individually;
-                    # abandon the whole pool and requeue the rest.
-                    for fut in expired:
-                        timed_out.add(inflight[fut])
-                    respawn_pool()
-    except _PoolLost:
-        # No pool can be spawned any more: finish everything still
-        # outstanding serially, in index order.
-        for index in range(n):
-            if not completed[index]:
-                run_serial_fallback(index)
-    except BaseException:
-        # KeyboardInterrupt and fatal task errors alike: never hang
-        # waiting for in-flight work; completed tasks were already
-        # journaled via on_result.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=False)
-    meta["timed_out"] = sorted(timed_out)
-    meta["serial_fallback"] = sorted(serial_fb)
+        # Job numbers follow submission order, so the pool's fault
+        # coordinates are the task indices.
+        futures = {pool.submit(item): index for index, item in enumerate(items)}
+        for future in as_completed(futures):
+            index = futures[future]
+            try:
+                value = future.result()
+            except JobLost as exc:
+                serial_fallback.append(index)
+                meta["attempts"] += 1
+                value = _attempt(
+                    fn, items[index], config.fault_plan, index, exc.attempts
+                )
+            results[index] = value
+            if on_result is not None:
+                on_result(index, value)
+    finally:
+        pool.stop()
+    meta.update(
+        attempts=meta["attempts"] + pool.counters.attempts,
+        pool_respawns=pool.counters.respawns,
+        timed_out=pool.timed_out(),
+        serial_fallback=sorted(serial_fallback),
+    )
     _finalize_meta(meta)
     return results
 
@@ -519,7 +335,6 @@ def _pool_run(
 __all__ = [
     "ExecutionConfig",
     "DEFAULT_EXECUTION",
-    "BACKOFF_CAP",
     "default_jobs",
     "parallel_map",
 ]

@@ -1,13 +1,13 @@
 """Deterministic fault injection for the execution layer.
 
-The fault-tolerance machinery in :mod:`repro.exec.engine` is only
+The fault-tolerance machinery in :mod:`repro.exec.pool` is only
 trustworthy if every failure mode it claims to survive can be produced
-on demand, repeatably, in a test.  A :class:`FaultPlan` is a seeded,
-picklable script of failures: it rides into worker processes attached to
-an :class:`~repro.exec.engine.ExecutionConfig` and fires at exact
-``(task index, attempt)`` coordinates, so a chaos test can say "the
-worker running task 3 dies on its first attempt, task 5 raises on its
-second" and assert the sweep still produces results bit-identical to a
+on demand, repeatably, in a test.  A :class:`FaultPlan` is a picklable
+script of failures: it rides into worker processes attached to an
+:class:`~repro.exec.engine.ExecutionConfig` (or a ``ServeConfig``) and
+fires at exact ``(task index, attempt)`` coordinates, so a chaos test
+can say "the worker running task 3 dies on its first attempt, task 5
+raises on its second" and assert the sweep still produces results bit-identical to a
 clean serial run.
 
 Fault kinds
@@ -15,7 +15,7 @@ Fault kinds
 
 ``CRASH``
     ``os._exit`` inside a worker process — the hard death (OOM-killer,
-    segfault) that turns into ``BrokenProcessPool`` in the parent.
+    segfault) the pool sees as a dead worker.
     Guarded by the plan's recorded parent PID so a crash fault can never
     kill the orchestrating process: when the retry policy degrades the
     task to in-parent serial execution, the fault is skipped — which is
@@ -25,8 +25,8 @@ Fault kinds
     recoverable failure (transient resource exhaustion).
 ``HANG``
     ``time.sleep`` for ``duration`` seconds — drives the per-task
-    timeout + pool-respawn path when ``duration`` exceeds
-    ``task_timeout``.
+    timeout path (the hung worker is killed and replaced) when
+    ``duration`` exceeds ``task_timeout``.
 ``CORRUPT_CACHE``
     Truncates every stored profile-cache entry under the plan's
     ``cache_dir`` — exercises the cache's quarantine-and-recompute
@@ -88,9 +88,6 @@ class FaultPlan:
     faults:
         The scripted failures; several may target the same coordinate
         (they fire in order).
-    seed:
-        Recorded for provenance so a failing chaos run can be named and
-        replayed exactly; the plan itself is already fully deterministic.
     cache_dir:
         Directory whose ``profiles/*.npz`` entries ``CORRUPT_CACHE``
         faults destroy.
@@ -101,16 +98,15 @@ class FaultPlan:
     """
 
     faults: tuple[Fault, ...] = ()
-    seed: int = 0
     cache_dir: str | None = None
     parent_pid: int = field(default_factory=os.getpid)
 
     def fire(self, index: int, attempt: int) -> None:
         """Trigger every fault scripted for this ``(index, attempt)``.
 
-        Called by the engine's task wrapper immediately before the task
-        body runs (in the worker for pool attempts, in the parent for
-        the serial-fallback attempt).
+        Called immediately before the task body runs (by the pool
+        worker for pool attempts, by ``parallel_map`` in the parent for
+        serial attempts).
         """
         for fault in self.faults:
             if fault.index != index or fault.attempt != attempt:
@@ -159,7 +155,6 @@ class FaultPlan:
                 }
                 for f in self.faults
             ],
-            "seed": self.seed,
             "cache_dir": self.cache_dir,
             "parent_pid": self.parent_pid,
         }
@@ -181,33 +176,8 @@ class FaultPlan:
         )
         return cls(
             faults=faults,
-            seed=data.get("seed", 0),
             cache_dir=data.get("cache_dir"),
             parent_pid=data.get("parent_pid", os.getpid()),
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection used by the engine and tests
-    # ------------------------------------------------------------------
-    def fires(self, index: int, attempt: int) -> tuple[Fault, ...]:
-        """The faults scripted for one ``(index, attempt)`` coordinate,
-        in firing order — lets a supervisor reason about a plan (e.g.
-        "is this attempt scripted to hang?") without triggering it."""
-        return tuple(
-            f
-            for f in self.faults
-            if f.index == index and f.attempt == attempt
-        )
-
-    def crash_attempts(self, index: int) -> tuple[int, ...]:
-        """The attempts at which task ``index`` is scripted to kill its
-        worker (sorted)."""
-        return tuple(
-            sorted(
-                f.attempt
-                for f in self.faults
-                if f.kind == CRASH and f.index == index
-            )
         )
 
     def __bool__(self) -> bool:

@@ -1,58 +1,54 @@
-"""Supervised worker-process pool: the serve daemon's compute route.
+"""The repo's one supervised worker-process pool.
 
-Every compute request runs in a pool of **long-lived worker
-processes**, so one segfault, OOM kill or runaway request never takes
-the daemon down, and simulations use more than one core.  The module
-lifts the sweep supervisor's discipline (``exec/engine.py``:
-per-attempt supervision, retries, pool respawn) into the serving
-layer; each worker holds its own warm
-:class:`~repro.serve.jobs.JobRunner` (the worker's one simulator from
-``sim/worker``, resident traces, profile mirror), fed
-over a duplex pipe with per-request heartbeats.
+Launches and kernels are this reproduction's only parallel axis, and
+both callers that fan out over it run on this pool:
+:func:`~repro.exec.engine.parallel_map` (launch fan-out and the
+``headline``/``sensitivity``/``scaling`` sweeps) and the ``repro serve``
+daemon (:mod:`repro.serve.server`).  A :class:`WorkerSupervisor` owns
+``workers`` **long-lived processes**, each running one task function
+after a per-process ``initializer`` (the sweeps prime the worker's warm
+simulator with :func:`repro.sim.worker.init_worker`; serve builds a
+worker-side :class:`~repro.serve.jobs.JobRunner`), fed one job at a
+time over a duplex pipe.  One monitor thread multiplexes every pipe and
+process sentinel; :meth:`WorkerSupervisor.submit` returns a
+``concurrent.futures.Future``.
 
-Supervision contract (DESIGN.md §14, chaos-tested in
-``tests/test_serve_supervisor.py``):
+Supervision contract (DESIGN.md §9 and §14, chaos-tested in
+``tests/test_exec_faults.py`` and ``tests/test_serve_supervisor.py``):
 
-* **Crash isolation** — a worker death (``BrokenPipe``/process
-  sentinel) never touches the daemon: the worker is respawned and its
-  in-flight job is retried on a healthy worker, up to ``retries``
-  extra attempts; a job that uses them all fails with
-  :class:`WorkerJobFailed` carrying the last worker error.  The
-  daemon's coalescing map and journal are
-  untouched — waiters keep waiting on the same future and the
-  eventually-served payload is bit-identical to a fresh direct run
-  (jobs are pure functions of their normalized request).
-* **Hang detection** — a busy worker must heartbeat (job accepted /
-  phase boundary messages) within ``hang_timeout`` seconds; past the
-  deadline it is killed and the job retried.  The simulation hot loop
-  is one Python call, so phase boundaries are the finest honest
-  progress signal — ``hang_timeout`` therefore bounds one compute
-  phase, exactly like PR 4's per-attempt ``task_timeout``.
-* **Backpressure** — admission is bounded by ``max_backlog``
-  (pending + busy); past it :meth:`WorkerSupervisor.submit` raises
-  :class:`Overloaded` carrying a ``retry_after`` hint derived from the
-  observed job-duration EWMA, and the server sheds the request with a
-  structured ``overloaded`` error instead of queueing without bound.
+* **Failures are charged to one job.**  A task exception, a worker
+  death (process sentinel / pipe EOF) or a missed deadline fails only
+  the job that worker was running; the job is retried on the next free
+  worker, up to ``retries`` extra attempts, and a dead or killed worker
+  is respawned.  A job that uses every attempt fails with
+  :class:`WorkerJobFailed` carrying the last worker error.  A
+  :class:`JobRejected` raised by the task is the job's own fault: it
+  fails the job at once, with no retry and no respawn.
+* **Deadlines start when a worker takes the job.**  A busy worker must
+  heartbeat within ``hang_timeout`` seconds: the worker sends one when
+  it accepts a job, and a task may send more with :func:`heartbeat`
+  (serve's ``JobRunner`` does at its phase boundaries).  Past the
+  deadline the worker is killed and the job retried.  Time a job spends
+  queued never counts against it.
+* **Unpicklable jobs stay contained.**  A job whose item cannot be
+  pickled for dispatch fails alone, with :class:`WorkerJobFailed`; the
+  worker it was meant for stays free.
+* **Backpressure** — admission is bounded by ``max_backlog`` (pending
+  + busy); past it the submitted future fails with :class:`Overloaded`
+  carrying a ``retry_after`` hint derived from the observed job-duration
+  EWMA.
 * **Degradation** — ``degrade_after`` consecutive respawns without a
   completed job flips the pool into degraded mode for good: every
-  queued and future job fails fast with :class:`WorkersUnavailable`,
-  which the server answers as an ``unavailable`` error while ``ping``,
-  ``stats`` and ``shutdown`` keep working.
+  queued and future job fails fast with :class:`WorkersUnavailable`.
 
-Exactly-once stance: the *daemon* coalesces duplicate content keys
-onto one future before anything reaches this pool, so per content key
-there is exactly one **completed** execution; a crashed or hung
-attempt died before completing and its retry recomputes the same pure
-function.  Fault injection rides the PR 4 :class:`FaultPlan` —
-each submitted job gets a monotonically increasing fault index
-(submission order), and workers fire ``plan.fire(index, attempt)``
-right after the job-accepted heartbeat, so a chaos test can script
-"the worker running request 0 dies on its first attempt; request 1
-hangs on its second" at exact coordinates.
-
-Wall-clock reads here are supervision timers and operator metrics
-(heartbeat deadlines, queue waits) — they never touch simulation
-results, hence the inline DET001 pragmas (DESIGN.md §10).
+Jobs are numbered in submission order, and a worker fires
+``fault_plan.fire(job number, attempt)`` right after its job-accepted
+heartbeat, so a chaos test can script "the worker running job 0 dies on
+its first attempt; job 1 hangs on its second" at exact coordinates —
+the same ``(index, attempt)`` scheme for a sweep's tasks and a daemon's
+requests.  The pool is at-least-once: a worker may die after computing
+but before its answer is read, and the retry recomputes the same pure
+function.
 """
 
 from __future__ import annotations
@@ -65,36 +61,54 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable
 
-from repro.exec.engine import default_jobs
 from repro.exec.faults import FaultPlan
-from repro.serve.jobs import JobRunner, percentile
-from repro.serve.payloads import RequestError
 
 #: Heartbeat deadline applied to a worker that has not yet reported
-#: ready (fork/spawn + imports must finish within this).
+#: ready (fork/spawn + initializer must finish within this).
 SPAWN_TIMEOUT = 120.0
 
-#: Queue-wait samples kept for the daemon's ``queue`` stats block.
+#: Queue-wait samples kept for :meth:`WorkerSupervisor.queue_stats`.
 QUEUE_WAIT_WINDOW = 10_000
 
 
+def default_jobs() -> int:
+    """The default worker count: every available CPU."""
+    return os.cpu_count() or 1
+
+
+class JobRejected(Exception):
+    """Raised by a task for a fault of the job itself (serve: a bad
+    request).  Fails the job at once: never retried, never a respawn."""
+
+
+class JobLost(Exception):
+    """The pool gave up on a job: no worker will produce its result.
+    ``attempts`` counts the worker attempts the job had consumed."""
+
+    def __init__(self, message: str, attempts: int = 0):
+        super().__init__(message)
+        self.attempts = attempts
+
+
+class WorkerJobFailed(JobLost):
+    """A job exhausted its worker retry budget, or could not be sent to
+    a worker; the last failure is the message."""
+
+
+class WorkersUnavailable(JobLost):
+    """The pool is degraded or stopped; no job will run on it again."""
+
+
 class Overloaded(Exception):
-    """Backlog full: the request is shed, not queued.  ``retry_after``
-    is the supervisor's back-off hint in seconds."""
+    """Backlog full: the job is shed, not queued.  ``retry_after`` is
+    the supervisor's back-off hint in seconds."""
 
     def __init__(self, message: str, retry_after: float):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class WorkersUnavailable(Exception):
-    """The pool is degraded or stopped; no job will run on it again."""
-
-
-class WorkerJobFailed(Exception):
-    """A job exhausted its worker retry budget; the last failure is the
-    message."""
 
 
 def _default_mp_context() -> str:
@@ -110,8 +124,9 @@ def _default_mp_context() -> str:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """How the worker pool runs (all reachable via ``repro serve``
-    flags; ``ServeConfig`` extends it with the daemon's own settings).
+    """How the worker pool runs.  ``parallel_map`` builds one from its
+    :class:`~repro.exec.engine.ExecutionConfig`; ``ServeConfig``
+    extends it with the daemon's own settings.
 
     Attributes
     ----------
@@ -123,20 +138,16 @@ class SupervisorConfig:
     hang_timeout:
         Seconds a busy worker may go without a heartbeat before it is
         declared hung, killed and its job retried.  ``None`` disables
-        hang detection (the default: a paper-scale tbpoint estimate
-        can legitimately compute for minutes in one phase).
+        hang detection.
     max_backlog:
-        Bound on pending + in-flight jobs; past it ``submit`` raises
-        :class:`Overloaded`.  0 disables shedding.
+        Bound on pending + in-flight jobs; past it a submitted job
+        fails with :class:`Overloaded`.  0 disables shedding.
     degrade_after:
         Consecutive worker respawns (no job completed in between) that
         flip the pool into degraded mode.
-    cache_dir:
-        Override the persistent cache root (profiles; the daemon also
-        keeps its journals there).
     fault_plan:
         Deterministic chaos script fired inside workers at
-        ``(fault index, attempt)`` coordinates (tests only).
+        ``(job number, attempt)`` coordinates (tests only).
     """
 
     workers: int = field(default_factory=default_jobs)
@@ -144,7 +155,6 @@ class SupervisorConfig:
     hang_timeout: float | None = None
     max_backlog: int = 32
     degrade_after: int = 4
-    cache_dir: str | None = None
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
@@ -163,46 +173,53 @@ class SupervisorConfig:
 # ----------------------------------------------------------------------
 # Worker process side
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """What one worker process needs to build its warm state (picklable
-    for both fork and spawn start methods)."""
-
-    cache_dir: str | None = None
-    fault_plan: FaultPlan | None = None
+#: The running job's heartbeat channel in a worker process: one
+#: ``(conn, job number)`` entry while a job runs, empty otherwise (and
+#: always empty outside a pool worker).  Mutated in place, never rebound.
+_BEAT: list[tuple[Connection, int]] = []
 
 
-def _worker_main(conn: Connection, cfg: _WorkerConfig) -> None:
-    """One worker process: build warm state, then serve jobs from the
+def heartbeat() -> None:
+    """Tell the supervisor the running job is alive, pushing its
+    deadline back by ``hang_timeout``.  A no-op outside a pool worker,
+    so a task may call it unconditionally; it never influences results."""
+    for conn, job_id in _BEAT:
+        conn.send(("hb", job_id))
+
+
+def _worker_main(
+    conn: Connection,
+    fn: Callable[[Any], Any],
+    initializer: Callable[..., None] | None,
+    initargs: tuple,
+    fault_plan: FaultPlan | None,
+) -> None:
+    """One worker process: run the initializer, then serve jobs from the
     pipe until ``stop``/EOF.  Messages out: ``("ready", pid)``,
-    ``("hb", job_id)`` heartbeats, then exactly one of
-    ``("done", job_id, payload, meta)`` / ``("reject", job_id, msg)``
-    (a :class:`RequestError` — the request's fault, never retried) /
-    ``("fail", job_id, msg)`` (an execution failure — retried)."""
-    # Pre-import the heavy tbpoint path so a job never pays (or, under
-    # fork, deadlocks on) first-import cost mid-request.
-    import repro.core.pipeline  # noqa: F401
-
-    runner = JobRunner(cache_dir=cfg.cache_dir)
+    ``("hb", job)`` heartbeats, then exactly one of
+    ``("done", job, value)`` / ``("reject", job, msg)`` (a
+    :class:`JobRejected` — never retried) / ``("fail", job, msg)`` (any
+    other exception — retried)."""
     try:
+        if initializer is not None:
+            initializer(*initargs)
         conn.send(("ready", os.getpid()))
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 break
-            _, job_id, norm, fault_index, attempt = msg
-            conn.send(("hb", job_id))  # job accepted: the first heartbeat
+            _, job_id, item, attempt = msg
+            _BEAT[:] = [(conn, job_id)]
+            heartbeat()  # job accepted: the first heartbeat
             try:
-                if cfg.fault_plan is not None:
-                    cfg.fault_plan.fire(fault_index, attempt)
-                payload, meta = runner.run(
-                    norm, heartbeat=lambda: conn.send(("hb", job_id))
-                )
-                conn.send(("done", job_id, payload, meta.as_dict()))
-            except RequestError as exc:
+                if fault_plan is not None:
+                    fault_plan.fire(job_id, attempt)
+                conn.send(("done", job_id, fn(item)))
+            except JobRejected as exc:
                 conn.send(("reject", job_id, str(exc)))
             except Exception as exc:  # noqa: BLE001 — reported, retried
                 conn.send(("fail", job_id, f"{type(exc).__name__}: {exc}"))
+            _BEAT.clear()
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
         pass  # supervisor went away; nothing to report to
 
@@ -212,10 +229,10 @@ def _worker_main(conn: Connection, cfg: _WorkerConfig) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class _Job:
-    """One submitted compute request on its way through the pool."""
+    """One submitted job on its way through the pool."""
 
     job_id: int
-    norm: dict
+    item: Any
     future: Future
     attempts: int = 0  # dispatches consumed (1 + retries allowed)
     enqueued_at: float = 0.0
@@ -225,14 +242,13 @@ class _Job:
 class _Worker:
     """Parent-side handle for one worker process."""
 
-    __slots__ = ("process", "conn", "job", "ready", "last_beat", "deadline")
+    __slots__ = ("process", "conn", "job", "ready", "deadline")
 
     def __init__(self, process, conn: Connection, spawn_deadline: float):
         self.process = process
         self.conn = conn
         self.job: _Job | None = None
         self.ready = False
-        self.last_beat = 0.0
         #: Current supervision deadline: spawn deadline until ready,
         #: then heartbeat deadline while busy, else None.
         self.deadline: float | None = spawn_deadline
@@ -240,31 +256,42 @@ class _Worker:
 
 @dataclass
 class SupervisorCounters:
-    """Supervision events (mirrored into the daemon's stats payload and
-    ``--metrics-json`` under ``workers``)."""
+    """Supervision events (mirrored into ``parallel_map``'s
+    ``exec_meta`` and the daemon's stats payload under ``workers``)."""
 
+    attempts: int = 0  # jobs handed to a worker, retries included
     jobs_completed: int = 0
     retries: int = 0
     respawns: int = 0
     hangs: int = 0
     crashes: int = 0
     rejects: int = 0
-    failures: int = 0  # jobs that exhausted the worker retry budget
+    failures: int = 0  # jobs that exhausted the budget or could not be sent
 
 
 class WorkerSupervisor:
     """The pool: spawn, feed, watch, respawn, degrade.  One monitor
-    thread owns every worker; :meth:`submit` is called from the
-    daemon's event loop and communicates through a lock + wake pipe."""
+    thread owns every worker; :meth:`submit` may be called from any
+    thread and communicates through a lock + wake pipe."""
 
-    def __init__(self, config: SupervisorConfig):
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        config: SupervisorConfig,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+    ):
         self.config = config
         self.counters = SupervisorCounters()
+        self._fn = fn
+        self._initializer = initializer
+        self._initargs = initargs
         self._ctx = multiprocessing.get_context(_default_mp_context())
         self._lock = threading.Lock()
         self._pending: deque[_Job] = deque()
         self._workers: list[_Worker] = []
         self._next_job_id = 0
+        self._timed_out: set[int] = set()
         self._stopping = False
         self._degraded = False
         self._degrade_reason: str | None = None
@@ -280,27 +307,32 @@ class WorkerSupervisor:
     def start(self) -> None:
         """Spawn the workers and the monitor thread.  Returns
         immediately — jobs submitted before workers report ready just
-        queue until one does."""
-        with self._lock:
-            for _ in range(self.config.workers):
-                self._workers.append(self._spawn())
-        self._thread = threading.Thread(
-            target=self._monitor, name="repro-serve-supervisor", daemon=True
-        )
-        self._thread.start()
+        queue until one does.  If a spawn fails, the workers already
+        started are reaped before the error propagates."""
+        try:
+            with self._lock:
+                for _ in range(self.config.workers):
+                    self._workers.append(self._spawn())
+            thread = threading.Thread(
+                target=self._monitor, name="repro-pool-supervisor", daemon=True
+            )
+            thread.start()
+        except BaseException:
+            self.stop()
+            raise
+        self._thread = thread
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the pool.  Jobs still queued or in flight are failed
-        with :class:`WorkersUnavailable` (the daemon drains *before*
-        stopping the supervisor, so this only fires on abrupt
-        teardown); workers are asked to exit, then killed."""
+        """Stop the pool.  Jobs still queued or in flight fail with
+        :class:`WorkersUnavailable`; workers are asked to exit, then
+        killed and reaped, so no worker outlives this call."""
         with self._lock:
             self._stopping = True
         self._wake()
         if self._thread is not None:
             self._thread.join(timeout)
         with self._lock:
-            self._fail_all_locked(WorkersUnavailable("supervisor stopped"))
+            self._fail_all_locked("supervisor stopped")
             workers, self._workers = self._workers, []
         for w in workers:
             if w.process.is_alive():
@@ -312,44 +344,46 @@ class WorkerSupervisor:
             self._wake_r.close()
             self._wake_w.close()
 
-    @property
-    def degraded(self) -> bool:
+    def timed_out(self) -> list[int]:
+        """Numbers of the jobs that missed a deadline, sorted."""
         with self._lock:
-            return self._degraded
+            return sorted(self._timed_out)
 
     # ------------------------------------------------------------------
-    # Submission (event-loop thread)
+    # Submission
     # ------------------------------------------------------------------
-    def submit(self, norm: dict) -> Future:
-        """Queue one normalized compute request; returns a
-        ``concurrent.futures.Future`` resolving to ``(payload,
-        meta_dict)``.  Raises :class:`Overloaded` past ``max_backlog``
-        and :class:`WorkersUnavailable` when degraded/stopped."""
+    def submit(self, item: Any) -> Future:
+        """Queue one job; returns a ``concurrent.futures.Future``
+        resolving to the task's value.  Never raises: past
+        ``max_backlog`` the future fails with :class:`Overloaded`, on a
+        degraded or stopped pool with :class:`WorkersUnavailable`."""
+        future: Future = Future()
         with self._lock:
-            if self._degraded:
-                raise WorkersUnavailable(
+            if self._degraded or self._stopping:
+                reason = (
                     f"worker pool degraded: {self._degrade_reason}"
+                    if self._degraded else "supervisor stopping"
                 )
-            if self._stopping:
-                raise WorkersUnavailable("supervisor stopping")
+                future.set_exception(WorkersUnavailable(reason))
+                return future
             load = len(self._pending) + sum(
                 1 for w in self._workers if w.job is not None
             )
             if self.config.max_backlog and load >= self.config.max_backlog:
-                raise Overloaded(
+                future.set_exception(Overloaded(
                     f"worker backlog full ({load}/{self.config.max_backlog})",
                     retry_after=self._retry_after_locked(load),
-                )
-            job = _Job(
+                ))
+                return future
+            self._pending.append(_Job(
                 job_id=self._next_job_id,
-                norm=norm,
-                future=Future(),
-                enqueued_at=time.monotonic(),  # queue-wait metric  # lint: disable=DET001
-            )
+                item=item,
+                future=future,
+                enqueued_at=time.monotonic(),
+            ))
             self._next_job_id += 1
-            self._pending.append(job)
         self._wake()
-        return job.future
+        return future
 
     def _retry_after_locked(self, load: int) -> float:
         """Back-off hint: the backlog's expected drain time across the
@@ -370,20 +404,18 @@ class WorkerSupervisor:
     def _spawn(self) -> _Worker:
         """Start one worker process (lock held by caller)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        cfg = _WorkerConfig(
-            cache_dir=self.config.cache_dir,
-            fault_plan=self.config.fault_plan,
-        )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, cfg),
-            name="repro-serve-worker",
+            args=(
+                child_conn, self._fn, self._initializer, self._initargs,
+                self.config.fault_plan,
+            ),
+            name="repro-pool-worker",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        deadline = time.monotonic() + SPAWN_TIMEOUT  # spawn watchdog  # lint: disable=DET001
-        return _Worker(process, parent_conn, deadline)
+        return _Worker(process, parent_conn, time.monotonic() + SPAWN_TIMEOUT)
 
     def _monitor(self) -> None:
         while True:
@@ -404,7 +436,7 @@ class WorkerSupervisor:
                         )
             timeout = None
             if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())  # hang watchdog  # lint: disable=DET001
+                timeout = max(0.0, deadline - time.monotonic())
             ready = connection_wait(waitables, timeout)
             if self._wake_r in ready:
                 while self._wake_r.poll():
@@ -426,30 +458,35 @@ class WorkerSupervisor:
     # -- all methods below run with self._lock held --------------------
     def _dispatch_locked(self) -> None:
         for w in self._workers:
-            if not self._pending:
-                return
-            if not w.ready or w.job is not None:
-                continue
-            job = self._pending.popleft()
-            attempt = job.attempts
-            try:
-                w.conn.send(
-                    ("job", job.job_id, job.norm, job.job_id, attempt)
-                )
-            except (OSError, ValueError, BrokenPipeError):
-                # Death noticed at dispatch: requeue in place, the
-                # liveness sweep respawns the worker.
-                self._pending.appendleft(job)
-                continue
-            job.attempts += 1
-            now = time.monotonic()  # supervision timers  # lint: disable=DET001
-            self._queue_waits.append(now - job.enqueued_at)
-            w.job = job
-            w.last_beat = now
-            if self.config.hang_timeout is not None:
-                w.deadline = now + self.config.hang_timeout
-            else:
-                w.deadline = None
+            while self._pending and w.ready and w.job is None:
+                job = self._pending.popleft()
+                try:
+                    data = ForkingPickler.dumps(
+                        ("job", job.job_id, job.item, job.attempts)
+                    )
+                except Exception as exc:  # noqa: BLE001 — the job's own
+                    # The item cannot cross to any worker: fail it alone.
+                    job.last_error = (
+                        f"cannot send to a worker: {type(exc).__name__}: {exc}"
+                    )
+                    self._fail_locked(job)
+                    continue
+                try:
+                    w.conn.send_bytes(data)
+                except (OSError, ValueError):
+                    # Death noticed at dispatch: requeue in place, the
+                    # liveness sweep respawns the worker.
+                    self._pending.appendleft(job)
+                    break
+                job.attempts += 1
+                self.counters.attempts += 1
+                now = time.monotonic()
+                self._queue_waits.append(now - job.enqueued_at)
+                w.job = job
+                if self.config.hang_timeout is not None:
+                    w.deadline = now + self.config.hang_timeout
+                else:
+                    w.deadline = None
 
     def _drain_worker_locked(self, w: _Worker) -> None:
         """Consume every message the worker has buffered (results are
@@ -466,9 +503,8 @@ class WorkerSupervisor:
                 w.ready = True
                 w.deadline = None
             elif kind == "hb":
-                w.last_beat = time.monotonic()  # heartbeat clock  # lint: disable=DET001
                 if w.job is not None and self.config.hang_timeout is not None:
-                    w.deadline = w.last_beat + self.config.hang_timeout
+                    w.deadline = time.monotonic() + self.config.hang_timeout
             elif kind in ("done", "reject", "fail"):
                 job = w.job
                 w.job = None
@@ -478,37 +514,39 @@ class WorkerSupervisor:
                 if kind == "done":
                     self._consecutive_respawns = 0
                     self.counters.jobs_completed += 1
-                    elapsed = (
-                        time.monotonic() - job.enqueued_at  # EWMA job-time metric  # lint: disable=DET001
-                    )
+                    elapsed = time.monotonic() - job.enqueued_at
                     self._avg_job_s = (
                         elapsed
                         if self._avg_job_s is None
                         else 0.8 * self._avg_job_s + 0.2 * elapsed
                     )
                     if not job.future.done():
-                        job.future.set_result((msg[2], msg[3]))
+                        job.future.set_result(msg[2])
                 elif kind == "reject":
                     self.counters.rejects += 1
                     if not job.future.done():
-                        job.future.set_exception(RequestError(msg[2]))
+                        job.future.set_exception(JobRejected(msg[2]))
                 else:
                     job.last_error = msg[2]
                     self._retry_or_fail_locked(job)
 
     def _retry_or_fail_locked(self, job: _Job) -> None:
         if job.attempts > self.config.retries:
-            self.counters.failures += 1
-            if not job.future.done():
-                job.future.set_exception(
-                    WorkerJobFailed(
-                        f"job failed after {job.attempts} worker attempt(s): "
-                        f"{job.last_error}"
-                    )
-                )
+            self._fail_locked(job)
             return
         self.counters.retries += 1
         self._pending.appendleft(job)
+
+    def _fail_locked(self, job: _Job) -> None:
+        self.counters.failures += 1
+        if not job.future.done():
+            job.future.set_exception(
+                WorkerJobFailed(
+                    f"job failed after {job.attempts} worker attempt(s): "
+                    f"{job.last_error}",
+                    job.attempts,
+                )
+            )
 
     def _check_liveness_locked(self) -> None:
         for i, w in enumerate(self._workers):
@@ -527,7 +565,7 @@ class WorkerSupervisor:
             self._respawn_slot_locked(i)
 
     def _check_deadlines_locked(self) -> None:
-        now = time.monotonic()  # supervision timers  # lint: disable=DET001
+        now = time.monotonic()
         for i, w in enumerate(self._workers):
             if w.deadline is None or w.deadline > now:
                 continue
@@ -535,6 +573,7 @@ class WorkerSupervisor:
                 # Busy past the heartbeat deadline: hung.
                 self.counters.hangs += 1
                 job, w.job = w.job, None
+                self._timed_out.add(job.job_id)
                 job.last_error = (
                     f"worker hung (> {self.config.hang_timeout:g}s "
                     "without a heartbeat)"
@@ -561,27 +600,26 @@ class WorkerSupervisor:
             self._enter_degraded_locked(f"cannot spawn workers: {exc}")
 
     def _enter_degraded_locked(self, reason: str) -> None:
-        """Fail everything fast so the daemon answers ``unavailable``;
-        kill what's left of the pool."""
+        """Fail everything fast; kill what's left of the pool."""
         self._degraded = True
         self._degrade_reason = reason
-        self._fail_all_locked(
-            WorkersUnavailable(f"worker pool degraded: {reason}")
-        )
+        self._fail_all_locked(f"worker pool degraded: {reason}")
         for w in self._workers:
             if w.process.is_alive():
                 w.process.kill()
 
-    def _fail_all_locked(self, exc: Exception) -> None:
-        while self._pending:
-            job = self._pending.popleft()
-            if not job.future.done():
-                job.future.set_exception(exc)
+    def _fail_all_locked(self, reason: str) -> None:
+        jobs = list(self._pending)
+        self._pending.clear()
         for w in self._workers:
             if w.job is not None:
-                job, w.job = w.job, None
-                if not job.future.done():
-                    job.future.set_exception(exc)
+                jobs.append(w.job)
+                w.job = None
+        for job in jobs:
+            if not job.future.done():
+                job.future.set_exception(
+                    WorkersUnavailable(reason, job.attempts)
+                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -612,6 +650,7 @@ class WorkerSupervisor:
                     1 for w in self._workers if w.process.is_alive()
                 ),
                 "busy": sum(1 for w in self._workers if w.job is not None),
+                "attempts": c.attempts,
                 "retries": c.retries,
                 "respawns": c.respawns,
                 "hangs": c.hangs,
@@ -629,11 +668,23 @@ class WorkerSupervisor:
             return snap
 
 
+def percentile(samples: list[float], q: float) -> float:
+    """Nearest-rank percentile of a non-empty sorted sample list (the
+    queue-wait report)."""
+    idx = min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))
+    return samples[idx]
+
+
 __all__ = [
+    "JobLost",
+    "JobRejected",
     "Overloaded",
     "SupervisorConfig",
     "SupervisorCounters",
     "WorkerJobFailed",
     "WorkerSupervisor",
     "WorkersUnavailable",
+    "default_jobs",
+    "heartbeat",
+    "percentile",
 ]

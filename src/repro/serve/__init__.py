@@ -7,15 +7,22 @@ idempotent replay — and amortizes process cold-start across requests.
 Clients (:mod:`repro.serve.client`) speak a length-prefixed JSON
 protocol (:mod:`repro.serve.protocol`); request semantics and the
 bit-identity oracle live in :mod:`repro.serve.payloads`.  Compute
-runs on a supervised pool of crash-isolated worker processes
-(:mod:`repro.serve.supervisor`), each running the job body in
-:mod:`repro.serve.jobs`.
+runs on the repo's one supervised pool of crash-isolated worker
+processes (:mod:`repro.exec.pool`, shared with ``parallel_map``), each
+running the job body in :mod:`repro.serve.jobs`.
 
 DESIGN.md §13–14 document the architecture, the measured warm/cold
 latency and the supervision contract; ``benchmarks/bench_serve.py``
 produces ``BENCH_serve.json``.
 """
 
+from repro.exec.pool import (
+    Overloaded,
+    SupervisorConfig,
+    WorkerJobFailed,
+    WorkerSupervisor,
+    WorkersUnavailable,
+)
 from repro.serve.client import (
     ServeClient,
     ServeConnectionError,
@@ -39,13 +46,6 @@ from repro.serve.server import (
     ServerThread,
     default_socket_path,
     run_server,
-)
-from repro.serve.supervisor import (
-    Overloaded,
-    SupervisorConfig,
-    WorkerJobFailed,
-    WorkerSupervisor,
-    WorkersUnavailable,
 )
 
 __all__ = [

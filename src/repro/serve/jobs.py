@@ -1,9 +1,11 @@
 """Warm-state job execution inside one serve worker process.
 
-Every compute request runs in a supervised worker process
-(:mod:`repro.serve.supervisor`), and each worker owns one
-:class:`JobRunner`: its warm stores plus the request body.  A worker
-runs one job at a time, so the runner needs no locks.
+Every compute request runs in a worker of the repo's supervised pool
+(:mod:`repro.exec.pool`).  :func:`init_runner` is the pool's
+initializer: it builds the worker's one :class:`JobRunner` (its warm
+stores plus the request body), and :func:`run_job` is the task the pool
+runs per request.  A worker runs one job at a time, so the runner needs
+no locks.
 
 The bit-identity contract rides on this: whatever worker a request
 lands on — first attempt or a retry after a crash or hang — it
@@ -11,13 +13,14 @@ executes *this* code against warm stores that are pure caches, so
 every served payload equals
 :func:`repro.serve.payloads.direct_payload` for the same request.
 
-Heartbeats: :meth:`JobRunner.run` accepts an optional ``heartbeat``
-callback and invokes it at the job's coarse phase boundaries (request
-accepted, kernel resident, profile resolved).  Workers wire it to a
-pipe send so the supervisor sees per-request progress.  The callback
-must be observation-free — it never influences results (the
-simulation hot loop itself is one Python call, so phase boundaries are
-the finest honest granularity).
+Heartbeats: the pool worker heartbeats when it accepts a request, and
+:meth:`JobRunner.run` calls the pool's
+:func:`~repro.exec.pool.heartbeat` at the job's coarse phase boundaries
+(kernel resident, profile resolved), so the supervisor sees
+per-request progress.  A heartbeat is observation-free
+— it never influences results, and it is a no-op outside a pool worker
+(the simulation hot loop itself is one Python call, so phase
+boundaries are the finest honest granularity).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import asdict, dataclass
 from repro.config import GPUConfig, SamplingConfig
 from repro.exec.cache import ProfileCache, kernel_cache_key
 from repro.exec.engine import ExecutionConfig
+from repro.exec.pool import JobRejected, heartbeat, percentile
 from repro.profiler.functional import KernelProfile, profile_kernel
 from repro.serve.payloads import RequestError, result_payload, tbpoint_payload
 from repro.sim.worker import get_simulator, init_worker, is_warm
@@ -50,13 +54,6 @@ class JobMeta:
         """JSON/pipe-safe form (what a worker sends back to the
         supervisor alongside the payload)."""
         return asdict(self)
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sorted sample list (the
-    daemon's queue-wait report)."""
-    idx = min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))
-    return samples[idx]
 
 
 class JobRunner:
@@ -115,20 +112,16 @@ class JobRunner:
     # ------------------------------------------------------------------
     # The compute body
     # ------------------------------------------------------------------
-    def run(self, norm: dict, heartbeat=None) -> tuple[dict, JobMeta]:
+    def run(self, norm: dict) -> tuple[dict, JobMeta]:
         """Execute one normalized compute request: warm state in, pure
-        simulation, JSON payload out.  ``heartbeat`` (if given) is
-        called at phase boundaries — progress signal only, never
-        results."""
-        if heartbeat is not None:
-            heartbeat()
+        simulation, JSON payload out.  Heartbeats at phase boundaries
+        are a progress signal only, never results."""
         kernel, kernel_warm = self.get_kernel(norm)
         gpu = GPUConfig()
         meta = JobMeta(
             kind=norm["kind"], engine_warm=is_warm(gpu), kernel_warm=kernel_warm
         )
-        if heartbeat is not None:
-            heartbeat()
+        heartbeat()
         if norm["kind"] == "simulate":
             if not 0 <= norm["launch"] < len(kernel.launches):
                 raise RequestError(
@@ -143,8 +136,7 @@ class JobRunner:
             return result_payload(result), meta
         profile, source = self.get_profile(kernel)
         meta.profile_source = source
-        if heartbeat is not None:
-            heartbeat()
+        heartbeat()
         regen0 = sum(l.regenerations for l in kernel.launches)
         from repro.core.pipeline import run_tbpoint
 
@@ -163,4 +155,31 @@ class JobRunner:
         return tbpoint_payload(tbp), meta
 
 
-__all__ = ["JobMeta", "JobRunner", "percentile"]
+#: The worker process's one runner, built by :func:`init_runner`.
+#: Mutated in place, never rebound.
+_RUNNER: list[JobRunner] = []
+
+
+def init_runner(cache_dir: str | None = None) -> None:
+    """Pool initializer for a serve worker: build its warm
+    :class:`JobRunner`.  Pre-imports the heavy tbpoint path so a job
+    never pays (or, under fork, deadlocks on) first-import cost
+    mid-request."""
+    import repro.core.pipeline  # noqa: F401
+
+    _RUNNER[:] = [JobRunner(cache_dir=cache_dir)]
+
+
+def run_job(norm: dict) -> tuple[dict, dict]:
+    """The pool task for one compute request: ``(payload, meta)``.  A
+    :class:`RequestError` is the request's own fault, so it reaches the
+    pool as :class:`~repro.exec.pool.JobRejected` and is never
+    retried."""
+    try:
+        payload, meta = _RUNNER[0].run(norm)
+    except RequestError as exc:
+        raise JobRejected(str(exc)) from None
+    return payload, meta.as_dict()
+
+
+__all__ = ["JobMeta", "JobRunner", "init_runner", "percentile", "run_job"]

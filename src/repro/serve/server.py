@@ -1,7 +1,7 @@
 """The long-lived simulation server behind ``repro serve``.
 
-The daemon and its supervised worker processes
-(:mod:`repro.serve.supervisor`) own the hot state every one-shot
+The daemon and its supervised worker processes (the repo's one
+worker pool, :mod:`repro.exec.pool`) own the hot state every one-shot
 invocation throws away.  Each worker keeps its own:
 
 * **a warm engine** — the process's one simulator
@@ -38,8 +38,8 @@ numbers and the supervision contract.
 
 Determinism lint: the ``serve`` package is inside ``repro lint``'s
 deterministic scope (DESIGN.md §10), but a server legitimately reads
-the wall clock: here for uptime, in the supervisor for heartbeat
-deadlines and queue waits.  Those sites — and only those — carry
+the wall clock, here for uptime (the pool's heartbeat deadlines and
+queue waits live in ``exec/``, outside the scope).  Those sites carry
 ``lint: disable=DET001`` pragmas; they feed operator metrics and
 watchdogs, never simulation results.
 """
@@ -56,7 +56,15 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.exec.journal import SweepJournal, default_journal_dir
-from repro.serve.jobs import JobMeta
+from repro.exec.pool import (
+    JobRejected,
+    Overloaded,
+    SupervisorConfig,
+    WorkerJobFailed,
+    WorkerSupervisor,
+    WorkersUnavailable,
+)
+from repro.serve.jobs import JobMeta, init_runner, run_job
 from repro.serve.payloads import (
     RESULTS_VERSION,
     RequestError,
@@ -68,13 +76,6 @@ from repro.serve.protocol import (
     ProtocolError,
     read_message,
     write_message,
-)
-from repro.serve.supervisor import (
-    Overloaded,
-    SupervisorConfig,
-    WorkerJobFailed,
-    WorkerSupervisor,
-    WorkersUnavailable,
 )
 
 
@@ -89,13 +90,15 @@ def default_socket_path(cache_dir: str | Path | None = None) -> str:
 @dataclass(frozen=True)
 class ServeConfig(SupervisorConfig):
     """How one server process runs: the worker-pool settings of
-    :class:`~repro.serve.supervisor.SupervisorConfig` (``workers``,
+    :class:`~repro.exec.pool.SupervisorConfig` (``workers``,
     ``retries``, ``hang_timeout``, ``max_backlog``, ``degrade_after``,
-    ``cache_dir``, ``fault_plan``) plus the daemon's
-    own.
+    ``fault_plan``) plus the daemon's own.
 
     Attributes
     ----------
+    cache_dir:
+        Override the persistent cache root: the workers' profiles, the
+        daemon's journals and the default socket all live there.
     socket_path:
         Unix-domain socket to listen on (default
         ``<cache root>/serve.sock``).  Ignored when ``host`` is set.
@@ -110,6 +113,7 @@ class ServeConfig(SupervisorConfig):
         Dump the final ``stats`` payload to this file on shutdown.
     """
 
+    cache_dir: str | None = None
     socket_path: str | None = None
     host: str | None = None
     port: int = 0
@@ -164,7 +168,9 @@ class Server:
         self.config = config or ServeConfig()
         self.counters = ServeCounters()
         # Compute runs here; each worker process owns its warm state.
-        self._supervisor = WorkerSupervisor(self.config)
+        self._supervisor = WorkerSupervisor(
+            run_job, self.config, init_runner, (self.config.cache_dir,)
+        )
         # Idempotent replay (PR 4 journal machinery) ------------------
         self._journal: SweepJournal | None = None
         self._journal_results: dict[str, dict] = {}
@@ -497,6 +503,8 @@ class Server:
                 raise RequestError(str(exc), kind="unavailable") from None
             except WorkerJobFailed as exc:
                 raise RequestError(str(exc), kind="failed") from None
+            except JobRejected as exc:
+                raise RequestError(str(exc)) from None
             self._apply_meta(JobMeta(**meta))
             if self._journal is not None:
                 # The journal fsyncs every line; keep it off the loop.

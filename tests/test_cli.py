@@ -101,6 +101,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "err(tbp)" in out and "stream" in out
 
+    def test_headline_prints_geomean_rows(self, capsys, monkeypatch, tmp_path):
+        # The sweep journals even with --no-cache; keep it out of ~/.cache.
+        monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
+        assert main(
+            ["--jobs", "1", "--no-cache", "--scale", "0.02", "headline", "stream"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Figs. 9-10 headline geometric means" in out
+        lines = out.splitlines()
+        kernel = next(l.split() for l in lines if l.startswith("stream "))
+        errors, sizes = kernel[3:6], kernel[6:9]  # random, simpoint, tbpoint
+        geomeans = {
+            l.split()[0]: l.split()[1:]
+            for l in lines
+            if l.split()[:1] in (["random"], ["ideal-simpoint"], ["tbpoint"])
+        }
+        # The geomean of one kernel is that kernel's own figure.
+        for i, technique in enumerate(("random", "ideal-simpoint", "tbpoint")):
+            assert geomeans[technique] == [errors[i], sizes[i]], technique
+
     def test_breakdown_subset(self, capsys):
         assert main(["--scale", "0.02", "breakdown", "stream"]) == 0
         out = capsys.readouterr().out

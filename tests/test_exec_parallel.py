@@ -142,9 +142,9 @@ class TestDegradeToSerial:
     that forced every run on such hosts to serial."""
 
     def test_explicit_jobs_honored_past_cpu_count(self, monkeypatch):
-        import repro.exec.engine as engine
+        import repro.exec.pool as pool
 
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 1)
         meta: dict = {}
         out = parallel_map(_square, list(range(10)), jobs=4, meta=meta)
         assert out == [i * i for i in range(10)]
@@ -157,9 +157,9 @@ class TestDegradeToSerial:
             assert meta["reason"] == "process pool unavailable"
 
     def test_effective_jobs_property(self, monkeypatch):
-        import repro.exec.engine as engine
+        import repro.exec.pool as pool
 
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
         # Explicit requests pass through untouched; only the automatic
         # request (0) is sized to the machine.
         assert ExecutionConfig(jobs=8).effective_jobs == 8
@@ -185,9 +185,9 @@ class TestDegradeToSerial:
             assert meta["workers"] == 2
 
     def test_meta_records_unpicklable_reason(self, monkeypatch):
-        import repro.exec.engine as engine
+        import repro.exec.pool as pool
 
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
         meta: dict = {}
         fn = lambda x: x + 1  # noqa: E731 — deliberately unpicklable
         parallel_map(fn, list(range(10)), jobs=4, meta=meta)
@@ -195,9 +195,9 @@ class TestDegradeToSerial:
         assert meta["reason"] == "fn or first item not picklable"
 
     def test_parallel_path_records_meta(self, monkeypatch):
-        import repro.exec.engine as engine
+        import repro.exec.pool as pool
 
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
         meta: dict = {}
         out = parallel_map(_square, list(range(6)), jobs=2, meta=meta)
         if meta["path"] == "parallel":  # pool may be unavailable in sandboxes
@@ -373,7 +373,7 @@ class TestOneSerialPath:
         kernel = make_uniform_kernel(num_launches=2, blocks_per_launch=12)
         clean = run_full(kernel, GPU)
         cfg = ExecutionConfig(
-            jobs=1, use_cache=False, backoff=0.0, retries=1,
+            jobs=1, use_cache=False, retries=1,
             fault_plan=raise_plan((1, 0)),
         )
         flaky = run_full(kernel, GPU, exec_config=cfg)

@@ -610,7 +610,7 @@ class TestLifecycle:
         from dataclasses import fields
 
         from repro.serve.server import ServeCounters
-        from repro.serve.supervisor import SupervisorCounters
+        from repro.exec.pool import SupervisorCounters
 
         with start_server(serve_dir, workers=1) as handle:
             with ServeClient(handle.socket_path) as client:

@@ -1,5 +1,5 @@
-"""Supervised multi-process serving (``repro.serve.supervisor``,
-DESIGN.md §14) — the daemon chaos suite.
+"""Supervised multi-process serving (``repro.exec.pool`` behind
+``repro serve``, DESIGN.md §14) — the daemon chaos suite.
 
 The supervision contract under test:
 
@@ -93,10 +93,12 @@ class TestWorkerPool:
     def test_stopped_pool_closes_its_wake_pipe(self, tmp_path):
         """Every daemon runs a pool, so a pipe left open per stop leaks
         two descriptors per server lifetime."""
-        from repro.serve import SupervisorConfig, WorkerSupervisor
+        from repro.exec.pool import SupervisorConfig, WorkerSupervisor
+        from repro.serve.jobs import init_runner, run_job
 
         pool = WorkerSupervisor(
-            SupervisorConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+            run_job, SupervisorConfig(workers=1), init_runner,
+            (str(tmp_path / "cache"),),
         )
         pool.start()
         pool.stop()
@@ -412,7 +414,7 @@ class TestBindFailure:
                     "--workers", "1",
                 ])
         assert not any(
-            t.name == "repro-serve-supervisor" for t in threading.enumerate()
+            t.name == "repro-pool-supervisor" for t in threading.enumerate()
         )
         assert multiprocessing.active_children() == []
 
