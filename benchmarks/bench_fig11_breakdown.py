@@ -10,12 +10,9 @@ inter dominant.
 
 from __future__ import annotations
 
-import pytest
-
+from repro.analysis.experiments import run_breakdown
 from repro.analysis.report import render_table
-from repro.core.pipeline import run_tbpoint
-from repro.profiler import profile_kernel
-from repro.workloads import benchmark_info, get_workload
+from repro.workloads import benchmark_info
 
 from conftest import bench_kernels, emit
 
@@ -23,9 +20,8 @@ from conftest import bench_kernels, emit
 def test_fig11_skip_breakdown(benchmark, experiment):
     def run():
         rows = []
-        for name in bench_kernels():
-            kernel = get_workload(name, experiment.scale, experiment.seed)
-            tbp = run_tbpoint(kernel, profile=profile_kernel(kernel))
+        names = bench_kernels()
+        for name, tbp in zip(names, run_breakdown(names, experiment)):
             inter, intra = tbp.skip_breakdown()
             rows.append(
                 (

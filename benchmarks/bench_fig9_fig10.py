@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ComparisonSummary, run_kernel_comparison
+from repro.analysis.experiments import ComparisonSummary, run_fig9_fig10
 from repro.analysis.report import render_table
 
 from conftest import bench_kernels, emit
@@ -21,10 +21,8 @@ from conftest import bench_kernels, emit
 
 @pytest.fixture(scope="module")
 def comparisons(experiment):
-    return {
-        name: run_kernel_comparison(name, experiment)
-        for name in bench_kernels()
-    }
+    summary = run_fig9_fig10(bench_kernels(), experiment)
+    return {c.kernel: c for c in summary.comparisons}
 
 
 def test_fig9_fig10_headline(benchmark, comparisons, experiment):

@@ -30,8 +30,9 @@ Execution is fault tolerant (DESIGN.md §9): batch commands and the
 ``serve`` daemon share one supervised worker pool, a failed or crashed
 task retries on the next free worker up to ``--retries`` times,
 ``--task-timeout`` kills and replaces a hung worker, the sweep commands
-(``headline``/``sensitivity``/``scaling``) checkpoint each completed
-kernel to a journal, and ``--resume`` picks a killed sweep back up
+(``headline``/``breakdown``/``sensitivity``/``scaling``) checkpoint
+each completed kernel to a journal next to the profile cache (none
+with ``--no-cache``), and ``--resume`` picks a killed sweep back up
 without recomputing journaled work — all without changing results.
 
 Usage errors — a malformed or out-of-range option, an unknown kernel, a
@@ -77,24 +78,21 @@ def _experiment(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(scale=args.scale, seed=args.seed)
 
 
-def _exec_config(
-    args: argparse.Namespace, journal: bool = False
-) -> ExecutionConfig:
+def _exec_config(args: argparse.Namespace) -> ExecutionConfig:
     """Execution knobs shared by every experiment command: ``--jobs 0``
-    (the default) uses every CPU; the profile cache is on unless
-    ``--no-cache``; failed tasks retry up to ``--retries`` times with
-    ``--task-timeout`` guarding against hung workers.  Sweep commands
-    (``headline``/``sensitivity``/``scaling``) pass ``journal=True`` so
-    completed kernels are checkpointed and ``--resume`` can recover a
-    killed sweep."""
+    (the default) uses every CPU; the profile cache and the sweep
+    journal are on unless ``--no-cache``; failed tasks retry up to
+    ``--retries`` times with ``--task-timeout`` guarding against hung
+    workers; ``--resume`` reads the journal, so needs the cache."""
+    if args.resume and args.no_cache:
+        raise UsageError("--resume needs the cache: --no-cache keeps no journal")
     return ExecutionConfig(
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         task_timeout=args.task_timeout,
         retries=args.retries,
-        journal=journal,
-        resume=journal and args.resume,
+        resume=args.resume,
     )
 
 
@@ -155,9 +153,7 @@ def cmd_run(args: argparse.Namespace) -> None:
 
 def cmd_headline(args: argparse.Namespace) -> None:
     experiment = _experiment(args)
-    summary = run_fig9_fig10(
-        _kernels(args), experiment, exec_config=_exec_config(args, journal=True)
-    )
+    summary = run_fig9_fig10(_kernels(args), experiment, exec_config=_exec_config(args))
     for c in summary.comparisons:
         _, row = _comparison_row(c.kernel, experiment, comparison=c)
         print(render_table(_COMPARISON_HEADERS, [row]))
@@ -193,9 +189,7 @@ def cmd_breakdown(args: argparse.Namespace) -> None:
 def cmd_sensitivity(args: argparse.Namespace) -> None:
     experiment = _experiment(args)
     points = run_sensitivity(
-        _kernels(args),
-        experiment=experiment,
-        exec_config=_exec_config(args, journal=True),
+        _kernels(args), experiment=experiment, exec_config=_exec_config(args)
     )
     configs = [f"W{w}S{s}" for w, s in SENSITIVITY_CONFIGS]
     by_kernel: dict[str, dict] = {}
@@ -218,10 +212,8 @@ def cmd_scaling(args: argparse.Namespace) -> None:
     from repro.analysis.scaling import run_scaling
 
     points = run_scaling(
-        args.kernel,
-        scales=tuple(args.scales),
-        seed=args.seed,
-        exec_config=_exec_config(args, journal=True),
+        args.kernel, scales=tuple(args.scales), seed=args.seed,
+        exec_config=_exec_config(args),
     )
     print(render_table(
         ["scale", "blocks", "warp insts", "full IPC", "tbpoint IPC",
@@ -250,9 +242,7 @@ def cmd_model(args: argparse.Namespace) -> None:
 
 
 def cmd_cache(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.exec import journals_info
+    from repro.exec import journal_dir, journals_info
 
     cache = ProfileCache(args.cache_dir)
     if args.action == "clear":
@@ -260,8 +250,7 @@ def cmd_cache(args: argparse.Namespace) -> None:
         print(f"removed {removed} cached profile(s) from {cache.root}")
         return
     info = cache.info()
-    journal_dir = Path(args.cache_dir) / "journals" if args.cache_dir else None
-    journals = journals_info(journal_dir)
+    journals = journals_info(journal_dir(args.cache_dir))
     print(render_table(
         ["field", "value"],
         [
@@ -511,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the persistent functional-profile cache",
+        help="bypass the persistent functional-profile cache; sweeps "
+             "then keep no checkpoint journal either",
     )
     parser.add_argument(
         "--task-timeout", type=_positive_float, default=None,
@@ -528,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="resume a killed sweep (headline/sensitivity/scaling) from "
-             "its checkpoint journal, skipping already-completed kernels",
+        help="resume a killed sweep (headline/breakdown/sensitivity/"
+             "scaling) from its checkpoint journal, skipping completed "
+             "kernels; needs the cache",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -733,6 +724,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        sweeps = ("headline", "breakdown", "sensitivity", "scaling")
+        if args.resume and args.command not in sweeps:
+            raise UsageError(f"--resume applies only to {'/'.join(sweeps)}")
         if args.profile:
             rc = _run_profiled(_COMMANDS[args.command], args)
         else:

@@ -22,8 +22,8 @@ from repro.config import ExperimentConfig, GPUConfig, SamplingConfig
 from repro.core.estimates import geometric_mean, sampling_error
 from repro.core.pipeline import TBPointResult, run_tbpoint
 from repro.exec.cache import cached_profile
-from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
-from repro.exec.journal import open_sweep_journal
+from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig
+from repro.exec.journal import run_sweep
 from repro.model.montecarlo import IPCVariation, ipc_variation
 from repro.profiler.functional import KernelProfile
 from repro.workloads import ALL_KERNELS, benchmark_info, get_workload
@@ -80,13 +80,11 @@ class ComparisonSummary:
     """The full Fig. 9 + Fig. 10 sweep with headline geomeans."""
 
     comparisons: list[KernelComparison] = field(default_factory=list)
-    #: How the per-kernel fan-out actually executed (``path``/``workers``/
-    #: ``items`` plus the fault-handling counters ``attempts``/``retries``/
-    #: ``pool_respawns``/``timed_out``/``serial_fallback``, from
-    #: ``parallel_map``).  ``items`` counts only the kernels actually
-    #: computed this invocation — on ``--resume`` it excludes
-    #: journal-recovered kernels, which is how the chaos tests verify
-    #: that resumption skipped completed work.
+    #: How the per-kernel sweep executed: ``run_sweep``'s meta, i.e. the
+    #: ``parallel_map`` record (``path``/``workers``/``items`` and the
+    #: fault counters) plus ``resumed``.  ``items`` counts only kernels
+    #: computed this invocation — on ``--resume`` it excludes the
+    #: journaled ones, which is how the chaos tests check resumption.
     exec_meta: dict = field(default_factory=dict)
 
     def geomean_errors(self) -> dict[str, float]:
@@ -155,9 +153,9 @@ def run_kernel_comparison(
     )
 
 
-def _comparison_task(task) -> KernelComparison:
+def _comparison_task(task, exec_config: ExecutionConfig) -> KernelComparison:
     """Picklable per-kernel worker for the Fig. 9/10 sweep."""
-    name, experiment, gpu, sampling, exec_config = task
+    name, experiment, gpu, sampling = task
     return run_kernel_comparison(
         name, experiment, gpu, sampling, exec_config=exec_config
     )
@@ -178,31 +176,21 @@ def run_fig9_fig10(
     kernel fans out its launches instead.  Results are merged in kernel
     order, identical to the serial sweep.
 
-    With ``exec_config.journal`` each completed kernel is checkpointed
-    to the sweep journal the moment it finishes, and
-    ``exec_config.resume`` recovers journaled kernels from a killed
-    earlier run instead of recomputing them (CLI ``--resume``).
+    With the profile cache on, each completed kernel is checkpointed to
+    the sweep journal the moment it finishes, and ``exec_config.resume``
+    recovers journaled kernels from a killed earlier run instead of
+    recomputing them (CLI ``--resume``); see :func:`run_sweep`.
     """
     experiment = experiment or ExperimentConfig()
     gpu = gpu or GPUConfig()
     sampling = sampling or SamplingConfig()
-    exec_config = exec_config or DEFAULT_EXECUTION
-    journal, done = open_sweep_journal(
-        "fig9_fig10", (tuple(kernels), experiment, gpu, sampling), exec_config
+    summary = ComparisonSummary()
+    by_name = run_sweep(
+        "fig9_fig10", (tuple(kernels), experiment, gpu, sampling),
+        {name: (name, experiment, gpu, sampling) for name in kernels},
+        _comparison_task, exec_config or DEFAULT_EXECUTION,
+        meta=summary.exec_meta,
     )
-    todo = [name for name in kernels if name not in done]
-    inner = exec_config.for_tasks(len(todo))
-    tasks = [(name, experiment, gpu, sampling, inner) for name in todo]
-    exec_meta: dict = {}
-    on_result = None
-    if journal is not None:
-        on_result = lambda i, result: journal.record(todo[i], result)  # noqa: E731
-    fresh = parallel_map(
-        _comparison_task, tasks, exec_config.effective_jobs,
-        meta=exec_meta, config=exec_config, on_result=on_result,
-    )
-    by_name = {**done, **dict(zip(todo, fresh))}
-    summary = ComparisonSummary(exec_meta=exec_meta)
     summary.comparisons.extend(by_name[name] for name in kernels)
     return summary
 
@@ -210,10 +198,9 @@ def run_fig9_fig10(
 # ----------------------------------------------------------------------
 # Fig. 11: inter/intra skipped-instruction breakdown
 # ----------------------------------------------------------------------
-def _breakdown_task(task) -> TBPointResult:
+def _breakdown_task(task, exec_config: ExecutionConfig) -> TBPointResult:
     """Picklable per-kernel worker for the Fig. 11 sweep."""
-    name, experiment, gpu, sampling, exec_config = task
-    experiment = experiment or ExperimentConfig()
+    name, experiment, gpu, sampling = task
     kernel = get_workload(name, scale=experiment.scale, seed=experiment.seed)
     return run_tbpoint(kernel, gpu, sampling, exec_config=exec_config)
 
@@ -224,15 +211,20 @@ def run_breakdown(
     gpu: GPUConfig | None = None,
     sampling: SamplingConfig | None = None,
     exec_config: ExecutionConfig | None = None,
+    meta: dict | None = None,
 ) -> list[TBPointResult]:
     """TBPoint runs for Fig. 11's skipped-instruction breakdown, one
-    result per kernel in input order."""
-    exec_config = exec_config or DEFAULT_EXECUTION
-    inner = exec_config.for_tasks(len(kernels))
-    tasks = [(name, experiment, gpu, sampling, inner) for name in kernels]
-    return parallel_map(
-        _breakdown_task, tasks, exec_config.effective_jobs, config=exec_config
+    result per kernel in input order.  Journals, resumes and fills
+    ``meta`` like every sweep (:func:`run_sweep`)."""
+    experiment = experiment or ExperimentConfig()
+    gpu = gpu or GPUConfig()
+    sampling = sampling or SamplingConfig()
+    by_name = run_sweep(
+        "breakdown", (tuple(kernels), experiment, gpu, sampling),
+        {name: (name, experiment, gpu, sampling) for name in kernels},
+        _breakdown_task, exec_config or DEFAULT_EXECUTION, meta=meta,
     )
+    return [by_name[name] for name in kernels]
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +256,10 @@ SENSITIVITY_CONFIGS: tuple[tuple[int, int], ...] = (
 )
 
 
-def _sensitivity_task(task) -> list[SensitivityPoint]:
+def _sensitivity_task(task, exec_config: ExecutionConfig) -> list[SensitivityPoint]:
     """Picklable per-kernel worker: all hardware configs of one kernel
     against one shared (cached) functional profile."""
-    name, configs, experiment, sampling, exec_config = task
+    name, configs, experiment, sampling = task
     kernel = get_workload(name, scale=experiment.scale, seed=experiment.seed)
     profile = cached_profile(kernel, exec_config)  # one-time profiling
     points: list[SensitivityPoint] = []
@@ -295,6 +287,7 @@ def run_sensitivity(
     experiment: ExperimentConfig | None = None,
     sampling: SamplingConfig | None = None,
     exec_config: ExecutionConfig | None = None,
+    meta: dict | None = None,
 ) -> list[SensitivityPoint]:
     """Run TBPoint against a full reference for each hardware config.
 
@@ -303,28 +296,18 @@ def run_sensitivity(
     ``run_tbpoint``) is redone, because the system occupancy changes.
     With ``exec_config.jobs > 1`` kernels fan out across worker
     processes; points are returned in (kernel, config) input order
-    either way.  With ``exec_config.journal`` each completed kernel
-    (all its hardware configs) is checkpointed, and
-    ``exec_config.resume`` skips journaled kernels (CLI ``--resume``).
+    either way.  Each completed kernel (all its hardware configs) is
+    one sweep task: journaled with the cache on, skipped on
+    ``exec_config.resume`` (CLI ``--resume``), counted in ``meta``
+    (:func:`run_sweep`).
     """
     experiment = experiment or ExperimentConfig()
     sampling = sampling or SamplingConfig()
-    exec_config = exec_config or DEFAULT_EXECUTION
-    journal, done = open_sweep_journal(
+    by_name = run_sweep(
         "sensitivity", (tuple(kernels), tuple(configs), experiment, sampling),
-        exec_config,
+        {name: (name, configs, experiment, sampling) for name in kernels},
+        _sensitivity_task, exec_config or DEFAULT_EXECUTION, meta=meta,
     )
-    todo = [name for name in kernels if name not in done]
-    inner = exec_config.for_tasks(len(todo))
-    tasks = [(name, configs, experiment, sampling, inner) for name in todo]
-    on_result = None
-    if journal is not None:
-        on_result = lambda i, points: journal.record(todo[i], points)  # noqa: E731
-    fresh = parallel_map(
-        _sensitivity_task, tasks, exec_config.effective_jobs,
-        config=exec_config, on_result=on_result,
-    )
-    by_name = {**done, **dict(zip(todo, fresh))}
     return [point for name in kernels for point in by_name[name]]
 
 

@@ -16,8 +16,8 @@ from repro.config import GPUConfig, SamplingConfig
 from repro.core.estimates import sampling_error
 from repro.core.pipeline import run_tbpoint
 from repro.exec.cache import cached_profile
-from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig, parallel_map
-from repro.exec.journal import open_sweep_journal
+from repro.exec.engine import DEFAULT_EXECUTION, ExecutionConfig
+from repro.exec.journal import run_sweep
 from repro.workloads import get_workload
 
 
@@ -35,9 +35,9 @@ class ScalePoint:
     sample_size: float
 
 
-def _scale_task(task) -> ScalePoint:
+def _scale_task(task, exec_config: ExecutionConfig) -> ScalePoint:
     """Picklable per-scale worker (each scale is an independent trace)."""
-    kernel_name, scale, seed, gpu, sampling, exec_config = task
+    kernel_name, scale, seed, gpu, sampling = task
     kernel = get_workload(kernel_name, scale=scale, seed=seed)
     profile = cached_profile(kernel, exec_config)
     full = run_full(kernel, gpu, exec_config=exec_config)
@@ -63,6 +63,7 @@ def run_scaling(
     gpu: GPUConfig | None = None,
     sampling: SamplingConfig | None = None,
     exec_config: ExecutionConfig | None = None,
+    meta: dict | None = None,
 ) -> list[ScalePoint]:
     """Measure TBPoint error and sample size across workload scales.
 
@@ -71,30 +72,17 @@ def run_scaling(
     kernels.  With ``exec_config.jobs > 1`` and at least two scales to
     compute, the scales fan out across worker processes (each one
     serial inside); points come back in input-scale order regardless.
-    With ``exec_config.journal`` each completed scale point is
-    checkpointed, and ``exec_config.resume`` skips journaled scales
-    (CLI ``--resume``).
+    Each scale point is one sweep task, keyed ``repr(scale)``: journaled
+    with the cache on, skipped on ``exec_config.resume`` (CLI
+    ``--resume``), counted in ``meta`` (:func:`run_sweep`).
     """
     gpu = gpu or GPUConfig()
     sampling = sampling or SamplingConfig()
-    exec_config = exec_config or DEFAULT_EXECUTION
-    journal, done = open_sweep_journal(
+    by_scale = run_sweep(
         "scaling", (kernel_name, tuple(scales), seed, gpu, sampling),
-        exec_config,
+        {repr(s): (kernel_name, s, seed, gpu, sampling) for s in scales},
+        _scale_task, exec_config or DEFAULT_EXECUTION, meta=meta,
     )
-    todo = [scale for scale in scales if repr(scale) not in done]
-    inner = exec_config.for_tasks(len(todo))
-    tasks = [
-        (kernel_name, scale, seed, gpu, sampling, inner) for scale in todo
-    ]
-    on_result = None
-    if journal is not None:
-        on_result = lambda i, point: journal.record(repr(todo[i]), point)  # noqa: E731
-    fresh = parallel_map(
-        _scale_task, tasks, exec_config.effective_jobs,
-        config=exec_config, on_result=on_result,
-    )
-    by_scale = {**done, **{repr(s): p for s, p in zip(todo, fresh)}}
     return [by_scale[repr(scale)] for scale in scales]
 
 

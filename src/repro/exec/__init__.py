@@ -13,9 +13,10 @@ Three orthogonal services behind one configuration object
 * :class:`ProfileCache` — a content-addressed on-disk store of the
   one-time functional profiles, so ``profile_kernel`` runs once per
   kernel trace *ever* (the profile is hardware-independent, Sec. V-C);
-* :class:`SweepJournal` — an append-only checkpoint record of completed
-  sweep tasks, so a killed ``run_fig9_fig10`` / ``run_sensitivity`` /
-  ``run_scaling`` resumes (CLI ``--resume``) instead of restarting.
+* :func:`run_sweep` — the one runner of ``run_fig9_fig10`` /
+  ``run_breakdown`` / ``run_sensitivity`` / ``run_scaling``: with the
+  cache on it checkpoints completed tasks to a :class:`SweepJournal`,
+  so a killed sweep resumes (CLI ``--resume``) instead of restarting.
 
 :mod:`repro.exec.faults` provides the deterministic fault-injection
 harness (:class:`FaultPlan`) that the chaos tests drive through all of
@@ -52,10 +53,10 @@ from repro.exec.faults import (
 from repro.exec.journal import (
     JOURNAL_FORMAT_VERSION,
     SweepJournal,
-    default_journal_dir,
+    journal_dir,
     journals_info,
     list_journals,
-    open_sweep_journal,
+    run_sweep,
     sweep_key,
 )
 
@@ -78,9 +79,9 @@ __all__ = [
     "raise_plan",
     "SweepJournal",
     "JOURNAL_FORMAT_VERSION",
-    "default_journal_dir",
+    "journal_dir",
     "journals_info",
     "list_journals",
-    "open_sweep_journal",
+    "run_sweep",
     "sweep_key",
 ]

@@ -8,8 +8,9 @@ axes of the evaluation:
   full-simulation reference), which are independent because the memory
   hierarchy is reset at every launch;
 * *kernels* — whole-kernel experiments within a sweep
-  (``run_fig9_fig10``, ``run_sensitivity``, ``run_scaling``), which are
-  independent by construction.
+  (``run_fig9_fig10``, ``run_breakdown``, ``run_sensitivity``,
+  ``run_scaling``, all through :func:`repro.exec.journal.run_sweep`),
+  which are independent by construction.
 
 Determinism contract: :func:`parallel_map` returns results in the exact
 order of its input items, every worker computes with the same pure
@@ -63,8 +64,8 @@ class ExecutionConfig:
         Consult/populate the persistent on-disk profile cache.
     cache_dir:
         Override the cache directory (default: ``$TBPOINT_CACHE_DIR`` or
-        ``~/.cache/tbpoint``).  Sweep journals move with it, to
-        ``<cache_dir>/journals``.
+        ``~/.cache/tbpoint``).  Sweep journals, kept only with
+        ``use_cache``, move with it, to ``<cache_dir>/journals``.
     task_timeout:
         Seconds one task attempt may run once a worker has taken it
         before it is declared hung; that worker is killed and respawned
@@ -76,12 +77,10 @@ class ExecutionConfig:
     fault_plan:
         Deterministic fault-injection script (tests only); rides into
         workers and fires at scripted ``(task index, attempt)`` pairs.
-    journal:
-        Record each completed sweep task in the persistent checkpoint
-        journal so a killed sweep can be resumed.
     resume:
         Load the sweep's journal and skip tasks it already records
-        instead of starting the journal afresh.
+        instead of starting the journal afresh.  Needs ``use_cache``:
+        without the cache no journal is kept.
     """
 
     jobs: int = 1
@@ -90,7 +89,6 @@ class ExecutionConfig:
     task_timeout: float | None = None
     retries: int = 2
     fault_plan: FaultPlan | None = None
-    journal: bool = False
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -100,6 +98,8 @@ class ExecutionConfig:
             raise ValueError("retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
+        if self.resume and not self.use_cache:
+            raise ValueError("resume needs use_cache (no journal without it)")
 
     @property
     def effective_jobs(self) -> int:
@@ -123,11 +123,11 @@ class ExecutionConfig:
         :func:`parallel_map` under this config runs with.  When the map
         fans out (:func:`_fans_out`), every task runs serially inside so
         pools never nest; otherwise the one worker count goes to the
-        tasks' own launch fan-out.  Fault injection and journaling stay
+        tasks' own launch fan-out.  Fault injection and resumption stay
         at the level that owns the task indices — the outer map — so
         both are stripped either way."""
         jobs = 1 if _fans_out(self.effective_jobs, tasks) else self.jobs
-        return self.with_(jobs=jobs, fault_plan=None, journal=False, resume=False)
+        return self.with_(jobs=jobs, fault_plan=None, resume=False)
 
     def with_(self, **changes) -> "ExecutionConfig":
         import dataclasses
@@ -267,8 +267,8 @@ def parallel_map(
 
     ``on_result(index, result)`` — when given — is invoked in *this*
     process as each task completes (in completion order, not input
-    order); sweep drivers use it to checkpoint finished tasks to the
-    journal the moment they are durable.
+    order); :func:`repro.exec.journal.run_sweep` uses it to checkpoint
+    finished tasks to the journal the moment they are durable.
     """
     items = list(items)
     config = config or DEFAULT_EXECUTION

@@ -1,15 +1,15 @@
 """Persistent sweep checkpoint journal: crash recovery for long sweeps.
 
 A multi-hour Fig. 9/10 or sensitivity sweep must not restart from zero
-because the machine rebooted at kernel 11 of 12.  Each sweep driver
-(``run_fig9_fig10``, ``run_sensitivity``, ``run_scaling``) opens a
-:class:`SweepJournal` keyed by the *content* of the sweep — driver name
-plus every parameter that shapes its results — and appends one entry per
-completed kernel task the moment the result reaches the parent process.
-A killed sweep rerun with ``--resume`` loads the journal and recomputes
-only the missing tasks; since every task is a pure function of its
-inputs, the journaled results are bit-identical to what recomputing
-them would produce, so a resumed sweep equals a clean one.
+because the machine rebooted at kernel 11 of 12.  All four sweep
+drivers (``run_fig9_fig10``, ``run_breakdown``, ``run_sensitivity``,
+``run_scaling``) run through :func:`run_sweep`, which — with the
+profile cache on, and only then — opens a :class:`SweepJournal` keyed
+by the *content* of the sweep (driver name plus every parameter that
+shapes its results) and appends one entry per completed task the moment
+it reaches the parent process.  A killed sweep rerun with ``--resume``
+recomputes only the missing tasks; since every task is a pure function
+of its inputs, a resumed sweep equals a clean one bit for bit.
 
 Format (``<cache root>/journals/<sweep key>.jsonl``) — append-only
 JSONL, one completed task per line::
@@ -40,40 +40,47 @@ import hashlib
 import json
 import os
 import pickle
+from functools import partial
 from pathlib import Path
+from typing import Callable, Mapping, TypeVar
 
 from repro.exec.cache import default_cache_dir
+from repro.exec.engine import ExecutionConfig, parallel_map
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Journal entry/key format version; bumping invalidates every journal.
 JOURNAL_FORMAT_VERSION = 1
 
 
-def default_journal_dir() -> Path:
+def journal_dir(cache_dir: str | Path | None = None) -> Path:
     """``<cache root>/journals`` — journals sit next to the profile
-    cache (and honour ``$TBPOINT_CACHE_DIR`` the same way)."""
-    return default_cache_dir() / "journals"
+    cache: under ``cache_dir`` when given, else under the default cache
+    root (which honours ``$TBPOINT_CACHE_DIR``), so one ``--cache-dir``
+    relocates all persistent state together."""
+    return (Path(cache_dir) if cache_dir else default_cache_dir()) / "journals"
 
 
-def list_journals(journal_dir: str | Path | None = None) -> list[Path]:
-    """Every sweep journal under ``journal_dir``, **sorted by path**.
+def list_journals(root: str | Path) -> list[Path]:
+    """Every sweep journal under ``root``, **sorted by path**.
 
     Like :meth:`repro.exec.cache.ProfileCache.entries`, the sort is a
     determinism contract: filesystem enumeration order varies across
     machines, and any tooling iterating journals (inspection, pruning,
     reporting) must see the same order everywhere.  DET005 in
     ``repro lint`` enforces the rule tree-wide."""
-    root = Path(journal_dir) if journal_dir else default_journal_dir()
+    root = Path(root)
     if not root.is_dir():
         return []
     return sorted(root.glob("*.jsonl"))
 
 
-def journals_info(journal_dir: str | Path | None = None) -> dict:
+def journals_info(root: str | Path) -> dict:
     """What ``repro cache info`` reports about the journals directory:
     how many sweep journals exist, their total size, and the sweep key
     of the most recently written one (its filename stem — journals are
     content-keyed, so the stem *is* the sweep identity)."""
-    root = Path(journal_dir) if journal_dir else default_journal_dir()
     journals = list_journals(root)
     sizes: list[int] = []
     newest: tuple[float, str] | None = None
@@ -114,10 +121,9 @@ class SweepJournal:
 
     @classmethod
     def for_sweep(
-        cls, sweep: str, params: object, journal_dir: str | Path | None = None
+        cls, sweep: str, params: object, root: str | Path
     ) -> "SweepJournal":
-        root = Path(journal_dir) if journal_dir else default_journal_dir()
-        return cls(root / f"{sweep_key(sweep, params)}.jsonl")
+        return cls(Path(root) / f"{sweep_key(sweep, params)}.jsonl")
 
     # ------------------------------------------------------------------
     # Writing
@@ -183,35 +189,62 @@ class SweepJournal:
         return len(self.load())
 
 
-def open_sweep_journal(
-    sweep: str, params: object, exec_config
-) -> tuple["SweepJournal | None", dict[str, object]]:
-    """The one call sweep drivers make: honour the execution config's
-    journaling knobs and return ``(journal, completed)``.
+def _run_task(
+    fn: Callable[[T, ExecutionConfig], R], config: ExecutionConfig, item: T
+) -> R:
+    return fn(item, config)
 
-    * journaling off → ``(None, {})``;
-    * ``resume`` → the journal plus everything it already records;
-    * fresh run → the journal, reset, with nothing completed.
-    """
-    if not (exec_config.journal or exec_config.resume):
-        return None, {}
-    # Keep journals next to an overridden profile cache so one
-    # --cache-dir relocates all persistent state together.
-    cache_dir = exec_config.cache_dir
-    root = Path(cache_dir) / "journals" if cache_dir else None
-    journal = SweepJournal.for_sweep(sweep, params, root)
-    if exec_config.resume:
-        return journal, journal.load()
-    journal.reset()
-    return journal, {}
+
+def run_sweep(
+    sweep: str,
+    params: object,
+    tasks: Mapping[str, T],
+    fn: Callable[[T, ExecutionConfig], R],
+    config: ExecutionConfig,
+    meta: dict | None = None,
+) -> dict[str, R]:
+    """Run ``tasks`` (task key -> item) and return ``{key: result}`` in
+    input order.  The ``n`` tasks still to do are mapped by
+    :func:`~repro.exec.engine.parallel_map` as
+    ``fn(item, config.for_tasks(n))``, so pools never nest.  With
+    ``config.use_cache`` the sweep keeps a journal under
+    :func:`journal_dir`, keyed by ``(sweep, params)``: a fresh run
+    resets it, a ``resume`` run skips what it records, and each result
+    is recorded as it lands.  ``meta`` is filled in place with the
+    map's record (``items`` counts only the tasks computed here) plus
+    ``resumed``, the number of tasks read back from the journal."""
+    journal: SweepJournal | None = None
+    done: dict = {}
+    if config.use_cache:
+        journal = SweepJournal.for_sweep(
+            sweep, params, journal_dir(config.cache_dir)
+        )
+        if config.resume:
+            done = journal.load()
+        else:
+            journal.reset()
+    todo = [key for key in tasks if key not in done]
+    on_result = None
+    if journal is not None:
+        on_result = lambda i, result: journal.record(todo[i], result)
+    meta = {} if meta is None else meta
+    fresh = parallel_map(
+        partial(_run_task, fn, config.for_tasks(len(todo))),
+        [tasks[key] for key in todo],
+        config.effective_jobs,
+        meta=meta, config=config, on_result=on_result,
+    )
+    meta["resumed"] = len(tasks) - len(todo)
+    results = {**done, **dict(zip(todo, fresh))}
+    return {key: results[key] for key in tasks}
 
 
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "SweepJournal",
-    "default_journal_dir",
+    "journal_dir",
     "journals_info",
     "list_journals",
-    "open_sweep_journal",
+    "run_sweep",
     "sweep_key",
 ]

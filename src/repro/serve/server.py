@@ -55,7 +55,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.exec.journal import SweepJournal, default_journal_dir
+from repro.exec.cache import default_cache_dir
+from repro.exec.journal import SweepJournal, journal_dir
 from repro.exec.pool import (
     JobRejected,
     Overloaded,
@@ -83,7 +84,7 @@ def default_socket_path(cache_dir: str | Path | None = None) -> str:
     """``<cache root>/serve.sock`` — the unix socket lives next to the
     profile cache and journals so one ``--cache-dir`` relocates all
     persistent and rendezvous state together."""
-    root = Path(cache_dir) if cache_dir else default_journal_dir().parent
+    root = Path(cache_dir) if cache_dir else default_cache_dir()
     return str(root / "serve.sock")
 
 
@@ -175,12 +176,9 @@ class Server:
         self._journal: SweepJournal | None = None
         self._journal_results: dict[str, dict] = {}
         if self.config.journal:
-            root = (
-                Path(self.config.cache_dir) / "journals"
-                if self.config.cache_dir else default_journal_dir()
-            )
             self._journal = SweepJournal.for_sweep(
-                "serve", ("results", RESULTS_VERSION), root
+                "serve", ("results", RESULTS_VERSION),
+                journal_dir(self.config.cache_dir),
             )
             loaded = self._journal.load()
             self._journal_results = {

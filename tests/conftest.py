@@ -11,6 +11,14 @@ from repro.trace import BlockTrace, KernelTrace, LaunchTrace, is_dram_op
 from repro.workloads.base import LaunchSpec, Segment, build_kernel
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cache_root(monkeypatch, tmp_path):
+    """Point the default cache root at the test's own ``tmp_path``, so no
+    test (nor a subprocess it starts) writes profiles or journals to
+    the user's cache."""
+    monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
+
+
 @pytest.fixture
 def small_gpu() -> GPUConfig:
     """A 4-SM machine: fast to simulate, still multi-SM."""

@@ -58,6 +58,10 @@ USAGE_ERRORS = {
     ],
     "request-port-without-host": ["request", "ping", "--port", "5"],
     "request-host-without-port": ["request", "ping", "--host", "127.0.0.1"],
+    "resume-no-cache": [
+        "--resume", "--no-cache", "--scale", "0.02", "headline", "stream",
+    ],
+    "run-resume": ["--resume", "--scale", "0.02", "run", "stream"],
 }
 
 
@@ -101,9 +105,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "err(tbp)" in out and "stream" in out
 
-    def test_headline_prints_geomean_rows(self, capsys, monkeypatch, tmp_path):
-        # The sweep journals even with --no-cache; keep it out of ~/.cache.
-        monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
+    def test_headline_prints_geomean_rows(self, capsys):
         assert main(
             ["--jobs", "1", "--no-cache", "--scale", "0.02", "headline", "stream"]
         ) == 0
@@ -120,6 +122,15 @@ class TestCommands:
         # The geomean of one kernel is that kernel's own figure.
         for i, technique in enumerate(("random", "ideal-simpoint", "tbpoint")):
             assert geomeans[technique] == [errors[i], sizes[i]], technique
+
+    @pytest.mark.parametrize(
+        "command", [["headline", "stream"], ["scaling", "stream", "--scales", "0.02"]],
+        ids=["headline", "scaling"],
+    )
+    def test_no_cache_sweep_leaves_cache_root_empty(self, command, tmp_path):
+        # The autouse fixture makes tmp_path the default cache root.
+        assert main(["--jobs", "1", "--no-cache", "--scale", "0.02", *command]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_breakdown_subset(self, capsys):
         assert main(["--scale", "0.02", "breakdown", "stream"]) == 0

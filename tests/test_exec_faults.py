@@ -332,7 +332,7 @@ class TestSweepChaos:
             SWEEP_KERNELS, EXPERIMENT,
             exec_config=_cfg(
                 jobs=2, use_cache=True, cache_dir=cache_dir,
-                fault_plan=plan, journal=True,
+                fault_plan=plan,
             ),
         )
         assert _sweep_fingerprint(chaotic) == _sweep_fingerprint(clean_sweep)
@@ -348,8 +348,7 @@ class TestSweepChaos:
         cache_dir = str(tmp_path / "cache")
         fatal = raise_plan(*[(3, a) for a in range(2 + RETRIES)])
         cfg = _cfg(
-            jobs=2, use_cache=True, cache_dir=cache_dir,
-            journal=True, fault_plan=fatal,
+            jobs=2, use_cache=True, cache_dir=cache_dir, fault_plan=fatal,
         )
         with pytest.raises(InjectedFault):
             run_fig9_fig10(SWEEP_KERNELS, EXPERIMENT, exec_config=cfg)
@@ -406,9 +405,7 @@ class TestScalingResume:
 
         cache_dir = str(tmp_path / "cache")
         scales = (0.0625, 0.125)
-        cfg = ExecutionConfig(
-            jobs=1, use_cache=True, cache_dir=cache_dir, journal=True
-        )
+        cfg = ExecutionConfig(jobs=1, use_cache=True, cache_dir=cache_dir)
         clean = run_scaling("stream", scales=scales, exec_config=cfg)
 
         resumed = run_scaling(

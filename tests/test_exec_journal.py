@@ -14,9 +14,9 @@ import json
 
 import pytest
 
-from repro.config import GPUConfig, SamplingConfig
-from repro.exec import ExecutionConfig, SweepJournal, open_sweep_journal
-from repro.exec.journal import default_journal_dir, sweep_key
+from repro.config import ExperimentConfig, GPUConfig, SamplingConfig
+from repro.exec import ExecutionConfig, SweepJournal, run_sweep
+from repro.exec.journal import journal_dir, sweep_key
 
 
 @pytest.fixture
@@ -123,57 +123,137 @@ class TestSweepKey:
         assert j.path.name == f"{sweep_key('fig9', ('p',))}.jsonl"
 
 
-class TestOpenSweepJournal:
-    def test_disabled_by_default(self):
-        journal, done = open_sweep_journal("fig9", ("p",), ExecutionConfig())
-        assert journal is None
-        assert done == {}
+def _double(item: int, config: ExecutionConfig) -> int:
+    return 2 * item
+
+
+def _refuse(item: int, config: ExecutionConfig) -> int:
+    raise AssertionError(f"task {item} recomputed")
+
+
+class TestRunSweep:
+    def test_no_journal_without_the_cache(self, tmp_path):
+        cfg = ExecutionConfig(use_cache=False, cache_dir=str(tmp_path))
+        meta: dict = {}
+        got = run_sweep("fig9", ("p",), {"a": 1, "b": 2}, _double, cfg, meta)
+        assert got == {"a": 2, "b": 4}
+        assert meta["items"] == 2 and meta["resumed"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_results_in_input_order(self, tmp_path):
+        cfg = ExecutionConfig(cache_dir=str(tmp_path))
+        got = run_sweep("fig9", ("p",), {"b": 2, "a": 1}, _double, cfg)
+        assert list(got.items()) == [("b", 4), ("a", 2)]
 
     def test_fresh_run_resets(self, tmp_path):
-        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path))
-        journal, done = open_sweep_journal("fig9", ("p",), cfg)
-        assert done == {}
-        journal.record("stream", 1)
-        # A second non-resume run of the same sweep starts clean.
-        journal2, done2 = open_sweep_journal("fig9", ("p",), cfg)
-        assert done2 == {}
-        assert journal2.load() == {}
+        cfg = ExecutionConfig(cache_dir=str(tmp_path))
+        journal = SweepJournal.for_sweep("fig9", ("p",), tmp_path / "journals")
+        journal.record("stale", 99)
+        journal.record("a", 99)
+        got = run_sweep("fig9", ("p",), {"a": 1}, _double, cfg)
+        # A non-resume run starts its journal clean: nothing stale is
+        # reused, and only this run's tasks are recorded.
+        assert got == {"a": 2}
+        assert journal.load() == {"a": 2}
 
     def test_resume_returns_completed(self, tmp_path):
-        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path))
-        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
-        journal.record("stream", 1)
-        _, done = open_sweep_journal(
-            "fig9", ("p",), cfg.with_(resume=True)
+        cfg = ExecutionConfig(cache_dir=str(tmp_path))
+        run_sweep("fig9", ("p",), {"a": 1}, _double, cfg)
+        meta: dict = {}
+        got = run_sweep(
+            "fig9", ("p",), {"a": 1, "b": 2}, _double, cfg.with_(resume=True),
+            meta,
         )
-        assert done == {"stream": 1}
+        assert got == {"a": 2, "b": 4}
+        assert meta["items"] == 1 and meta["resumed"] == 1
+        meta = {}
+        again = run_sweep(
+            "fig9", ("p",), {"a": 1, "b": 2}, _refuse, cfg.with_(resume=True),
+            meta,
+        )
+        assert again == got
+        assert meta["items"] == 0 and meta["resumed"] == 2
 
-    def test_resume_alone_enables_journal(self, tmp_path):
-        cfg = ExecutionConfig(resume=True, cache_dir=str(tmp_path))
-        journal, done = open_sweep_journal("fig9", ("p",), cfg)
-        assert journal is not None
-        assert done == {}
+    def test_resume_needs_the_cache(self):
+        with pytest.raises(ValueError, match="use_cache"):
+            ExecutionConfig(use_cache=False, resume=True)
 
     def test_cache_dir_relocates_journals(self, tmp_path):
-        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path / "cache"))
-        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
-        assert journal.path.parent == tmp_path / "cache" / "journals"
+        cfg = ExecutionConfig(cache_dir=str(tmp_path / "cache"))
+        run_sweep("fig9", ("p",), {"a": 1}, _double, cfg)
+        journal = SweepJournal.for_sweep(
+            "fig9", ("p",), tmp_path / "cache" / "journals"
+        )
+        assert journal.load() == {"a": 2}
 
     def test_cache_dir_beats_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path / "env"))
-        cfg = ExecutionConfig(journal=True, cache_dir=str(tmp_path / "cache"))
-        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
-        assert journal.path.parent == tmp_path / "cache" / "journals"
+        cfg = ExecutionConfig(cache_dir=str(tmp_path / "cache"))
+        run_sweep("fig9", ("p",), {"a": 1}, _double, cfg)
+        assert (tmp_path / "cache" / "journals").is_dir()
+        assert not (tmp_path / "env").exists()
 
     def test_no_cache_dir_journals_under_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
-        cfg = ExecutionConfig(journal=True)
-        journal, _ = open_sweep_journal("fig9", ("p",), cfg)
-        assert journal.path.parent == tmp_path / "journals"
+        run_sweep("fig9", ("p",), {"a": 1}, _double, ExecutionConfig())
+        journal = SweepJournal.for_sweep("fig9", ("p",), tmp_path / "journals")
+        assert journal.load() == {"a": 2}
 
-    def test_default_journal_dir_under_cache_root(self, monkeypatch, tmp_path):
+    def test_journal_dir_under_cache_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TBPOINT_CACHE_DIR", str(tmp_path))
-        assert default_journal_dir() == tmp_path / "journals"
+        assert journal_dir() == tmp_path / "journals"
+        assert journal_dir(tmp_path / "x") == tmp_path / "x" / "journals"
+
+
+EXPERIMENT = ExperimentConfig(scale=0.02)
+
+
+def _breakdown(meta, exec_config):
+    from repro.analysis.experiments import run_breakdown
+
+    return run_breakdown(
+        ("stream",), EXPERIMENT, exec_config=exec_config, meta=meta
+    )
+
+
+def _sensitivity(meta, exec_config):
+    from repro.analysis.experiments import run_sensitivity
+
+    return run_sensitivity(
+        ("stream",), configs=((48, 14),), experiment=EXPERIMENT,
+        exec_config=exec_config, meta=meta,
+    )
+
+
+def _scaling(meta, exec_config):
+    from repro.analysis.scaling import run_scaling
+
+    return run_scaling(
+        "stream", scales=(0.02,), exec_config=exec_config, meta=meta
+    )
+
+
+class TestSweepDrivers:
+    @pytest.mark.parametrize(
+        "driver", [_breakdown, _sensitivity, _scaling],
+        ids=["breakdown", "sensitivity", "scaling"],
+    )
+    def test_driver_reports_exec_meta(self, driver, tmp_path):
+        meta: dict = {}
+        driver(meta, ExecutionConfig(jobs=1, cache_dir=str(tmp_path)))
+        assert meta["path"] == "serial"
+        assert meta["items"] == 1
+        assert meta["resumed"] == 0
+
+    def test_breakdown_resumes(self, tmp_path):
+        cfg = ExecutionConfig(jobs=1, cache_dir=str(tmp_path))
+        first = _breakdown({}, cfg)
+        meta: dict = {}
+        resumed = _breakdown(meta, cfg.with_(resume=True))
+        assert meta["items"] == 0 and meta["resumed"] == 1
+        assert [
+            (r.overall_ipc, r.sample_size, r.skip_breakdown()) for r in resumed
+        ] == [(r.overall_ipc, r.sample_size, r.skip_breakdown()) for r in first]
 
 
 class TestListJournals:

@@ -403,14 +403,11 @@ class TestSweepFanOut:
         from repro.exec import raise_plan
 
         outer = ExecutionConfig(
-            jobs=2, journal=True, resume=True, fault_plan=raise_plan((0, 0)),
-            retries=5,
+            jobs=2, resume=True, fault_plan=raise_plan((0, 0)), retries=5,
         )
         for tasks in (1, 2):
             inner = outer.for_tasks(tasks)
-            assert (inner.journal, inner.resume, inner.fault_plan) == (
-                False, False, None
-            )
+            assert (inner.resume, inner.fault_plan) == (False, None)
             assert inner.retries == 5
 
     @pytest.mark.slow
@@ -453,7 +450,7 @@ class TestSweepFanOut:
         experiment = ExperimentConfig(scale=0.02)
         kernels = ("stream", "hotspot", "mst")
         cfg = ExecutionConfig(
-            jobs=1, use_cache=False, cache_dir=str(tmp_path), journal=True,
+            jobs=1, use_cache=True, cache_dir=str(tmp_path),
             retries=0, fault_plan=raise_plan((2, 0)),
         )
         with pytest.raises(InjectedFault):
