@@ -6,7 +6,6 @@
   error, the knob behaviour Section III describes.
 * Sampling-level ablation: inter-only vs intra-only vs both (they are
   orthogonal, per Table IV's note).
-* BBV-augmented features: the paper's footnote-2 future-work extension.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.config import SamplingConfig
 from repro.core.estimates import sampling_error
 from repro.core.features import FEATURE_NAMES
 from repro.core.pipeline import run_tbpoint
-from repro.profiler import launch_bbvs, profile_kernel
+from repro.profiler import profile_kernel
 from repro.workloads import get_workload
 
 from conftest import emit
@@ -114,100 +113,4 @@ def test_sampling_level_ablation(benchmark, setup):
         ["levels", "error", "sample"],
         rows,
         title=f"Orthogonal sampling levels ({ABLATION_KERNEL})",
-    ))
-
-
-def test_clustering_algorithm_ablation(benchmark, setup):
-    """Section III's design choice: hierarchical-with-threshold vs
-    k-means-with-BIC for inter-launch clustering."""
-    import numpy as np
-
-    from repro.core.estimates import compose_kernel_estimate
-    from repro.core.interlaunch import plan_inter_launch, plan_inter_launch_kmeans
-    from repro.sim import GPUSimulator
-
-    kernel, profile, full = setup
-
-    def sweep():
-        rows = []
-        sim = GPUSimulator()
-        for label, plan in (
-            ("hierarchical (sigma)", plan_inter_launch(profile)),
-            ("k-means + BIC",
-             plan_inter_launch_kmeans(profile, rng=np.random.default_rng(0))),
-        ):
-            reps = {
-                lid: sim.run_launch(kernel.launches[lid])
-                for lid in plan.simulated_launches
-            }
-            est = compose_kernel_estimate(profile, plan, reps)
-            rows.append(
-                (label, plan.num_clusters,
-                 f"{sampling_error(est.overall_ipc, full.overall_ipc):.2%}",
-                 f"{est.sample_size:.2%}")
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(render_table(
-        ["clustering", "clusters", "error", "sample"],
-        rows,
-        title=f"Inter-launch clustering algorithm ({ABLATION_KERNEL})",
-    ))
-
-
-def test_systematic_baseline(benchmark, setup):
-    """Related-work comparison: systematic (periodic) sampling."""
-    import numpy as np
-
-    from repro.baselines import estimate_random, estimate_systematic, run_full
-
-    kernel, profile, full_plain = setup
-
-    def sweep():
-        unit = max(2_000, profile.total_warp_insts // 100)
-        full = run_full(kernel, unit_insts=unit, record_bbv=False)
-        rng = np.random.default_rng(0)
-        sys_est = estimate_systematic(full, period=10, rng=rng)
-        rnd_est = estimate_random(full, 0.10, rng)
-        return [
-            ("systematic (1-in-10)",
-             f"{sampling_error(sys_est.overall_ipc, full.overall_ipc):.2%}",
-             f"{sys_est.sample_size:.2%}"),
-            ("random (10%)",
-             f"{sampling_error(rnd_est.overall_ipc, full.overall_ipc):.2%}",
-             f"{rnd_est.sample_size:.2%}"),
-        ]
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(render_table(
-        ["technique", "error", "sample"],
-        rows,
-        title=f"Systematic vs random sampling ({ABLATION_KERNEL})",
-    ))
-
-
-def test_bbv_feature_extension(benchmark, setup):
-    """Footnote 2: append per-launch BBVs to the Eq. 2 features."""
-    kernel, profile, full = setup
-
-    def sweep():
-        base = run_tbpoint(kernel, profile=profile)
-        extra = launch_bbvs(kernel, weight=1.0)
-        augmented = run_tbpoint(kernel, profile=profile, extra_features=extra)
-        return [
-            ("Eq. 2 features", base.plan.num_clusters,
-             f"{sampling_error(base.overall_ipc, full.overall_ipc):.2%}",
-             f"{base.sample_size:.2%}"),
-            ("Eq. 2 + BBV", augmented.plan.num_clusters,
-             f"{sampling_error(augmented.overall_ipc, full.overall_ipc):.2%}",
-             f"{augmented.sample_size:.2%}"),
-        ]
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(render_table(
-        ["feature set", "clusters", "error", "sample"],
-        rows,
-        title=f"Footnote-2 extension: BBV as an extra feature "
-              f"({ABLATION_KERNEL})",
     ))

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.analysis.experiments import FIG5_CONFIGS, run_fig5_model
 from repro.analysis.report import render_table
+from repro.model import ipc_from_steady_state, steady_state, transition_matrix
 
 from conftest import emit
 
@@ -46,7 +47,6 @@ def test_fig5_ipc_variation(benchmark):
 
 def test_markov_chain_throughput(benchmark):
     """Micro-benchmark: building and solving one Eq. 3 chain (N = 8)."""
-    from repro.model import ipc_from_steady_state, steady_state, transition_matrix
 
     def solve():
         T = transition_matrix(0.1, 400.0, 8)

@@ -32,7 +32,6 @@ from repro.exec import ExecutionConfig, ProfileCache
 from repro.baselines import (
     estimate_random,
     estimate_simpoint,
-    estimate_systematic,
     run_full,
 )
 from repro.profiler import profile_kernel, profile_launch
@@ -54,7 +53,6 @@ __all__ = [
     "run_full",
     "estimate_random",
     "estimate_simpoint",
-    "estimate_systematic",
     "profile_kernel",
     "profile_launch",
     "GPUSimulator",

@@ -210,6 +210,21 @@ def cmd_sensitivity(args: argparse.Namespace) -> None:
 
 def cmd_scaling(args: argparse.Namespace) -> None:
     from repro.analysis.scaling import run_scaling
+    from repro.workloads import get_workload
+
+    # Small kernels have block-count floors, so two scales can build the
+    # same workload; sweeping both would print one row twice.  Building
+    # a kernel is lazy (no block is synthesized), so checking is free.
+    seen: dict[tuple[int, ...], float] = {}
+    for scale in args.scales:
+        kernel = get_workload(args.kernel, scale=scale, seed=args.seed)
+        blocks = tuple(l.num_blocks for l in kernel.launches)
+        if blocks in seen:
+            raise UsageError(
+                f"scales {seen[blocks]:g} and {scale:g} build the same "
+                f"{args.kernel} workload ({kernel.num_blocks} blocks)"
+            )
+        seen[blocks] = scale
 
     points = run_scaling(
         args.kernel, scales=tuple(args.scales), seed=args.seed,

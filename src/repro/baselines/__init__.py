@@ -13,7 +13,6 @@
 from repro.baselines.full import FullRunResult, run_full
 from repro.baselines.random_sampling import BaselineEstimate, estimate_random
 from repro.baselines.simpoint import SimpointEstimate, estimate_simpoint
-from repro.baselines.systematic import estimate_systematic
 
 __all__ = [
     "FullRunResult",
@@ -22,5 +21,4 @@ __all__ = [
     "estimate_random",
     "SimpointEstimate",
     "estimate_simpoint",
-    "estimate_systematic",
 ]

@@ -64,14 +64,10 @@ def _simulate_full_launch(task) -> tuple[LaunchResult, list[UnitRecord]]:
     worker or in this process alike (launch timings are
     order-independent because the memory hierarchy is reset per
     launch)."""
-    launch, gpu, unit_insts, record_bbv = task
+    launch, gpu, unit_insts = task
     recorder = None
     if unit_insts is not None:
-        recorder = FixedUnitRecorder(
-            unit_insts=unit_insts,
-            num_bbs=launch.num_bbs,
-            record_bbv=record_bbv,
-        )
+        recorder = FixedUnitRecorder(unit_insts=unit_insts, num_bbs=launch.num_bbs)
     result = get_simulator(gpu).run_launch(launch, recorder=recorder)
     return result, recorder.units if recorder is not None else []
 
@@ -81,7 +77,6 @@ def run_full(
     gpu: GPUConfig | None = None,
     *,
     unit_insts: int | None = None,
-    record_bbv: bool = True,
     exec_config: ExecutionConfig | None = None,
 ) -> FullRunResult:
     """Simulate every launch of ``kernel`` in full.
@@ -97,9 +92,6 @@ def run_full(
         machine-wide warp instructions (units never span launches, since
         launches are serialized and timed independently).  ``None``
         skips unit recording (faster).
-    record_bbv:
-        Collect per-unit basic-block vectors (needed by Ideal-SimPoint,
-        not by Random).
     exec_config:
         Batch execution: the launches go through ``parallel_map``, so
         with ``jobs > 1`` they are simulated in worker processes and
@@ -109,7 +101,7 @@ def run_full(
     gpu = gpu or GPUConfig()
     exec_config = exec_config or DEFAULT_EXECUTION
 
-    tasks = [(l, gpu, unit_insts, record_bbv) for l in kernel.launches]
+    tasks = [(l, gpu, unit_insts) for l in kernel.launches]
     exec_meta: dict = {}
     outcomes = parallel_map(
         _simulate_full_launch, tasks, exec_config.effective_jobs,

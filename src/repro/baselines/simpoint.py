@@ -29,10 +29,8 @@ class SimpointEstimate(BaselineEstimate):
 
 def _bbv_matrix(full: FullRunResult) -> np.ndarray:
     rows = []
-    width = max(len(u.bbv) for u in full.units if u.bbv is not None)
+    width = max(len(u.bbv) for u in full.units)
     for u in full.units:
-        if u.bbv is None:
-            raise ValueError("full run did not record BBVs")
         row = np.zeros(width, dtype=np.float64)
         row[: len(u.bbv)] = u.bbv
         total = row.sum()

@@ -65,7 +65,6 @@ def plan_inter_launch(
     profile: KernelProfile,
     config: SamplingConfig | None = None,
     include: tuple[bool, bool, bool, bool] | None = None,
-    extra_features: np.ndarray | None = None,
 ) -> InterLaunchPlan:
     """Cluster a kernel's launches and select representatives.
 
@@ -77,58 +76,15 @@ def plan_inter_launch(
         Sampling parameters (uses ``inter_threshold``).
     include:
         Optional Eq. 2 feature mask (ablation).
-    extra_features:
-        Optional (num_launches, d) matrix appended to the Eq. 2 features
-        — the paper's footnote-2 extension of adding the BBV as another
-        feature.  Columns should already be comparable in magnitude.
     """
     config = config or SamplingConfig()
     feats = inter_feature_matrix(profile, include=include)
-    if extra_features is not None:
-        extra = np.asarray(extra_features, dtype=np.float64)
-        if extra.ndim != 2 or len(extra) != len(feats):
-            raise ValueError("extra_features must be (num_launches, d)")
-        feats = np.hstack([feats, extra])
     result: ClusterResult = hierarchical_cluster(feats, config.inter_threshold)
     return InterLaunchPlan(
         labels=result.labels,
         representatives=result.representatives,
         features=feats,
     )
-
-
-def plan_inter_launch_kmeans(
-    profile: KernelProfile,
-    max_k: int = 10,
-    rng: np.random.Generator | None = None,
-) -> InterLaunchPlan:
-    """The design alternative the paper rejects (Section III): cluster
-    the Eq. 2 features with k-means, choosing k by BIC, instead of
-    hierarchical clustering with a distance threshold.
-
-    Implemented for the ablation benches: it needs a second index (BIC)
-    to pick k and gives no bound on intra-cluster spread, which is why
-    the paper prefers the sigma-threshold formulation."""
-    import numpy as _np
-
-    from repro.cluster.kmeans import select_k_bic
-
-    feats = inter_feature_matrix(profile)
-    rng = rng or _np.random.default_rng(0)
-    run = select_k_bic(feats, max_k=min(max_k, len(feats)), rng=rng)
-    labels = run.labels.astype(_np.int64)
-    # Renumber contiguously (BIC may leave empty clusters) and pick the
-    # member closest to each centroid as the representative.
-    remap: dict[int, int] = {}
-    new_labels = _np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        new_labels[i] = remap.setdefault(int(lab), len(remap))
-    reps = _np.empty(len(remap), dtype=_np.int64)
-    for old, new in remap.items():
-        members = _np.flatnonzero(new_labels == new)
-        d = _np.linalg.norm(feats[members] - run.centroids[old], axis=1)
-        reps[new] = members[int(_np.argmin(d))]
-    return InterLaunchPlan(labels=new_labels, representatives=reps, features=feats)
 
 
 def trivial_plan(profile: KernelProfile) -> InterLaunchPlan:
@@ -146,6 +102,5 @@ def trivial_plan(profile: KernelProfile) -> InterLaunchPlan:
 __all__ = [
     "InterLaunchPlan",
     "plan_inter_launch",
-    "plan_inter_launch_kmeans",
     "trivial_plan",
 ]

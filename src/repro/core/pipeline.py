@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import GPUConfig, SamplingConfig
 from repro.core.epochs import build_epochs
 from repro.core.estimates import KernelEstimate, compose_kernel_estimate
@@ -124,7 +122,6 @@ def run_tbpoint(
     use_inter: bool = True,
     use_intra: bool = True,
     feature_mask: tuple[bool, bool, bool, bool] | None = None,
-    extra_features: np.ndarray | None = None,
     exec_config: ExecutionConfig | None = None,
 ) -> TBPointResult:
     """Run TBPoint on one kernel and return the composed estimate.
@@ -143,9 +140,8 @@ def run_tbpoint(
         valid across GPU configurations, per Section V-C).
     use_inter / use_intra:
         Enable/disable the two orthogonal sampling levels.
-    feature_mask / extra_features:
-        Forwarded to :func:`plan_inter_launch` for ablation studies and
-        the BBV-feature extension.
+    feature_mask:
+        Forwarded to :func:`plan_inter_launch` for the feature ablation.
     exec_config:
         Batch execution: worker count for fanning representative-launch
         simulations across processes, and whether to consult the
@@ -164,9 +160,7 @@ def run_tbpoint(
         profile = cached_profile(kernel, exec_config)
 
     if use_inter:
-        plan = plan_inter_launch(
-            profile, sampling, include=feature_mask, extra_features=extra_features
-        )
+        plan = plan_inter_launch(profile, sampling, include=feature_mask)
     else:
         plan = trivial_plan(profile)
 

@@ -15,13 +15,10 @@ from repro.profiler.functional import (
     profile_kernel,
     profile_launch,
 )
-from repro.profiler.bbv import launch_bbv, launch_bbvs
 
 __all__ = [
     "LaunchProfile",
     "KernelProfile",
     "profile_launch",
     "profile_kernel",
-    "launch_bbv",
-    "launch_bbvs",
 ]

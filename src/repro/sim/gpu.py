@@ -238,7 +238,8 @@ class UnitRecord:
     start_cycle: int
     end_cycle: int
     insts: int
-    bbv: np.ndarray | None = None
+    #: Executed warp instructions per basic block (the unit's BBV).
+    bbv: np.ndarray
 
     @property
     def cycles(self) -> int:
@@ -256,7 +257,7 @@ class UnitRecord:
 
 class FixedUnitRecorder:
     """Slices a run into units of ``unit_insts`` machine-wide warp
-    instructions, recording per-unit IPC and (optionally) the BBV.
+    instructions, recording per-unit IPC and the BBV.
 
     This reproduces the measurement the paper's baselines need: "we
     collect IPC for every sampling unit with one million instructions"
@@ -264,14 +265,13 @@ class FixedUnitRecorder:
     (Ideal-SimPoint).
     """
 
-    def __init__(self, unit_insts: int, num_bbs: int, record_bbv: bool = True):
+    def __init__(self, unit_insts: int, num_bbs: int):
         if unit_insts < 1:
             raise ValueError("unit_insts must be positive")
         if num_bbs < 1:
             raise ValueError("num_bbs must be positive")
         self.unit_insts = unit_insts
         self.num_bbs = num_bbs
-        self.record_bbv = record_bbv
         self.units: list[UnitRecord] = []
         self._start = 0
         self.cur_bbv = np.zeros(num_bbs, dtype=np.int64)
@@ -281,10 +281,8 @@ class FixedUnitRecorder:
         instructions and open the next one.  Returns the fresh (zeroed)
         accumulator so hot loops can rebind their local BBV view from
         the return value instead of re-reading ``cur_bbv``."""
-        bbv = None
-        if self.record_bbv:
-            bbv = self.cur_bbv
-            self.cur_bbv = np.zeros(self.num_bbs, dtype=np.int64)
+        bbv = self.cur_bbv
+        self.cur_bbv = np.zeros(self.num_bbs, dtype=np.int64)
         self.units.append(
             UnitRecord(start_cycle=self._start, end_cycle=now, insts=insts, bbv=bbv)
         )
@@ -295,26 +293,6 @@ class FixedUnitRecorder:
         """Close a trailing partial unit, if any instructions remain."""
         if leftover > 0:
             self.flush(now, leftover)
-
-    @property
-    def ipcs(self) -> np.ndarray:
-        return np.array([u.ipc for u in self.units])
-
-    @property
-    def cpis(self) -> np.ndarray:
-        return np.array([u.cpi for u in self.units])
-
-    def bbv_matrix(self, normalize: bool = True) -> np.ndarray:
-        """(num_units, num_bbs) matrix of basic-block vectors; rows are
-        normalized by the unit's instruction count (Eq. 1's BBV)."""
-        if not self.record_bbv:
-            raise ValueError("recorder was created with record_bbv=False")
-        mat = np.stack([u.bbv for u in self.units]).astype(np.float64)
-        if normalize:
-            totals = mat.sum(axis=1, keepdims=True)
-            totals[totals == 0] = 1.0
-            mat /= totals
-        return mat
 
 
 @dataclass

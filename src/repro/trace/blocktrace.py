@@ -130,11 +130,5 @@ class BlockTrace:
             if self.mem_req.max() > WARP_WIDTH:
                 raise ValueError("more than 32 transactions in one instruction")
 
-    def bb_counts(self, num_bbs: int) -> np.ndarray:
-        """Executed warp-instruction counts per basic block, summed over
-        the block's warps."""
-        counts = np.bincount(self.bb, minlength=num_bbs).astype(np.int64)
-        return counts * len(self)
-
 
 __all__ = ["BlockTrace", "BlockStats"]

@@ -1,10 +1,14 @@
 """Tests for the Full / Random / Ideal-SimPoint baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.baselines import estimate_random, estimate_simpoint, run_full
+from repro.baselines.simpoint import _bbv_matrix
 from repro.config import GPUConfig
+from repro.sim import UnitRecord
 
 from tests.conftest import make_uniform_kernel
 from repro.workloads.base import LaunchSpec, Segment, build_kernel
@@ -117,11 +121,20 @@ class TestSimpointBaseline:
         est = estimate_simpoint(full, max_k=8, rng=np.random.default_rng(3))
         assert len({c for c in est.labels}) >= 2
 
-    def test_rejects_run_without_bbvs(self, gpu):
-        kernel = make_uniform_kernel(num_launches=1)
-        full = run_full(kernel, gpu, unit_insts=2000, record_bbv=False)
-        with pytest.raises(ValueError):
-            estimate_simpoint(full)
+    def test_bbv_matrix_normalized(self, full_run):
+        mat = _bbv_matrix(full_run)
+        assert mat.shape[0] == len(full_run.units)
+        np.testing.assert_allclose(mat.sum(axis=1), 1.0)
+
+    def test_bbv_matrix_pads_to_widest_unit(self):
+        # Launches with different basic-block counts give BBVs of
+        # different lengths; the matrix zero-pads the shorter ones.
+        units = [
+            UnitRecord(start_cycle=0, end_cycle=5, insts=3, bbv=np.array([1, 2])),
+            UnitRecord(start_cycle=5, end_cycle=9, insts=4, bbv=np.array([0, 0, 4])),
+        ]
+        mat = _bbv_matrix(SimpleNamespace(units=units))
+        np.testing.assert_allclose(mat, [[1 / 3, 2 / 3, 0.0], [0.0, 0.0, 1.0]])
 
     def test_rejects_unitless_run(self, gpu):
         kernel = make_uniform_kernel(num_launches=1)

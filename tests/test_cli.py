@@ -3,6 +3,7 @@
 import pytest
 
 from repro._cli import build_parser, main
+from repro.workloads import get_workload
 
 
 class TestParser:
@@ -62,6 +63,7 @@ USAGE_ERRORS = {
         "--resume", "--no-cache", "--scale", "0.02", "headline", "stream",
     ],
     "run-resume": ["--resume", "--scale", "0.02", "run", "stream"],
+    "scaling-clamped-scales": ["scaling", "stream", "--scales", "0.02", "0.03"],
 }
 
 
@@ -73,6 +75,29 @@ def test_usage_errors_exit_2(case, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "Traceback" not in err
+
+
+def test_scaling_clamp_names_scales_and_blocks(capsys):
+    blocks = get_workload("stream", scale=0.02).num_blocks
+    assert get_workload("stream", scale=0.03).num_blocks == blocks
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "stream", "--scales", "0.02", "0.03"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "scales 0.02 and 0.03" in err
+    assert f"({blocks} blocks)" in err
+
+
+def test_scaling_distinct_scales_reach_the_sweep(monkeypatch):
+    import repro.analysis.scaling
+
+    swept = []
+    monkeypatch.setattr(
+        repro.analysis.scaling, "run_scaling",
+        lambda kernel, scales, **kw: swept.append((kernel, scales)) or [],
+    )
+    assert main(["scaling", "lbm", "--scales", "0.03", "0.0625"]) == 0
+    assert swept == [("lbm", (0.03, 0.0625))]
 
 
 class TestCommands:

@@ -1,8 +1,5 @@
 """Tests for inter-launch sampling (Section III)."""
 
-import numpy as np
-import pytest
-
 from repro.config import SamplingConfig
 from repro.core.interlaunch import plan_inter_launch, trivial_plan
 from repro.profiler import profile_kernel
@@ -70,20 +67,6 @@ class TestPlanInterLaunch:
         profile = profile_kernel(two_cluster_kernel())
         plan = plan_inter_launch(profile)
         assert plan.cluster_sizes().sum() == plan.num_launches
-
-    def test_extra_features_can_split_clusters(self):
-        profile = profile_kernel(make_uniform_kernel(num_launches=4))
-        # A synthetic BBV-style extra feature separating launch 0.
-        extra = np.zeros((4, 1))
-        extra[0, 0] = 10.0
-        plan = plan_inter_launch(profile, extra_features=extra)
-        assert plan.num_clusters == 2
-        assert plan.cluster_sizes().min() == 1
-
-    def test_extra_features_shape_checked(self):
-        profile = profile_kernel(make_uniform_kernel(num_launches=4))
-        with pytest.raises(ValueError):
-            plan_inter_launch(profile, extra_features=np.zeros((3, 1)))
 
 
 class TestTrivialPlan:

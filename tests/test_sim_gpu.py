@@ -229,6 +229,18 @@ class TestFixedUnitRecorder:
         for u in rec.units:
             assert u.bbv.sum() == u.insts
 
+    def test_bbv_counts_executed_basic_blocks(self, small_gpu):
+        kernel = make_uniform_kernel(num_launches=1)
+        launch = kernel.launches[0]
+        rec = FixedUnitRecorder(unit_insts=400, num_bbs=launch.num_bbs)
+        GPUSimulator(small_gpu).run_launch(launch, recorder=rec)
+        # Every warp of a block runs the block's one instruction stream.
+        expected = np.zeros(launch.num_bbs, dtype=np.int64)
+        for tb_id in range(launch.num_blocks):
+            block = launch.block(tb_id)
+            expected += np.bincount(block.bb, minlength=launch.num_bbs) * len(block)
+        np.testing.assert_array_equal(sum(u.bbv for u in rec.units), expected)
+
     def test_unit_cycles_positive_and_contiguous(self, small_gpu):
         kernel = make_uniform_kernel(num_launches=1)
         launch = kernel.launches[0]
@@ -237,25 +249,6 @@ class TestFixedUnitRecorder:
         for prev, cur in zip(rec.units, rec.units[1:]):
             assert cur.start_cycle == prev.end_cycle
         assert all(u.cycles > 0 for u in rec.units)
-
-    def test_bbv_matrix_normalized(self, small_gpu):
-        kernel = make_uniform_kernel(num_launches=1)
-        launch = kernel.launches[0]
-        rec = FixedUnitRecorder(unit_insts=500, num_bbs=launch.num_bbs)
-        GPUSimulator(small_gpu).run_launch(launch, recorder=rec)
-        mat = rec.bbv_matrix()
-        np.testing.assert_allclose(mat.sum(axis=1), 1.0)
-
-    def test_record_bbv_false(self, small_gpu):
-        kernel = make_uniform_kernel(num_launches=1)
-        launch = kernel.launches[0]
-        rec = FixedUnitRecorder(
-            unit_insts=500, num_bbs=launch.num_bbs, record_bbv=False
-        )
-        GPUSimulator(small_gpu).run_launch(launch, recorder=rec)
-        assert rec.units[0].bbv is None
-        with pytest.raises(ValueError):
-            rec.bbv_matrix()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -80,11 +80,6 @@ class TestBlockTrace:
         block = make_block()
         assert block.stats is block.stats
 
-    def test_bb_counts(self):
-        counts = make_block(num_warps=2).bb_counts(3)
-        assert counts[0] == 16
-        assert counts[1:].sum() == 0
-
     def test_compact_layout(self):
         block = make_block(num_warps=2, n=12)
         assert len(block) == 2
